@@ -18,12 +18,14 @@
 //! submission order; execution still overlaps.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use janus_core::CommitGate;
 use janus_log::Fingerprint;
 use parking_lot::Mutex;
+
+use crate::stats::BlockStats;
 
 /// Shared record of one batch's progress, owned by the block executor
 /// and observed (through a gate) by the *next* batch.
@@ -44,8 +46,6 @@ pub struct BatchTracker {
     /// durable, workers parked) — including the poisoned/failed case,
     /// so a failed predecessor can never wedge its successor.
     done: AtomicBool,
-    /// Commits the successor let through early (before `done`).
-    overlapped_commits: AtomicU64,
 }
 
 impl BatchTracker {
@@ -56,7 +56,6 @@ impl BatchTracker {
             executed_union: Mutex::new(Fingerprint::empty()),
             executed_tids: Mutex::new(BTreeSet::new()),
             done: AtomicBool::new(false),
-            overlapped_commits: AtomicU64::new(0),
         })
     }
 
@@ -82,11 +81,6 @@ impl BatchTracker {
     pub fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }
-
-    /// Successor commits that overlapped this batch's execution.
-    pub fn overlapped_commits(&self) -> u64 {
-        self.overlapped_commits.load(Ordering::Relaxed)
-    }
 }
 
 /// The [`CommitGate`] a pipelined batch runs under: linked to its
@@ -97,16 +91,21 @@ impl BatchTracker {
 /// once and the committer's footprint is disjoint (by fingerprint)
 /// from the union of everything the predecessor executed. The second
 /// arm is what buys pipeline overlap: read-disjoint batches commit
-/// concurrently while the predecessor is still validating.
+/// concurrently while the predecessor is still validating. Each such
+/// early release is counted straight into the pipeline's
+/// [`BlockStats`], so no tracker has to outlive its successor for the
+/// overlap figure.
 pub struct PipelinedLink {
     prev: Arc<BatchTracker>,
     own: Arc<BatchTracker>,
+    stats: Arc<BlockStats>,
 }
 
 impl PipelinedLink {
-    /// Links a batch (`own`) to its predecessor's tracker.
-    pub fn new(prev: Arc<BatchTracker>, own: Arc<BatchTracker>) -> Self {
-        PipelinedLink { prev, own }
+    /// Links a batch (`own`) to its predecessor's tracker, counting
+    /// early releases into `stats`.
+    pub fn new(prev: Arc<BatchTracker>, own: Arc<BatchTracker>, stats: Arc<BlockStats>) -> Self {
+        PipelinedLink { prev, own, stats }
     }
 }
 
@@ -131,7 +130,9 @@ impl CommitGate for PipelinedLink {
         let open = self.prev.all_executed()
             && !fingerprint.may_intersect(&self.prev.executed_union.lock());
         if open {
-            self.prev.overlapped_commits.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .overlapped_commits
+                .fetch_add(1, Ordering::Relaxed);
         }
         open
     }
@@ -182,7 +183,8 @@ mod tests {
     fn pipelined_gate_opens_for_disjoint_footprints_once_prev_executed() {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
-        let gate = PipelinedLink::new(Arc::clone(&prev), Arc::clone(&own));
+        let stats = Arc::new(BlockStats::default());
+        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::clone(&stats));
 
         let mine = fp(77);
         // Predecessor not fully executed: closed even when disjoint.
@@ -192,7 +194,7 @@ mod tests {
         // footprint: gate opens without waiting for prev to commit.
         prev.note(2, &fp(2));
         assert!(gate.may_commit(10, &mine));
-        assert_eq!(prev.overlapped_commits(), 1);
+        assert_eq!(stats.report(0).overlapped_commits, 1);
         // An overlapping footprint stays gated until prev is done.
         assert!(!gate.may_commit(11, &fp(1)));
         prev.complete();
@@ -203,7 +205,7 @@ mod tests {
     fn reexecuted_tids_do_not_double_count() {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
-        let gate = PipelinedLink::new(Arc::clone(&prev), own);
+        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::default());
         prev.note(1, &fp(1));
         prev.note(1, &fp(3)); // re-execution after an abort: same tid
         assert!(
@@ -230,7 +232,7 @@ mod tests {
     fn failed_predecessor_transactions_unblock_disjoint_successors() {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
-        let gate = PipelinedLink::new(Arc::clone(&prev), own);
+        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::default());
         prev.note(1, &fp(1));
         // Transaction 2 failed terminally (isolated): it contributes no
         // footprint but counts as executed.

@@ -2,11 +2,9 @@
 //! two batches in flight.
 //!
 //! Each submitted block runs as one `run_batch` on a shared
-//! [`Session`], dispatched through the warm [`WorkerPool`] by one of
-//! `depth` persistent *conductor* threads fed over a channel (no
-//! per-block thread spawn; reuse shows up as `blocks_conducted /
-//! conductors` in [`PoolStats`]). In [`PipelineMode::Pipelined`],
-//! block N+1's
+//! [`Session`], driven by a job on the process-wide pool
+//! ([`janus_core::spawn`]) whose thread is also the batch's worker 0.
+//! In [`PipelineMode::Pipelined`], block N+1's
 //! speculative execution overlaps block N's validation and commit; a
 //! [`CommitGate`](janus_core::CommitGate) linking the two trackers
 //! keeps the equivalent serial order at "all of N before any
@@ -15,20 +13,20 @@
 //! one at a time — the comparison baseline.
 //!
 //! Failure is block-scoped: a poison panic or watchdog fire inside a
-//! block is caught at the conductor and surfaces as
-//! [`BlockStatus::Failed`]; the session, the pool and every other
-//! block stay live.
+//! block is caught by its pool job and surfaces as
+//! [`BlockStatus::Failed`]; the session and every other block stay
+//! live.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use janus_core::{BatchOutcome, CommitGate, Janus, Session, Store, Task};
+use janus_core::{BatchOutcome, CommitGate, Janus, Pending, Session, Store, Task};
+use janus_log::LocId;
+use janus_relational::Value;
 
 use crate::batch::{BatchTracker, OrderedLink, PipelinedLink};
-use crate::pool::{PoolStats, WorkerPool};
 use crate::stats::BlockStats;
 
 /// How block boundaries are treated.
@@ -96,99 +94,11 @@ pub struct Submitted {
     pub retired: Vec<BlockOutcome>,
 }
 
-struct Inflight {
-    /// Delivers the outcome once a conductor finishes the block.
-    rx: mpsc::Receiver<BlockOutcome>,
-}
-
-/// A block's unit of conductor work: runs the batch, then delivers the
-/// outcome on the block's private channel.
-type ConductJob = Box<dyn FnOnce() + Send>;
-
-/// The persistent conductor crew: `depth` long-lived threads pulling
-/// [`ConductJob`]s off one shared channel. Replaces the per-block
-/// `janus-block-{seq}` spawn — a streamed service conducts thousands of
-/// blocks on the same `depth` threads, and the reuse is visible as
-/// `blocks_conducted / conductors`.
-struct Conductors {
-    /// `None` only during [`Drop`], which closes the channel to let the
-    /// threads drain and exit.
-    tx: Option<mpsc::Sender<ConductJob>>,
-    threads: Vec<JoinHandle<()>>,
-    conducted: Arc<AtomicU64>,
-}
-
-impl Conductors {
-    fn new(depth: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<ConductJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let conducted = Arc::new(AtomicU64::new(0));
-        let threads = (0..depth)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let conducted = Arc::clone(&conducted);
-                std::thread::Builder::new()
-                    .name(format!("janus-conductor-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only while waiting for
-                        // the next job, never while conducting it, so
-                        // sibling conductors stay schedulable.
-                        let job = {
-                            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            rx.recv()
-                        };
-                        match job {
-                            Ok(job) => {
-                                conducted.fetch_add(1, Ordering::Relaxed);
-                                job();
-                            }
-                            // Channel closed: the executor dropped us.
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn block conductor")
-            })
-            .collect();
-        Conductors {
-            tx: Some(tx),
-            threads,
-            conducted,
-        }
-    }
-
-    fn submit(&self, job: ConductJob) {
-        self.tx
-            .as_ref()
-            .expect("conductors live until drop")
-            .send(job)
-            .expect("a conductor is always listening");
-    }
-
-    fn count(&self) -> u64 {
-        self.threads.len() as u64
-    }
-
-    fn conducted(&self) -> u64 {
-        self.conducted.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Conductors {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// A long-lived executor: one [`Session`], one warm [`WorkerPool`],
-/// blocks streamed through [`BlockExecutor::submit`] /
-/// [`BlockExecutor::execute_blocks`].
+/// A long-lived executor: one [`Session`], blocks streamed through
+/// [`BlockExecutor::submit`] / [`BlockExecutor::execute_blocks`].
 pub struct BlockExecutor {
     janus: Janus,
     session: Arc<Session>,
-    pool: Arc<WorkerPool>,
     mode: PipelineMode,
     stats: Arc<BlockStats>,
     seq: u64,
@@ -196,11 +106,10 @@ pub struct BlockExecutor {
     /// from 1, [`BlockExecutor::commit_seq`] reports the global
     /// sequence `base + session`.
     seq_base: u64,
+    /// The newest block's tracker, for its successor's gate. Older
+    /// trackers live only as long as the gates that link them.
     prev: Option<Arc<BatchTracker>>,
-    /// Every tracker ever linked, for overlap accounting.
-    trackers: Vec<Arc<BatchTracker>>,
-    conductors: Conductors,
-    inflight: VecDeque<Inflight>,
+    inflight: VecDeque<Pending<BlockOutcome>>,
     /// First submit, for the stream-wall half of the overlap ratio.
     first_submit: Option<Instant>,
     /// Stream wall accumulated up to the last drain.
@@ -208,21 +117,16 @@ pub struct BlockExecutor {
 }
 
 impl BlockExecutor {
-    /// An executor over `store`, with a pool sized for the runtime's
-    /// thread count at the mode's pipeline depth.
+    /// An executor over `store`.
     pub fn new(janus: Janus, store: Store, mode: PipelineMode) -> Self {
-        let lanes = mode.depth() * (janus.thread_count() + 1);
         let session = Arc::new(janus.open_session(store));
         BlockExecutor {
             session,
-            pool: Arc::new(WorkerPool::new(lanes)),
             mode,
             stats: Arc::new(BlockStats::default()),
             seq: 0,
             seq_base: 0,
             prev: None,
-            trackers: Vec::new(),
-            conductors: Conductors::new(mode.depth()),
             inflight: VecDeque::new(),
             first_submit: None,
             wall: Duration::ZERO,
@@ -249,27 +153,10 @@ impl BlockExecutor {
         &self.stats
     }
 
-    /// The warm pool (for its thread-reuse counters).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Pool counters with the executor's conductor-reuse figures filled
-    /// in: `blocks_conducted / conductors` is how many blocks each
-    /// persistent conductor thread has driven.
-    pub fn pool_stats(&self) -> PoolStats {
-        PoolStats {
-            conductors: self.conductors.count(),
-            blocks_conducted: self.conductors.conducted(),
-            ..self.pool.stats()
-        }
-    }
-
-    /// A read snapshot of the session's current store. Taken without
-    /// quiescing in-flight blocks: each shard is cut at a consistent
-    /// committed prefix.
-    pub fn store_snapshot(&self) -> Store {
-        self.session.store()
+    /// The committed value of one location now, without quiescing
+    /// in-flight blocks (read-locks only the owning shard).
+    pub fn value(&self, loc: LocId) -> Option<Value> {
+        self.session.value(loc)
     }
 
     /// Committed transactions so far, per the session's commit clock —
@@ -282,11 +169,6 @@ impl BlockExecutor {
     /// Blocks currently executing.
     pub fn inflight(&self) -> usize {
         self.inflight.len()
-    }
-
-    /// Total commits the gate released while a predecessor still ran.
-    pub fn overlapped_commits(&self) -> u64 {
-        self.trackers.iter().map(|t| t.overlapped_commits()).sum()
     }
 
     /// Submits one block. Blocks (joining the oldest in-flight batch)
@@ -307,7 +189,11 @@ impl BlockExecutor {
                 Some(if self.janus.is_ordered() {
                     Arc::new(OrderedLink::new(prev, Arc::clone(&tracker)))
                 } else {
-                    Arc::new(PipelinedLink::new(prev, Arc::clone(&tracker)))
+                    Arc::new(PipelinedLink::new(
+                        prev,
+                        Arc::clone(&tracker),
+                        Arc::clone(&self.stats),
+                    ))
                 })
             }
             // Barrier mode, first block, or a predecessor that already
@@ -315,26 +201,19 @@ impl BlockExecutor {
             _ => None,
         };
         self.prev = Some(Arc::clone(&tracker));
-        self.trackers.push(Arc::clone(&tracker));
 
         self.stats.blocks_submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.block_size.lock().observe(tasks.len() as u64);
 
         let janus = self.janus.clone();
         let session = Arc::clone(&self.session);
-        let pool = Arc::clone(&self.pool);
         let stats = Arc::clone(&self.stats);
-        let (otx, orx) = mpsc::channel();
-        // `conduct` takes the session/pool handles by value and drops
-        // them before returning, so by the time the outcome is sent —
-        // and thus by the time `finish` can observe the drained
-        // pipeline — the conductor holds no session reference and
-        // `Arc::try_unwrap` there stays sound.
-        self.conductors.submit(Box::new(move || {
-            let outcome = conduct(seq, janus, session, pool, tasks, gate, tracker, stats);
-            let _ = otx.send(outcome);
+        // The pool drops the job's captures — the session handle among
+        // them — before `join` returns, so `finish` after a drain holds
+        // the only session handle.
+        self.inflight.push_back(janus_core::spawn(move || {
+            conduct(seq, &janus, &session, tasks, gate, &tracker, &stats)
         }));
-        self.inflight.push_back(Inflight { rx: orx });
         Submitted { seq, retired }
     }
 
@@ -386,9 +265,6 @@ impl BlockExecutor {
     /// in flight are returned too.
     pub fn finish(mut self) -> (Store, janus_core::ShardReport, Vec<BlockOutcome>) {
         let tail = self.drain();
-        self.stats
-            .overlapped_commits
-            .store(self.overlapped_commits(), Ordering::Relaxed);
         let session = Arc::try_unwrap(self.session)
             .unwrap_or_else(|_| unreachable!("drained pipeline holds the only session handle"));
         let (store, report) = session.finish();
@@ -397,33 +273,29 @@ impl BlockExecutor {
 
     fn retire_oldest(&mut self) -> BlockOutcome {
         let block = self.inflight.pop_front().expect("non-empty pipeline");
-        // Conductors catch batch unwinds themselves; a recv error would
-        // mean the conductor harness itself panicked.
-        let outcome = block.rx.recv().expect("conductor delivers an outcome");
-        self.stats
-            .overlapped_commits
-            .store(self.overlapped_commits(), Ordering::Relaxed);
-        outcome
+        // `conduct` catches batch unwinds itself; an `Err` here means
+        // the harness around the batch panicked.
+        block
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 }
 
-/// One conductor run: drive a batch through the pool, complete the
-/// tracker unconditionally, fold the result into the shared stats.
-#[allow(clippy::too_many_arguments)]
+/// One block's pool job: run the batch, complete the tracker
+/// unconditionally, fold the result into the shared stats.
 fn conduct(
     seq: u64,
-    janus: Janus,
-    session: Arc<Session>,
-    pool: Arc<WorkerPool>,
+    janus: &Janus,
+    session: &Session,
     tasks: Vec<Task>,
     gate: Option<Arc<dyn CommitGate>>,
-    tracker: Arc<BatchTracker>,
-    stats: Arc<BlockStats>,
+    tracker: &BatchTracker,
+    stats: &BlockStats,
 ) -> BlockOutcome {
     let n = tasks.len();
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        janus.run_batch(&session, tasks, &*pool, gate)
+        janus.run_batch(session, tasks, gate)
     }));
     // Complete before anything else: a successor block may be parked on
     // this tracker, and it must never wait on a failed predecessor.
@@ -491,13 +363,12 @@ mod tests {
     use super::*;
     use janus_core::PanicPolicy;
     use janus_detect::SequenceDetector;
-    use janus_relational::Value;
 
     fn janus(threads: usize) -> Janus {
         Janus::new(Arc::new(SequenceDetector::new())).threads(threads)
     }
 
-    fn counter_tasks(loc: janus_log::LocId, n: usize, delta: i64) -> Vec<Task> {
+    fn counter_tasks(loc: LocId, n: usize, delta: i64) -> Vec<Task> {
         (0..n)
             .map(|_| Task::new(move |tx| tx.add(loc, delta)))
             .collect()
@@ -537,7 +408,8 @@ mod tests {
             assert_eq!(o.status, BlockStatus::Committed);
             assert!(exec.inflight() == 0);
         }
-        assert_eq!(exec.overlapped_commits(), 0, "no gate, no overlap");
+        let report = exec.stats().report(exec.stream_wall_micros());
+        assert_eq!(report.overlapped_commits, 0, "no gate, no overlap");
         let (store, _, _) = exec.finish();
         assert_eq!(store.value(acct), Some(&Value::int(9)));
     }
@@ -552,6 +424,8 @@ mod tests {
         let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
         let outcomes = exec.execute_blocks(vec![counter_tasks(a, 6, 1), counter_tasks(b, 6, 1)]);
         assert!(outcomes.iter().all(|o| o.status == BlockStatus::Committed));
+        let report = exec.stats().report(exec.stream_wall_micros());
+        assert!(report.overlapped_commits <= 6, "only block 2 can overlap");
         let (store, _, _) = exec.finish();
         assert_eq!(store.value(a), Some(&Value::int(6)));
         assert_eq!(store.value(b), Some(&Value::int(6)));
@@ -604,37 +478,43 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_stream_reuses_pool_threads() {
+    fn a_tracker_is_freed_once_its_successor_retires() {
         let mut store = Store::new();
         let acct = store.alloc("acct", Value::int(0));
         let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
-        let blocks: Vec<Vec<Task>> = (0..6).map(|_| counter_tasks(acct, 4, 1)).collect();
-        let outcomes = exec.execute_blocks(blocks);
-        assert_eq!(outcomes.len(), 6);
-        let pool = exec.pool_stats();
-        assert_eq!(pool.dispatches, 6, "one pool dispatch per block");
-        assert_eq!(pool.lanes, 6, "2 * (threads + 1) warm lanes");
-        assert_eq!(pool.jobs_run, 12, "worker jobs only; no watchdog armed");
-        assert_eq!(pool.conductors, 2, "pipeline depth, not one per block");
-        assert_eq!(
-            pool.blocks_conducted, 6,
-            "every block on a reused conductor"
+        exec.submit(counter_tasks(acct, 4, 1));
+        let first = Arc::downgrade(exec.prev.as_ref().expect("block 1 is tracked"));
+        exec.submit(counter_tasks(acct, 4, 1));
+        exec.submit(counter_tasks(acct, 4, 1));
+        exec.drain();
+        assert!(
+            first.upgrade().is_none(),
+            "block 1's tracker outlived block 3"
         );
     }
 
     #[test]
-    fn barrier_mode_keeps_a_single_persistent_conductor() {
+    fn value_agrees_with_the_session_store_after_a_pipelined_stream() {
         let mut store = Store::new();
-        let acct = store.alloc("acct", Value::int(0));
-        let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Barrier);
-        for _ in 0..4 {
-            let o = exec.execute_block(counter_tasks(acct, 2, 1));
-            assert_eq!(o.status, BlockStatus::Committed);
+        let accts: Vec<LocId> = (0..16)
+            .map(|i| store.alloc(format!("acct{i}").as_str(), Value::int(0)))
+            .collect();
+        let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
+        let blocks: Vec<Vec<Task>> = (0..8)
+            .map(|b| {
+                accts
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| (i + b) % 3 != 0)
+                    .map(|(i, &loc)| Task::new(move |tx| tx.add(loc, i as i64 + 1)))
+                    .collect()
+            })
+            .collect();
+        exec.execute_blocks(blocks);
+        let snapshot = exec.session.store();
+        for &loc in &accts {
+            assert_eq!(exec.value(loc).as_ref(), snapshot.value(loc));
         }
-        let pool = exec.pool_stats();
-        assert_eq!(pool.conductors, 1);
-        assert_eq!(pool.blocks_conducted, 4, "4x reuse of the one conductor");
-        let (store, _, _) = exec.finish();
-        assert_eq!(store.value(acct), Some(&Value::int(8)));
+        assert_eq!(exec.value(LocId(u64::MAX)), None, "unallocated location");
     }
 }

@@ -5,9 +5,8 @@
 //! crate runs an unbounded *stream* of blocks — batches of transactions
 //! arriving over time — against one persistent store:
 //!
-//! * a warm [`WorkerPool`] keeps worker threads alive across blocks and
-//!   dispatches each `run_batch` through per-lane injection slots;
-//! * [`BlockExecutor`] keeps up to two blocks in flight: block N+1
+//! * [`BlockExecutor`] keeps up to two blocks in flight, each driven by
+//!   a job on `janus-core`'s process-wide pool: block N+1
 //!   executes speculatively while block N validates and commits, with
 //!   a footprint-fingerprint [commit gate](crate::PipelinedLink)
 //!   making the block boundary a commit barrier *only for conflicting
@@ -16,8 +15,8 @@
 //! * [`AdmissionQueue`] bounds the number of queued blocks and sheds
 //!   load explicitly instead of queueing without limit;
 //! * failure is block-scoped: a poison panic or watchdog fire fails
-//!   only its block ([`BlockStatus::Failed`]); the session, the pool
-//!   and every other block keep running.
+//!   only its block ([`BlockStatus::Failed`]); the session and every
+//!   other block keep running.
 //!
 //! The `janus-serve` binary wires these into a line-protocol service;
 //! `bench_serve` measures sustained throughput pipelined vs. barrier.
@@ -28,11 +27,9 @@
 mod admission;
 mod batch;
 mod executor;
-mod pool;
 mod stats;
 
 pub use admission::{Admission, AdmissionQueue};
 pub use batch::{BatchTracker, OrderedLink, PipelinedLink};
 pub use executor::{BlockExecutor, BlockOutcome, BlockStatus, PipelineMode, Submitted};
-pub use pool::{PoolStats, WorkerPool};
 pub use stats::{BatchReport, BlockStats, ServeReport, ServeStats};

@@ -8,7 +8,8 @@ use janus_obs::{Histogram, MetricsRegistry, Snapshot};
 use parking_lot::Mutex;
 
 /// Concurrent block-pipeline counters, shared between the
-/// [`BlockExecutor`](crate::BlockExecutor) and its conductor threads.
+/// [`BlockExecutor`](crate::BlockExecutor), its blocks' pool jobs and
+/// their commit gates.
 #[derive(Default)]
 pub struct BlockStats {
     pub(crate) blocks_submitted: AtomicU64,

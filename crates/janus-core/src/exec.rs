@@ -1,48 +1,126 @@
-//! Where a run's worker jobs execute: the [`JobExecutor`] seam between
-//! the batch runtime and its threads.
+//! The process-wide worker pool every batch borrows its threads from.
 //!
-//! [`Janus::run`](crate::Janus::run) historically spawned one fresh
-//! thread per worker inside a `std::thread::scope` and tore them down at
-//! run exit. The block-executor service (`janus-block`) reuses warm
-//! threads across batches instead; this trait is the seam both share.
-//! Jobs are `'static` closures over `Arc`-owned batch state, so an
-//! executor may run them on threads that outlive the call.
+//! It has no size: [`spawn`] hands a job to an idle thread or starts a
+//! new one, so every job has a thread of its own (jobs block on each
+//! other — ordered turns, commit gates — so sharing one could deadlock)
+//! and the pool grows to the most jobs ever in flight at once. Before a
+//! job's completion is signalled, (1) its thread is back on the idle
+//! stack, so joining one job and spawning the next never grows the
+//! pool, and (2) its captures are dropped, so a joined batch holds no
+//! session handle and [`Session::finish`](crate::Session::finish) can
+//! unwrap it.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard};
 
 /// One worker's whole contribution to a batch, boxed for dispatch.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Runs a batch's worker jobs to completion.
-///
-/// The contract `run_jobs` must uphold:
-///
-/// * every job runs exactly once, each on its own thread (jobs block on
-///   each other — ordered turns, commit gates — so multiplexing two
-///   jobs onto one thread can deadlock);
-/// * the call returns only after every job has returned or unwound;
-/// * if any job unwinds, the first captured payload is re-raised from
-///   `run_jobs` after the remaining jobs finish (mirroring
-///   `std::thread::scope`).
-pub trait JobExecutor: Send + Sync {
-    /// Runs every job concurrently and blocks until all are done.
-    fn run_jobs(&self, jobs: Vec<Job>);
+/// A job as a pool thread runs it: the work, returning how to report it.
+type Work = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
+
+struct Pool {
+    /// Inboxes of parked threads; the most recently parked goes first.
+    idle: Mutex<Vec<mpsc::Sender<Work>>>,
+    threads: AtomicUsize,
 }
 
-/// The default executor: one fresh `std::thread` per job, joined before
-/// returning — the seed's spawn-per-run behavior behind the seam.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SpawnExecutor;
+static POOL: Pool = Pool::new();
 
-impl JobExecutor for SpawnExecutor {
-    fn run_jobs(&self, jobs: Vec<Job>) {
-        let handles: Vec<_> = jobs.into_iter().map(std::thread::spawn).collect();
-        let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            if let Err(p) = h.join() {
+/// Runs `f` on a pool thread, starting one if none is idle.
+pub fn spawn<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Pending<T> {
+    POOL.spawn(f)
+}
+
+/// Threads the process-wide pool has started so far (idle or busy).
+pub fn pool_threads() -> usize {
+    POOL.started()
+}
+
+/// Runs every job to completion, each on its own thread: the first on
+/// the calling thread, the rest on the pool. Once all are done, the
+/// first panic in job order is re-raised.
+pub(crate) fn run_jobs(jobs: Vec<Job>) {
+    POOL.run_jobs(jobs);
+}
+
+/// A job running on the pool.
+pub struct Pending<T>(mpsc::Receiver<std::thread::Result<T>>);
+
+impl<T> Pending<T> {
+    /// Waits for the job's result (`Err` carries its panic payload). By
+    /// then its captures are dropped and its thread is idle again.
+    pub fn join(self) -> std::thread::Result<T> {
+        self.0.recv().expect("a pool thread always reports its job")
+    }
+}
+
+impl Pool {
+    const fn new() -> Self {
+        Pool {
+            idle: Mutex::new(Vec::new()),
+            threads: AtomicUsize::new(0),
+        }
+    }
+
+    fn started(&self) -> usize {
+        self.threads.load(Ordering::Relaxed)
+    }
+
+    fn idle(&self) -> MutexGuard<'_, Vec<mpsc::Sender<Work>>> {
+        // Every update is one push or pop, so a poisoned stack is valid.
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn spawn<T: Send + 'static>(
+        &'static self,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Pending<T> {
+        let (done, pending) = mpsc::sync_channel(1);
+        let work: Work = Box::new(move || {
+            // The call consumes `f`, dropping its captures (2).
+            let result = catch_unwind(AssertUnwindSafe(f));
+            Box::new(move || drop(done.send(result)))
+        });
+        let parked = self.idle().pop();
+        let inbox = parked.unwrap_or_else(|| self.start());
+        inbox.send(work).expect("pool threads never exit");
+        Pending(pending)
+    }
+
+    /// Starts a thread serving a fresh inbox. It holds a sender to that
+    /// inbox itself, so `recv` never fails and it lives as long as the
+    /// process.
+    fn start(&'static self) -> mpsc::Sender<Work> {
+        let (inbox, jobs) = mpsc::channel::<Work>();
+        let own = inbox.clone();
+        self.threads.fetch_add(1, Ordering::Relaxed);
+        std::thread::Builder::new()
+            .name("janus-pool".into())
+            .spawn(move || {
+                while let Ok(work) = jobs.recv() {
+                    let report = work();
+                    self.idle().push(own.clone()); // (1)
+                    report();
+                }
+            })
+            .expect("spawn pool thread");
+        inbox
+    }
+
+    fn run_jobs(&'static self, jobs: Vec<Job>) {
+        let mut jobs = jobs.into_iter();
+        let Some(first) = jobs.next() else { return };
+        let rest: Vec<Pending<()>> = jobs.map(|job| self.spawn(job)).collect();
+        let mut payload = catch_unwind(AssertUnwindSafe(first)).err();
+        for pending in rest {
+            if let Err(p) = pending.join() {
                 payload.get_or_insert(p);
             }
         }
         if let Some(p) = payload {
-            std::panic::resume_unwind(p);
+            resume_unwind(p);
         }
     }
 }
@@ -50,40 +128,69 @@ impl JobExecutor for SpawnExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
-    #[test]
-    fn spawn_executor_runs_every_job_once() {
-        let n = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<Job> = (0..8)
-            .map(|_| {
-                let n = Arc::clone(&n);
+    /// A private pool, so its counts are not shared with other tests.
+    fn fresh() -> &'static Pool {
+        Box::leak(Box::new(Pool::new()))
+    }
+
+    /// `n` jobs that all wait for each other, then run `body(i)`.
+    fn meeting(n: usize, body: impl Fn(usize) + Send + Sync + 'static) -> Vec<Job> {
+        let (barrier, body) = (Arc::new(Barrier::new(n)), Arc::new(body));
+        (0..n)
+            .map(|i| {
+                let (barrier, body) = (Arc::clone(&barrier), Arc::clone(&body));
                 Box::new(move || {
-                    n.fetch_add(1, Ordering::Relaxed);
+                    barrier.wait();
+                    body(i);
                 }) as Job
             })
-            .collect();
-        SpawnExecutor.run_jobs(jobs);
-        assert_eq!(n.load(Ordering::Relaxed), 8);
+            .collect()
     }
 
     #[test]
-    fn spawn_executor_reraises_the_first_panic_after_draining() {
-        let n = Arc::new(AtomicU64::new(0));
-        let mut jobs: Vec<Job> = Vec::new();
-        jobs.push(Box::new(|| panic!("job boom")));
-        for _ in 0..3 {
-            let n = Arc::clone(&n);
-            jobs.push(Box::new(move || {
-                n.fetch_add(1, Ordering::Relaxed);
-            }));
+    fn jobs_waiting_on_each_other_complete_on_cold_and_warm_pools() {
+        for n in 1..=8 {
+            let pool = fresh();
+            for round in ["cold", "warm"] {
+                pool.run_jobs(meeting(n, |_| ()));
+                assert_eq!(pool.started(), n - 1, "{round}, n={n}");
+            }
         }
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SpawnExecutor.run_jobs(jobs)
-        }))
-        .expect_err("panic re-raised");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"job boom"));
-        assert_eq!(n.load(Ordering::Relaxed), 3, "other jobs still ran");
+    }
+
+    #[test]
+    fn panic_is_reraised_after_siblings_and_its_thread_serves_again() {
+        let pool = fresh();
+        let finished = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&finished);
+        let jobs = meeting(3, move |i| {
+            assert_ne!(i, 1, "pool job boom");
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| pool.run_jobs(jobs))).expect_err("re-raised");
+        assert!(format!("{:?}", err.downcast_ref::<String>()).contains("pool job boom"));
+        assert_eq!(finished.load(Ordering::Relaxed), 2, "siblings finished");
+        // Three meeting jobs need both pool threads, the panicked one too.
+        pool.run_jobs(meeting(3, |_| ()));
+        assert_eq!(pool.started(), 2);
+    }
+
+    #[test]
+    fn thread_parks_and_captures_drop_before_completion_is_signalled() {
+        let pool = fresh();
+        let token = Arc::new(());
+        for i in 0..100 {
+            let held = Arc::clone(&token);
+            let job = pool.spawn(move || {
+                let _held = &held;
+                assert_ne!(i, 0, "unwinding drops captures too");
+            });
+            assert_eq!(job.join().is_err(), i == 0);
+            assert_eq!(Arc::strong_count(&token), 1, "captures dropped");
+            assert_eq!(pool.idle().len(), 1, "thread parked");
+        }
+        assert_eq!(pool.started(), 1, "a steady stream reuses one thread");
     }
 }

@@ -61,7 +61,7 @@ mod shard;
 mod store;
 mod txview;
 
-pub use exec::{Job, JobExecutor, SpawnExecutor};
+pub use exec::{pool_threads, spawn, Pending};
 pub use runtime::{
     BatchOutcome, CommitGate, CommitSink, Janus, Outcome, PanicPolicy, RunStats, Session, Task,
     TaskFailure,

@@ -14,7 +14,7 @@ use janus_sched::{
 };
 use janus_train::{train, CommutativityCache, TrainConfig, TrainReport, TrainingRun};
 
-use crate::exec::{Job, JobExecutor, SpawnExecutor};
+use crate::exec::{run_jobs, Job};
 use crate::shard::{
     merge_slots, partition_slots, report, snapshot_slots, ActiveBegins, Oracle, SeqEntry, Shard,
     ShardReport, DEFAULT_SHARDS,
@@ -221,6 +221,13 @@ impl Session {
         let mut store = self.base.clone();
         store.slots = snapshot_slots(&self.core.shards);
         store
+    }
+
+    /// The committed value of one location now, read-locking only the
+    /// shard that owns it.
+    pub fn value(&self, loc: janus_log::LocId) -> Option<janus_relational::Value> {
+        let shard = &self.core.shards[loc.shard(self.core.shards.len())];
+        shard.data.read().slots.get(&loc).map(|s| s.value.clone())
     }
 
     /// Per-shard commit-path statistics since the session opened.
@@ -674,9 +681,9 @@ impl Janus {
         &self.detector
     }
 
-    /// The configured worker-thread count. A batch dispatches this many
-    /// worker jobs (plus one watchdog job when armed), which is what an
-    /// external [`JobExecutor`](crate::JobExecutor) must accommodate.
+    /// The configured worker-thread count. A batch runs this many worker
+    /// jobs (plus one watchdog job when armed): the first on the calling
+    /// thread, the rest on the process-wide pool.
     pub fn thread_count(&self) -> usize {
         self.threads
     }
@@ -705,7 +712,7 @@ impl Janus {
     /// panics under `Poison`.
     pub fn run(&self, store: Store, tasks: Vec<Task>) -> Outcome {
         let session = self.open_session(store);
-        let batch = self.run_batch(&session, tasks, &SpawnExecutor, None);
+        let batch = self.run_batch(&session, tasks, None);
         // Commits come from the dedicated counter; the oracle mirrors
         // commits + tombstones (released turns of failed ordered tasks)
         // but is an implementation detail of sequencing, not a
@@ -744,10 +751,9 @@ impl Janus {
         }
     }
 
-    /// Runs one batch of tasks on a session, dispatching its worker
-    /// jobs through `executor` (fresh threads for [`SpawnExecutor`], a
-    /// warm pool for `janus-block`) and consulting `gate` — when given —
-    /// before every commit.
+    /// Runs one batch of tasks on a session, worker 0 on the calling
+    /// thread and the other workers on the process-wide pool, consulting
+    /// `gate` — when given — before every commit.
     ///
     /// Batches on one session may run concurrently: the block pipeline
     /// overlaps batch N+1's speculative execution with batch N's
@@ -759,7 +765,6 @@ impl Janus {
         &self,
         session: &Session,
         tasks: Vec<Task>,
-        executor: &dyn JobExecutor,
         gate: Option<Arc<dyn CommitGate>>,
     ) -> BatchOutcome {
         let started = Instant::now();
@@ -806,7 +811,7 @@ impl Janus {
             let (cfg, ctx) = (Arc::clone(&cfg), Arc::clone(&ctx));
             jobs.push(Box::new(move || cfg.watchdog_loop(interval, &ctx)));
         }
-        executor.run_jobs(jobs);
+        run_jobs(jobs);
 
         if let Some(payload) = ctx.panic_payload.lock().take() {
             std::panic::resume_unwind(payload);
@@ -2237,14 +2242,14 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b1 = janus.run_batch(&session, batch(1, 10), &SpawnExecutor, None);
+        let b1 = janus.run_batch(&session, batch(1, 10), None);
         assert_eq!(b1.stats.commits, 10);
         assert_eq!(b1.first_tid, 1);
         assert_eq!(
             session.store().value(acc),
             Some(&Value::int((1..=10).sum()))
         );
-        let b2 = janus.run_batch(&session, batch(11, 20), &SpawnExecutor, None);
+        let b2 = janus.run_batch(&session, batch(11, 20), None);
         assert_eq!(b2.stats.commits, 10);
         assert_eq!(b2.first_tid, 11, "task ids are dense across batches");
         assert_eq!(session.commit_seq(), 20);
@@ -2266,13 +2271,13 @@ mod tests {
             .collect();
         tasks.push(Task::new(|_tx: &mut TxView| panic!("batch boom")));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            janus.run_batch(&session, tasks, &SpawnExecutor, None)
+            janus.run_batch(&session, tasks, None)
         }));
         assert!(result.is_err(), "the poisoned batch propagates its panic");
         let survivors: Vec<Task> = (1..=4)
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, 10 * d)))
             .collect();
-        let b2 = janus.run_batch(&session, survivors, &SpawnExecutor, None);
+        let b2 = janus.run_batch(&session, survivors, None);
         assert_eq!(b2.stats.commits, 4, "the session stays live");
         assert!(!b2.poisoned);
         let v = session
@@ -2315,7 +2320,7 @@ mod tests {
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
             .collect();
         let gate = Arc::new(OpenOnSecondPoll::default());
-        let b = janus.run_batch(&session, tasks, &SpawnExecutor, Some(gate));
+        let b = janus.run_batch(&session, tasks, Some(gate));
         assert_eq!(b.stats.commits, 8);
         assert_eq!(
             b.stats.commit_gate_waits, 8,

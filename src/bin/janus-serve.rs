@@ -246,8 +246,7 @@ fn consume(
             }
             Item::Read { acct } => match accounts.get(acct) {
                 Some(&loc) => {
-                    let snapshot = exec.store_snapshot();
-                    let v = snapshot.value(loc).and_then(Value::as_int).unwrap_or(0);
+                    let v = exec.value(loc).and_then(|v| v.as_int()).unwrap_or(0);
                     say(format!("value {acct} {v}"));
                 }
                 None => say(format!("error account {acct} out of range")),
