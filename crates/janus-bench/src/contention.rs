@@ -121,6 +121,20 @@ fn hotspot(n: usize, hot_pct: u32) -> Hotspot {
 /// The hot-percentage axis of the sweep.
 pub const HOT_PCT_GRID: [u32; 4] = [25, 50, 75, 100];
 
+/// The policy axis of the sweep, labelled; affinity routes on the
+/// scenario's exact footprints.
+fn sweep_policies(footprints: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
+    vec![
+        ("fifo", Arc::new(Fifo)),
+        ("backoff", Arc::new(Backoff::default())),
+        (
+            "affinity",
+            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints)))),
+        ),
+        ("steal", Arc::new(WorkSteal::new(7))),
+    ]
+}
+
 /// Runs the contention sweep: every policy × degradation setting across
 /// [`HOT_PCT_GRID`], against a per-configuration sequential baseline.
 pub fn contention_sweep(quick: bool) -> Vec<ContentionPoint> {
@@ -137,18 +151,7 @@ pub fn contention_sweep(quick: bool) -> Vec<ContentionPoint> {
             Some(&janus_relational::Value::int(scenario.expected_hot)),
             "sequential baseline must produce the expected sum"
         );
-        let policies: Vec<(&'static str, Arc<dyn SchedulePolicy>)> = vec![
-            ("fifo", Arc::new(Fifo)),
-            ("backoff", Arc::new(Backoff::default())),
-            (
-                "affinity",
-                Arc::new(Affinity::new(Arc::new(ExactFootprints(
-                    scenario.footprints.clone(),
-                )))),
-            ),
-            ("steal", Arc::new(WorkSteal::new(7))),
-        ];
-        for (label, policy) in policies {
+        for (label, policy) in sweep_policies(scenario.footprints.clone()) {
             for degrade in [false, true] {
                 let scenario = hotspot(n, hot_pct);
                 let mut janus = Janus::new(Arc::new(WriteSetDetector::new()))
@@ -189,8 +192,9 @@ mod tests {
     #[test]
     fn quick_sweep_commits_everything_and_checks_out() {
         let points = contention_sweep(true);
-        // 4 hot percentages × 3 policies × 2 degradation settings.
-        assert_eq!(points.len(), 24);
+        // Hot percentages × policies × 2 degradation settings.
+        let policies = sweep_policies(Vec::new()).len();
+        assert_eq!(points.len(), HOT_PCT_GRID.len() * policies * 2);
         for p in &points {
             assert_eq!(
                 p.commits, 64,

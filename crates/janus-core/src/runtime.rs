@@ -5,12 +5,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use janus_detect::ConflictDetector;
+use janus_detect::{ConflictDetector, ValidationSession};
 use janus_fault::{FaultKind, FaultPlan};
 use janus_log::{ClassId, CommittedLog, Fingerprint, HistoryWindow, Op, SHARD_SPACE};
 use janus_obs::{AbortReason, EventKind, Recorder, RingHandle};
 use janus_sched::{
-    backoff, DegradeConfig, DegradeController, Fifo, Parker, SchedStats, SchedulePolicy, TaskSource,
+    backoff, DegradeConfig, DegradeController, Fifo, Parker, SchedStats, SchedulePolicy,
+    SerialGuard, TaskSource,
 };
 use janus_train::{train, CommutativityCache, TrainConfig, TrainReport, TrainingRun};
 
@@ -191,12 +192,6 @@ struct SessionCore {
     shards: Vec<Shard>,
 }
 
-impl SessionCore {
-    fn total_reclaimed(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats.reclaimed_total()).sum()
-    }
-}
-
 /// A long-lived execution session over one store: batches submitted
 /// through [`Janus::run_batch`] share the session's oracle, watermark
 /// and shards, so a later batch validates against — and is reclaimed
@@ -300,12 +295,157 @@ impl BatchCtx {
         &self.core.oracle
     }
 
-    fn active(&self) -> &ActiveBegins {
-        &self.core.active
-    }
-
     fn shards(&self) -> &[Shard] {
         &self.core.shards
+    }
+}
+
+/// One shard's slots, privatized by an O(1) persistent-map clone.
+type ShardMap = janus_persist::PersistentMap<janus_log::LocId, crate::store::Slot>;
+
+/// What every `RUNTASK` stage shares: the task's global id, its worker,
+/// the attempt number (consecutive conflict aborts so far — it drives
+/// backoff, the retry budget and fault sites), the batch and the ring.
+#[derive(Clone, Copy)]
+struct TaskCtx<'c> {
+    tid: u64,
+    worker: usize,
+    attempt: u32,
+    ctx: &'c BatchCtx,
+    obs: Option<&'c RingHandle>,
+}
+
+/// A begin ticket pinned in the session's [`ActiveBegins`] (the GC
+/// watermark) until dropped. Every exit of an attempt — commit,
+/// conflict, isolation, poison bail, unwind — releases it by dropping
+/// its [`Attempt`]; the commit path does so before reading the floor.
+struct Registration<'c> {
+    active: &'c ActiveBegins,
+    begin: u64,
+}
+
+impl<'c> Registration<'c> {
+    fn pin(active: &'c ActiveBegins, begin: u64) -> Self {
+        active.register(begin);
+        Registration { active, begin }
+    }
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.active.unregister(self.begin);
+    }
+}
+
+/// `CREATETRANSACTION`'s result: the pinned begin ticket and the
+/// per-shard snapshot taken under it.
+struct Attempt<'c> {
+    _registration: Registration<'c>,
+    /// Each shard's absolute history head at snapshot time — where this
+    /// attempt's validation window opens.
+    begin_pos: Vec<u64>,
+    maps: Arc<[ShardMap]>,
+}
+
+/// What an executed attempt will publish, resolved outside the locks.
+struct CommitPlan {
+    /// The attempt's log, decomposed exactly once for every validation
+    /// extension and (single-shard commits) the published segment.
+    log: Arc<CommittedLog>,
+    /// The shards the log touches, ascending — the commit's lock order.
+    touched: Vec<usize>,
+    /// Per touched shard, the history entry it receives; its
+    /// per-location index is also the shard's replay plan.
+    publish: Vec<Arc<CommittedLog>>,
+}
+
+impl CommitPlan {
+    /// Decomposes the log and publishes its footprint to the cross-batch
+    /// gate before validation, so successor batches can start proving
+    /// disjointness while this transaction is still in flight.
+    fn new(ops: Vec<Op>, t: TaskCtx<'_>) -> Self {
+        let n = t.ctx.shards().len();
+        let log = Arc::new(CommittedLog::new(ops));
+        if let Some(g) = t.ctx.gate.as_deref() {
+            g.note_executed(t.tid, log.fingerprint());
+        }
+        let mut touched: Vec<usize> = log.index().locs.keys().map(|l| l.shard(n)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        // The whole log when one shard holds the entire footprint (the
+        // common case under class affinity), else a per-shard split —
+        // publishing the full log to several shards would make
+        // multi-shard validators see each operation once per shard.
+        let publish = if touched.len() <= 1 {
+            touched.iter().map(|_| Arc::clone(&log)).collect()
+        } else {
+            touched
+                .iter()
+                .map(|&s| {
+                    let ops: Vec<Op> = log
+                        .ops()
+                        .iter()
+                        .filter(|op| op.loc.shard(n) == s)
+                        .cloned()
+                        .collect();
+                    Arc::new(CommittedLog::new(ops))
+                })
+                .collect()
+        };
+        CommitPlan {
+            log,
+            touched,
+            publish,
+        }
+    }
+}
+
+/// An open validation: the detector session and, per touched shard, the
+/// absolute history position validated up to (positional, not
+/// ticket-indexed — pruned prefixes and skipped turns leave no holes).
+struct Validation<'a> {
+    session: Box<dyn ValidationSession + 'a>,
+    validated: Vec<u64>,
+    served_nonempty: bool,
+}
+
+/// How a `commit` stage ended: published, or handed back because a
+/// touched shard moved past what was validated.
+enum Commit<'c> {
+    Done,
+    Stale(Attempt<'c>),
+}
+
+/// The one wait in `RUNTASK`: parks `worker` in the ordered-wait phase
+/// — its queued work stays published for stealing — until `ready`
+/// holds. Returns `false` if the batch is poisoned first: a predecessor
+/// turn or a gate may then never come.
+fn park_until(ctx: &BatchCtx, worker: usize, tid: u64, mut ready: impl FnMut() -> bool) -> bool {
+    ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
+    ctx.source.on_park(worker);
+    let mut parker = Parker::new();
+    let ready = loop {
+        if ready() {
+            break true;
+        }
+        // Acquire pairs with the Release poison store.
+        if ctx.poisoned.load(Ordering::Acquire) {
+            break false;
+        }
+        parker.pause();
+    };
+    ctx.source.on_unpark(worker);
+    ready
+}
+
+/// Closes an attempt cut short by a poisoned batch. The distinct reason
+/// keeps these aborts out of contention attribution.
+fn record_poisoned(obs: Option<&RingHandle>, tid: u64) {
+    if let Some(o) = obs {
+        o.record(EventKind::Abort {
+            task: tid,
+            reason: AbortReason::Poisoned,
+        });
     }
 }
 
@@ -423,34 +563,28 @@ impl janus_obs::Snapshot for RunStats {
     }
 
     fn counters(&self) -> Vec<(String, u64)> {
-        vec![
-            ("commits".to_string(), self.commits),
-            ("retries".to_string(), self.retries),
+        [
+            ("commits", self.commits),
+            ("retries", self.retries),
             (
-                "wall_ns".to_string(),
+                "wall_ns",
                 u64::try_from(self.wall.as_nanos()).unwrap_or(u64::MAX),
             ),
-            ("history_reclaimed".to_string(), self.history_reclaimed),
-            ("detect_ops_scanned".to_string(), self.detect_ops_scanned),
-            ("delta_revalidations".to_string(), self.delta_revalidations),
-            (
-                "fastpath_segments_skipped".to_string(),
-                self.fastpath_segments_skipped,
-            ),
-            (
-                "fastpath_segments_scanned".to_string(),
-                self.fastpath_segments_scanned,
-            ),
-            ("zero_copy_windows".to_string(), self.zero_copy_windows),
-            ("faults_injected".to_string(), self.faults_injected),
-            ("tasks_failed".to_string(), self.tasks_failed),
-            (
-                "retry_budget_escalations".to_string(),
-                self.retry_budget_escalations,
-            ),
-            ("watchdog_fires".to_string(), self.watchdog_fires),
-            ("commit_gate_waits".to_string(), self.commit_gate_waits),
+            ("history_reclaimed", self.history_reclaimed),
+            ("detect_ops_scanned", self.detect_ops_scanned),
+            ("delta_revalidations", self.delta_revalidations),
+            ("fastpath_segments_skipped", self.fastpath_segments_skipped),
+            ("fastpath_segments_scanned", self.fastpath_segments_scanned),
+            ("zero_copy_windows", self.zero_copy_windows),
+            ("faults_injected", self.faults_injected),
+            ("tasks_failed", self.tasks_failed),
+            ("retry_budget_escalations", self.retry_budget_escalations),
+            ("watchdog_fires", self.watchdog_fires),
+            ("commit_gate_waits", self.commit_gate_waits),
         ]
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect()
     }
 }
 
@@ -506,8 +640,6 @@ pub struct Janus {
     threads: usize,
     shards: usize,
     ordered: bool,
-    eager_privatization: bool,
-    gc_history: bool,
     recorder: Option<Arc<Recorder>>,
     schedule: Arc<dyn SchedulePolicy>,
     degrade: Option<DegradeConfig>,
@@ -529,8 +661,6 @@ impl Janus {
                 .unwrap_or(1),
             shards: DEFAULT_SHARDS,
             ordered: false,
-            eager_privatization: false,
-            gc_history: true,
             recorder: None,
             schedule: Arc::new(Fifo),
             degrade: None,
@@ -628,23 +758,6 @@ impl Janus {
     /// constructed and nothing is allocated.
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Enables or disables commit-log garbage collection. On (the
-    /// default), the logs of transactions older than every in-flight
-    /// transaction's begin time are reclaimed at commit; off reproduces
-    /// the paper prototype's keep-everything behavior.
-    pub fn gc_history(mut self, gc: bool) -> Self {
-        self.gc_history = gc;
-        self
-    }
-
-    /// Privatizes by deep-copying the whole store at transaction begin,
-    /// instead of the O(1) persistent snapshot — the naïve privatization
-    /// the paper's prototype used, kept as ablation D4.
-    pub fn eager_privatization(mut self, eager: bool) -> Self {
-        self.eager_privatization = eager;
         self
     }
 
@@ -769,11 +882,7 @@ impl Janus {
     ) -> BatchOutcome {
         let started = Instant::now();
         let first_tid = session.reserve_tids(tasks.len() as u64);
-        let ops_scanned_at_start = self.detector.stats().ops_scanned();
-        let segments_skipped_at_start = self.detector.stats().segments_skipped();
-        let segments_scanned_at_start = self.detector.stats().segments_scanned();
-        let faults_at_start = self.faults.as_ref().map_or(0, |f| f.stats().injected());
-        let reclaimed_at_start = session.core.total_reclaimed();
+        let at_start = self.cumulative_counters(session);
         let workers = self.threads.min(tasks.len().max(1));
         let ctx = Arc::new(BatchCtx {
             core: Arc::clone(&session.core),
@@ -817,7 +926,9 @@ impl Janus {
             std::panic::resume_unwind(payload);
         }
         let counters = &ctx.counters;
-        let commits = counters.commits.load(Ordering::Relaxed);
+        let at_end = self.cumulative_counters(session);
+        let [ops_scanned, segments_skipped, segments_scanned, faults_injected, history_reclaimed] =
+            std::array::from_fn(|i| at_end[i].saturating_sub(at_start[i]));
         let mut sched = ctx.source.stats();
         if let Some(c) = &ctx.controller {
             c.merge_into(&mut sched);
@@ -833,40 +944,41 @@ impl Janus {
             poisoned: ctx.poisoned.load(Ordering::Acquire),
             tombstones: counters.tombstones.load(Ordering::Relaxed),
             stats: RunStats {
-                commits,
+                commits: counters.commits.load(Ordering::Relaxed),
                 retries: counters.retries.load(Ordering::Relaxed),
                 wall: started.elapsed(),
-                history_reclaimed: session
-                    .core
-                    .total_reclaimed()
-                    .saturating_sub(reclaimed_at_start),
-                detect_ops_scanned: self
-                    .detector
-                    .stats()
-                    .ops_scanned()
-                    .saturating_sub(ops_scanned_at_start),
+                history_reclaimed,
+                detect_ops_scanned: ops_scanned,
                 delta_revalidations: counters.delta_revalidations.load(Ordering::Relaxed),
-                fastpath_segments_skipped: self
-                    .detector
-                    .stats()
-                    .segments_skipped()
-                    .saturating_sub(segments_skipped_at_start),
-                fastpath_segments_scanned: self
-                    .detector
-                    .stats()
-                    .segments_scanned()
-                    .saturating_sub(segments_scanned_at_start),
+                fastpath_segments_skipped: segments_skipped,
+                fastpath_segments_scanned: segments_scanned,
                 zero_copy_windows: counters.zero_copy_windows.load(Ordering::Relaxed),
-                faults_injected: self
-                    .faults
-                    .as_ref()
-                    .map_or(0, |f| f.stats().injected().saturating_sub(faults_at_start)),
+                faults_injected,
                 tasks_failed: counters.tasks_failed.load(Ordering::Relaxed),
                 retry_budget_escalations: counters.escalations.load(Ordering::Relaxed),
                 watchdog_fires: counters.watchdog_fires.load(Ordering::Relaxed),
                 commit_gate_waits: counters.gate_waits.load(Ordering::Relaxed),
             },
         }
+    }
+
+    /// The session-cumulative counters a batch reports as deltas:
+    /// detector operations scanned, prefilter segments skipped and
+    /// scanned, faults injected, history entries reclaimed.
+    fn cumulative_counters(&self, session: &Session) -> [u64; 5] {
+        let detect = self.detector.stats();
+        [
+            detect.ops_scanned(),
+            detect.segments_skipped(),
+            detect.segments_scanned(),
+            self.faults.as_ref().map_or(0, |f| f.stats().injected()),
+            session
+                .core
+                .shards
+                .iter()
+                .map(|s| s.stats.reclaimed_total())
+                .sum(),
+        ]
     }
 
     /// One worker's batch loop: pull a task index from the source, run
@@ -905,22 +1017,23 @@ impl Janus {
                     });
                 }
             }
+            let t = TaskCtx {
+                tid,
+                worker: w,
+                attempt: 0,
+                ctx,
+                obs: obs.as_ref(),
+            };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_task(&ctx.tasks[i], tid, w, ctx, obs.as_ref())
+                self.run_task(&ctx.tasks[i], t)
             }));
             if let Err(payload) = result {
                 // Release publishes the failure to every worker's and
                 // waiter's Acquire load.
                 ctx.poisoned.store(true, Ordering::Release);
                 // Close the panicking attempt's lifecycle so abort
-                // attribution does not lose it; the distinct reason
-                // keeps it out of contention statistics.
-                if let Some(o) = obs.as_ref() {
-                    o.record(EventKind::Abort {
-                        task: tid,
-                        reason: AbortReason::Poisoned,
-                    });
-                }
+                // attribution does not lose it.
+                record_poisoned(obs.as_ref(), tid);
                 ctx.panic_payload.lock().get_or_insert(payload);
                 break;
             }
@@ -1031,543 +1144,428 @@ impl Janus {
 
     /// `RUNTASK`, retried until it commits (or, under
     /// [`PanicPolicy::Isolate`], until its body panics and the task is
-    /// recorded as failed).
-    fn run_task(
-        &self,
-        task: &Task,
-        tid: u64,
-        worker: usize,
-        ctx: &BatchCtx,
-        obs: Option<&RingHandle>,
-    ) {
-        // Consecutive aborts of this task (drives the backoff curve) and
-        // the location classes its last aborted attempt touched (drives
+    /// recorded as failed): `begin` → `execute` → ordered turn →
+    /// `CommitPlan::new` → `validate` → `await_commit` → `commit`. A
+    /// conflict restarts from `begin`; a stale commit goes back to
+    /// `validate` for just the delta.
+    fn run_task(&self, task: &Task, mut t: TaskCtx<'_>) {
+        let (tid, worker, ctx, obs) = (t.tid, t.worker, t.ctx, t.obs);
+        // The location classes the last aborted attempt touched (drives
         // degraded-retry targeting).
-        let mut attempt: u32 = 0;
         let mut aborted_classes: Vec<ClassId> = Vec::new();
         'restart: loop {
-            // Retry-budget escalation: once this task has burned its
-            // conflict-abort budget, every further attempt runs under
-            // the serial token unconditionally, so it cannot be starved
-            // forever by the contenders that keep aborting it. Ordered
-            // runs skip this (commit order already bounds livelock, and
-            // a token held across an ordered wait could deadlock a
-            // predecessor's retry).
-            let escalated = !self.ordered && matches!(self.max_attempts, Some(n) if attempt >= n);
-            if escalated && Some(attempt) == self.max_attempts {
-                ctx.counters.escalations.fetch_add(1, Ordering::Relaxed);
-            }
-            let _escalation_guard = if escalated {
-                ctx.phases.set(worker, phase::SERIAL_WAIT, tid);
-                // The degradation controller's token doubles as the
-                // escalation token so escalated and degraded retries
-                // serialize against each other; without a controller the
-                // run-level token serves.
-                match ctx.controller.as_ref() {
-                    Some(c) => (Some(c.force_guard()), None),
-                    None => (None, Some(ctx.escalation.lock())),
-                }
-            } else {
-                (None, None)
+            let _token = self.serial_token(t, &aborted_classes);
+            let mut txn = self.begin(t);
+            let ops = match self.execute(task, t, &txn) {
+                Ok(ops) => ops,
+                Err(payload) => return self.isolate_failure(t, txn, payload),
             };
-            // Degraded retries of hot-class tasks hold the serial token
-            // for the whole re-execution; first attempts stay optimistic.
-            // An escalated attempt already holds the same token (the
-            // mutex is not reentrant).
-            let _serial = match ctx.controller.as_ref() {
-                Some(c) if attempt > 0 && !escalated => c.serial_guard(&aborted_classes),
-                _ => None,
-            };
-            // CREATETRANSACTION: draw the begin timestamp from the
-            // oracle, pin the GC watermark, then snapshot shard by
-            // shard. The order is load → register → snapshot: once the
-            // begin is registered the watermark can no longer pass it,
-            // so every entry a window position of this transaction
-            // could reference survives pruning (the GC-safety note in
-            // `shard.rs`). The per-shard snapshots are taken one read
-            // lock at a time — a torn cut across shards is sound
-            // because validation is per-location and each location
-            // lives in exactly one shard (its snapshot value and its
-            // window entries come from one consistent cut).
-            let n = ctx.shards().len();
-            let begin = ctx.oracle().now();
-            if self.gc_history {
-                ctx.active().register(begin);
-            }
-            let mut begin_pos: Vec<u64> = Vec::with_capacity(n);
-            let mut maps: Vec<janus_persist::PersistentMap<janus_log::LocId, crate::store::Slot>> =
-                Vec::with_capacity(n);
-            for shard in ctx.shards() {
-                let g = shard.data.read();
-                begin_pos.push(g.head());
-                maps.push(if self.eager_privatization {
-                    // Deep copy: every slot (and its value) is cloned.
-                    g.slots
-                        .iter()
-                        .map(|(loc, slot)| (*loc, slot.clone()))
-                        .collect()
-                } else {
-                    g.slots.clone() // O(1) persistent snapshot
-                });
-            }
-            let maps: Arc<[janus_persist::PersistentMap<janus_log::LocId, crate::store::Slot>]> =
-                maps.into();
-            if let Some(o) = obs {
-                o.set_clock(begin);
-                o.record(EventKind::Begin { task: tid });
-            }
-            // RUNSEQUENTIAL against the privatized copy. The body runs
-            // inside its own catch so a panic can be attributed to this
-            // task and — under `Isolate` — absorbed without taking the
-            // run down. An injected panic takes the identical path a
-            // genuine one would.
-            let mut tx = TxView::new_sharded(Arc::clone(&maps));
-            ctx.phases.set(worker, phase::RUNNING, tid);
-            let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(plan) = &self.faults {
-                    if plan.should_inject(FaultKind::TaskPanic, tid, attempt) {
-                        panic!("janus-fault: injected panic (task {tid}, attempt {attempt})");
-                    }
-                }
-                task.run(&mut tx);
-            }));
-            if let Err(payload) = body {
-                match self.panic_policy {
-                    // Rethrow: the worker loop's outer catch poisons the
-                    // run and stores the payload, exactly as before the
-                    // policy existed.
-                    PanicPolicy::Poison => std::panic::resume_unwind(payload),
-                    PanicPolicy::Isolate => {
-                        self.isolate_failure(tid, worker, begin, attempt, payload, ctx, obs);
-                        return;
-                    }
-                }
-            }
-
             // In-order execution: wait until all preceding transactions
-            // have committed.
-            if self.ordered {
-                ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
-                // Escalating spin → yield → park instead of a bare
-                // `yield_now` loop: long waits (deep pipelines, slow
-                // predecessors) cede the core. The source hook lets
-                // stealing schedulers count waits that held queued
-                // work (the queue itself stays stealable throughout).
-                ctx.source.on_park(worker);
-                let mut parker = Parker::new();
-                // Acquire pairs with the committer's Release turn
-                // advance: holding the turn implies every predecessor's
-                // shard publishes are visible to this validation.
-                while ctx.turn.load(Ordering::Acquire) != tid {
-                    if ctx.poisoned.load(Ordering::Acquire) {
-                        // A predecessor panicked and will never commit;
-                        // spinning would hang forever. The distinct
-                        // abort reason keeps these bailouts out of
-                        // contention attribution.
-                        ctx.source.on_unpark(worker);
-                        if self.gc_history {
-                            ctx.active().unregister(begin);
-                        }
-                        if let Some(o) = obs {
-                            o.record(EventKind::Abort {
-                                task: tid,
-                                reason: AbortReason::Poisoned,
-                            });
-                        }
-                        return;
-                    }
-                    parker.pause();
-                }
-                ctx.source.on_unpark(worker);
+            // have committed. Acquire pairs with the committer's Release
+            // turn advance: holding the turn implies every predecessor's
+            // shard publishes are visible to this validation.
+            if self.ordered
+                && !park_until(ctx, worker, tid, || ctx.turn.load(Ordering::Acquire) == tid)
+            {
+                return record_poisoned(obs, tid);
             }
-
-            let entry = SnapshotState::sharded(maps);
-            // Decompose the transaction's own log exactly once per
-            // attempt; the same pre-decomposed log drives every
-            // validation extension below and, on success, becomes the
-            // history segment other transactions validate against.
-            let txn_log = Arc::new(CommittedLog::new(std::mem::take(&mut tx.log)));
-            // Publish this attempt's footprint to the cross-batch gate
-            // before validating: successor batches can start proving
-            // disjointness while this transaction is still in flight.
-            if let Some(g) = ctx.gate.as_deref() {
-                g.note_executed(tid, txn_log.fingerprint());
-            }
-            // The shards this transaction touched, ascending — the
-            // canonical lock order of the commit path below.
-            let mut touched: Vec<usize> = txn_log.index().locs.keys().map(|l| l.shard(n)).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            // What each touched shard's history will receive: the whole
-            // pre-decomposed log when one shard holds the entire
-            // footprint (the common case under class affinity), else a
-            // per-shard split — publishing the full log to several
-            // shards would make multi-shard validators see each
-            // operation once per shard.
-            let publish: Vec<Arc<CommittedLog>> = if touched.len() <= 1 {
-                touched.iter().map(|_| Arc::clone(&txn_log)).collect()
-            } else {
-                touched
-                    .iter()
-                    .map(|&s| {
-                        let ops: Vec<janus_log::Op> = txn_log
-                            .ops()
-                            .iter()
-                            .filter(|op| op.loc.shard(n) == s)
-                            .cloned()
-                            .collect();
-                        Arc::new(CommittedLog::new(ops))
-                    })
-                    .collect()
+            let plan = CommitPlan::new(ops, t);
+            let entry = SnapshotState::sharded(Arc::clone(&txn.maps));
+            let mut v = Validation {
+                session: self
+                    .detector
+                    .begin_validation_traced(&entry, &plan.log, obs),
+                validated: plan.touched.iter().map(|&s| txn.begin_pos[s]).collect(),
+                served_nonempty: false,
             };
-            // REPLAYLOGGEDOPERATIONS, pre-grouped per shard: each
-            // publish log's per-location index already lists that
-            // shard's operations in log order, so the replay plan is
-            // assembled here — outside the commit locks — and the
-            // write-lock body below shrinks to one clone-apply-writeback
-            // pass per touched location.
-            let replay: Vec<Vec<(janus_log::LocId, Vec<&janus_log::Op>)>> = publish
-                .iter()
-                .map(|log| {
-                    log.index()
-                        .locs
-                        .iter()
-                        .map(|(loc, dl)| {
-                            let mut ops = Vec::with_capacity(dl.ops.len());
-                            log.resolve(&dl.ops, &mut ops);
-                            (*loc, ops)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut session = self.detector.begin_validation_traced(&entry, &txn_log, obs);
-            // Per touched shard: the absolute history position this
-            // attempt has validated up to (positional, not
-            // ticket-indexed — pruned prefixes and skipped turns leave
-            // no holes).
-            let mut validated: Vec<u64> = touched.iter().map(|&s| begin_pos[s]).collect();
-            let mut served_nonempty = false;
             loop {
-                ctx.phases.set(worker, phase::VALIDATING, tid);
-                if let Some(o) = obs {
-                    o.set_clock(ctx.oracle().now());
-                }
-                // GETCOMMITTEDHISTORY, per touched shard — each read
-                // lock only clones `Arc`s to that shard's new committed
-                // segments; detection runs with no lock held and no
-                // operation copied. On the first pass the window opens
-                // at the begin positions; after a lost commit race only
-                // each shard's delta is fetched and re-validated.
-                // Cross-shard concatenation order is irrelevant: the
-                // detector checks per-location subsequences and every
-                // location lives in exactly one shard.
-                let mut delta: Vec<Arc<CommittedLog>> = Vec::new();
-                for (k, &s) in touched.iter().enumerate() {
-                    let g = ctx.shards()[s].data.read();
-                    let head = g.head();
-                    if head > validated[k] {
-                        g.collect_from(validated[k], &mut delta);
-                        validated[k] = head;
-                    }
-                }
-                if !delta.is_empty() {
-                    ctx.counters
-                        .zero_copy_windows
-                        .fetch_add(1, Ordering::Relaxed);
-                    if served_nonempty {
-                        ctx.counters
-                            .delta_revalidations
-                            .fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = obs {
-                            o.record(EventKind::DeltaRevalidate {
-                                window_segments: delta.len() as u64,
-                            });
-                        }
-                    } else if let Some(o) = obs {
-                        o.record(EventKind::ValidateOpen {
-                            window_segments: delta.len() as u64,
-                        });
-                    }
-                    served_nonempty = true;
-                }
-                let mut conflict = session.extend(&HistoryWindow::new(&delta));
-                // A forced conflict flips a clean verdict so the full
-                // genuine abort path (counters, events, degradation,
-                // backoff) runs; a real conflict is never masked.
-                if !conflict {
-                    if let Some(plan) = &self.faults {
-                        if plan.should_inject(FaultKind::ForcedConflict, tid, attempt) {
-                            conflict = true;
-                        }
-                    }
-                }
-                if conflict {
-                    ctx.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    if self.gc_history {
-                        ctx.active().unregister(begin);
-                    }
-                    if let Some(o) = obs {
-                        o.record(EventKind::Abort {
-                            task: tid,
-                            reason: AbortReason::Conflict,
-                        });
-                    }
-                    if let Some(c) = ctx.controller.as_ref() {
-                        // The decomposition index holds one class per
-                        // distinct location — clone from there instead of
-                        // once per logged operation.
-                        aborted_classes.clear();
-                        aborted_classes
-                            .extend(txn_log.index().locs.values().map(|dl| dl.class.clone()));
-                        aborted_classes.sort_unstable();
-                        aborted_classes.dedup();
-                        if let Some(on) = c.record(&aborted_classes, true) {
-                            if let Some(o) = obs {
-                                o.record(EventKind::SchedDegrade { on });
-                            }
-                        }
-                    }
-                    let hint = ctx
-                        .source
-                        .on_abort(worker, (tid - ctx.first_tid) as usize, attempt);
-                    attempt += 1;
-                    if hint.steps > 0 {
-                        if let Some(o) = obs {
-                            o.record(EventKind::SchedBackoff {
-                                task: tid,
-                                steps: hint.steps,
-                            });
-                        }
-                        ctx.phases.set(worker, phase::BACKOFF, tid);
-                        // Yield the slot instead of hot-restarting; bail
-                        // promptly if the run is poisoned meanwhile.
-                        // Any work still queued on this worker's lane
-                        // stays published for stealing while it sleeps.
-                        ctx.source.on_park(worker);
-                        backoff::wait(hint.steps, || ctx.poisoned.load(Ordering::SeqCst));
-                        ctx.source.on_unpark(worker);
-                    }
+                if self.validate(t, &mut v, &plan) {
+                    self.abort(t, txn, &plan, &mut aborted_classes);
+                    t.attempt += 1;
                     continue 'restart; // abort: rerun from scratch
                 }
-                // An injected stall delays the transaction at its most
-                // sensitive point — validated but not yet committed — to
-                // widen commit races and exercise the watchdog.
-                if let Some(plan) = &self.faults {
-                    if plan.should_inject(FaultKind::CommitStall, tid, attempt) {
-                        std::thread::sleep(Duration::from_micros(plan.stall_micros(tid, attempt)));
-                    }
+                if !self.await_commit(t, &plan) {
+                    return record_poisoned(obs, tid);
                 }
-                // The cross-batch commit gate: inside a block pipeline,
-                // a transaction whose footprint may intersect the
-                // predecessor batch parks here until that batch is done
-                // (batch boundaries are commit barriers only for
-                // conflicting footprints). Parking re-uses the
-                // ordered-wait phase word — same meaning: waiting on a
-                // predecessor's commit. Staleness accrued while parked
-                // is caught by the per-shard head check below, which
-                // re-validates just the delta.
-                if let Some(g) = ctx.gate.as_deref() {
-                    if !g.may_commit(tid, txn_log.fingerprint()) {
-                        ctx.counters.gate_waits.fetch_add(1, Ordering::Relaxed);
-                        ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
-                        // Tell the source this worker is blocking: its
-                        // remaining queue is already published (steal
-                        // sources keep all undispatched work stealable
-                        // by construction), so gate-parking strands
-                        // nothing — the hook just counts the exposure.
-                        ctx.source.on_park(worker);
-                        let mut parker = Parker::new();
-                        loop {
-                            if ctx.poisoned.load(Ordering::Acquire) {
-                                // This batch is failing wholesale; the
-                                // gate may never open. Bail like an
-                                // ordered waiter.
-                                ctx.source.on_unpark(worker);
-                                if self.gc_history {
-                                    ctx.active().unregister(begin);
-                                }
-                                if let Some(o) = obs {
-                                    o.record(EventKind::Abort {
-                                        task: tid,
-                                        reason: AbortReason::Poisoned,
-                                    });
-                                }
-                                return;
-                            }
-                            if g.may_commit(tid, txn_log.fingerprint()) {
-                                break;
-                            }
-                            parker.pause();
-                        }
-                        ctx.source.on_unpark(worker);
-                    }
+                match self.commit(t, txn, &plan, &v.validated) {
+                    Commit::Done => break 'restart,
+                    // A shard evolved under us: re-validate the delta.
+                    Commit::Stale(back) => txn = back,
                 }
-                // COMMIT: write-lock exactly the touched shards, in
-                // ascending shard order (the global lock-ordering
-                // invariant that makes per-shard commits deadlock-free).
-                {
-                    ctx.phases.set(worker, phase::COMMITTING, tid);
-                    let mut guards = Vec::with_capacity(touched.len());
-                    for &s in &touched {
-                        let t0 = Instant::now();
-                        guards.push(ctx.shards()[s].data.write());
-                        ctx.shards()[s].stats.lock_wait(t0.elapsed());
-                    }
-                    // Per-shard head check, replacing the old global
-                    // `clock == now` test: if any touched shard's
-                    // history moved past what this attempt validated,
-                    // re-validate just the delta.
-                    if guards.iter().zip(&validated).any(|(g, &v)| g.head() != v) {
-                        continue; // a shard evolved: re-validate the delta
-                    }
-                    // Draw the commit ticket while all touched shard
-                    // locks are held: two committers sharing a shard
-                    // are fully ordered by that shard's lock, so every
-                    // shard's history stays seq-monotone and pruning
-                    // below the watermark drops exactly a prefix.
-                    let seq = ctx.oracle().ticket();
-                    for (k, g) in guards.iter_mut().enumerate() {
-                        // Replay the pre-grouped plan: each touched
-                        // value is cloned out of the persistent store
-                        // once, mutated in place, and written back once.
-                        // No per-op map lookups happen under the locks.
-                        for (loc, ops) in &replay[k] {
-                            let mut slot = g
-                                .slots
-                                .get(loc)
-                                .expect("committed op targets an allocated location")
-                                .clone();
-                            for op in ops {
-                                op.kind.apply(&mut slot.value);
-                            }
-                            g.slots.insert(*loc, slot);
-                        }
-                        // The decomposition computed above is shared
-                        // as-is: no re-decomposition for this log.
-                        g.history.push_back(SeqEntry {
-                            seq,
-                            log: Arc::clone(&publish[k]),
-                        });
-                        ctx.shards()[touched[k]].stats.commit();
-                    }
-                    ctx.counters.commits.fetch_add(1, Ordering::Relaxed);
-                    // The durability seam: report the committed ticket
-                    // while the touched shard locks are still held, so
-                    // every ticket reaches the sink exactly once (see
-                    // [`CommitSink`] for why calls may still arrive out
-                    // of ticket order across disjoint shards).
-                    if let Some(sink) = &self.commit_sink {
-                        let mask = touched.iter().fold(0u64, |m, &s| m | (1u64 << s));
-                        sink.committed(seq, mask, txn_log.ops());
-                    }
-                    if let Some(o) = obs {
-                        o.set_clock(seq + 1);
-                        o.record(EventKind::Commit { task: tid });
-                    }
-                    if self.gc_history {
-                        ctx.active().unregister(begin);
-                        // Epoch reclamation: prune the held shards
-                        // below the minimum active begin ticket (capped
-                        // by the oracle when no transaction is in
-                        // flight). The watermark read is lock-free.
-                        let floor = ctx.active().watermark().min(ctx.oracle().now());
-                        let mut reclaimed = 0;
-                        for (k, g) in guards.iter_mut().enumerate() {
-                            let dropped = g.prune(floor);
-                            if dropped > 0 {
-                                ctx.shards()[touched[k]].stats.reclaimed(dropped);
-                            }
-                            reclaimed += dropped;
-                        }
-                        if reclaimed > 0 {
-                            if let Some(o) = obs {
-                                o.record(EventKind::GcReclaim { reclaimed });
-                            }
-                        }
-                    }
-                }
-                if self.ordered {
-                    // Release pairs with successors' Acquire turn loads:
-                    // taking the turn implies seeing this commit's shard
-                    // publishes.
-                    ctx.turn.store(tid + 1, Ordering::Release);
-                }
-                // Scheduler bookkeeping happens after the shard locks
-                // are released: none of it is on the commit critical
-                // path.
-                ctx.source.on_commit(worker, (tid - ctx.first_tid) as usize);
-                if let Some(c) = ctx.controller.as_ref() {
-                    if let Some(on) = c.record(&[], false) {
-                        if let Some(o) = obs {
-                            o.record(EventKind::SchedDegrade { on });
-                        }
-                    }
-                }
-                return;
             }
         }
+        if self.ordered {
+            // Release pairs with successors' Acquire turn loads: taking
+            // the turn implies seeing this commit's shard publishes.
+            ctx.turn.store(tid + 1, Ordering::Release);
+        }
+        // Scheduler bookkeeping happens after the shard locks are
+        // released: none of it is on the commit critical path.
+        ctx.source.on_commit(worker, (tid - ctx.first_tid) as usize);
+        if let Some(c) = ctx.controller.as_ref() {
+            if let Some(on) = c.record(&[], false) {
+                if let Some(o) = obs {
+                    o.record(EventKind::SchedDegrade { on });
+                }
+            }
+        }
+    }
+
+    /// The serial token this attempt runs under, if any. A task past its
+    /// retry budget takes it unconditionally, so the contenders that keep
+    /// aborting it cannot starve it (unordered runs only: commit order
+    /// already bounds livelock, and a token held across an ordered wait
+    /// could deadlock a predecessor's retry). The degradation
+    /// controller's token doubles as the escalation token, else the
+    /// batch's serves; degraded retries of hot-class tasks take it too.
+    fn serial_token<'c>(
+        &self,
+        t: TaskCtx<'c>,
+        aborted_classes: &[ClassId],
+    ) -> Option<SerialGuard<'c>> {
+        let ctx = t.ctx;
+        let escalated = !self.ordered && matches!(self.max_attempts, Some(n) if t.attempt >= n);
+        if !escalated {
+            return match ctx.controller.as_ref() {
+                Some(c) if t.attempt > 0 => c.serial_guard(aborted_classes),
+                _ => None,
+            };
+        }
+        if Some(t.attempt) == self.max_attempts {
+            ctx.counters.escalations.fetch_add(1, Ordering::Relaxed);
+        }
+        ctx.phases.set(t.worker, phase::SERIAL_WAIT, t.tid);
+        Some(match ctx.controller.as_ref() {
+            Some(c) => c.force_guard(),
+            None => ctx.escalation.lock(),
+        })
+    }
+
+    /// `CREATETRANSACTION`: draw the begin timestamp from the oracle, pin
+    /// the GC watermark, then snapshot shard by shard. The order is load
+    /// → register → snapshot: once the begin is registered the watermark
+    /// can no longer pass it, so every entry a window position of this
+    /// transaction could reference survives pruning (the GC-safety note
+    /// in `shard.rs`). The per-shard snapshots are taken one read lock at
+    /// a time — a torn cut across shards is sound because validation is
+    /// per-location and each location lives in exactly one shard (its
+    /// snapshot value and its window entries come from one consistent
+    /// cut).
+    fn begin<'c>(&self, t: TaskCtx<'c>) -> Attempt<'c> {
+        let ctx = t.ctx;
+        let begin = ctx.oracle().now();
+        let registration = Registration::pin(&ctx.core.active, begin);
+        let n = ctx.shards().len();
+        let mut begin_pos = Vec::with_capacity(n);
+        let mut maps: Vec<ShardMap> = Vec::with_capacity(n);
+        for shard in ctx.shards() {
+            let g = shard.data.read();
+            begin_pos.push(g.head());
+            maps.push(g.slots.clone()); // O(1) persistent snapshot
+        }
+        if let Some(o) = t.obs {
+            o.set_clock(begin);
+            o.record(EventKind::Begin { task: t.tid });
+        }
+        Attempt {
+            _registration: registration,
+            begin_pos,
+            maps: maps.into(),
+        }
+    }
+
+    /// `RUNSEQUENTIAL` against the privatized copy, returning the
+    /// operation log. The body runs inside its own catch so a panic can
+    /// be attributed to this task: under [`PanicPolicy::Poison`] it is
+    /// rethrown (the worker loop's outer catch poisons the batch and
+    /// stores the payload); under [`PanicPolicy::Isolate`] the payload
+    /// comes back as `Err`. An injected panic takes the identical path a
+    /// genuine one would.
+    fn execute(
+        &self,
+        task: &Task,
+        t: TaskCtx<'_>,
+        txn: &Attempt<'_>,
+    ) -> Result<Vec<Op>, Box<dyn std::any::Any + Send>> {
+        let mut tx = TxView::new_sharded(Arc::clone(&txn.maps));
+        t.ctx.phases.set(t.worker, phase::RUNNING, t.tid);
+        let (tid, attempt) = (t.tid, t.attempt);
+        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(plan) = &self.faults {
+                if plan.should_inject(FaultKind::TaskPanic, tid, attempt) {
+                    panic!("janus-fault: injected panic (task {tid}, attempt {attempt})");
+                }
+            }
+            task.run(&mut tx);
+        }));
+        match body {
+            Ok(()) => Ok(std::mem::take(&mut tx.log)),
+            Err(payload) if self.panic_policy == PanicPolicy::Poison => {
+                std::panic::resume_unwind(payload)
+            }
+            Err(payload) => Err(payload),
+        }
+    }
+
+    /// `GETCOMMITTEDHISTORY` and the conflict check, per touched shard:
+    /// each read lock only clones `Arc`s to that shard's new committed
+    /// segments; detection runs with no lock held and no operation
+    /// copied. The first pass opens the window at the begin positions;
+    /// after a lost commit race only each shard's delta is fetched and
+    /// re-validated. Cross-shard concatenation order is irrelevant: the
+    /// detector checks per-location subsequences and every location
+    /// lives in exactly one shard. Returns whether the attempt conflicts.
+    fn validate(&self, t: TaskCtx<'_>, v: &mut Validation<'_>, plan: &CommitPlan) -> bool {
+        let ctx = t.ctx;
+        ctx.phases.set(t.worker, phase::VALIDATING, t.tid);
+        if let Some(o) = t.obs {
+            o.set_clock(ctx.oracle().now());
+        }
+        let mut delta: Vec<Arc<CommittedLog>> = Vec::new();
+        for (k, &s) in plan.touched.iter().enumerate() {
+            let g = ctx.shards()[s].data.read();
+            let head = g.head();
+            if head > v.validated[k] {
+                g.collect_from(v.validated[k], &mut delta);
+                v.validated[k] = head;
+            }
+        }
+        if !delta.is_empty() {
+            let window_segments = delta.len() as u64;
+            ctx.counters
+                .zero_copy_windows
+                .fetch_add(1, Ordering::Relaxed);
+            if v.served_nonempty {
+                ctx.counters
+                    .delta_revalidations
+                    .fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = t.obs {
+                    o.record(EventKind::DeltaRevalidate { window_segments });
+                }
+            } else if let Some(o) = t.obs {
+                o.record(EventKind::ValidateOpen { window_segments });
+            }
+            v.served_nonempty = true;
+        }
+        // A forced conflict flips a clean verdict so the full genuine
+        // abort path (counters, events, degradation, backoff) runs; a
+        // real conflict is never masked.
+        v.session.extend(&HistoryWindow::new(&delta))
+            || self
+                .faults
+                .as_ref()
+                .is_some_and(|plan| plan.should_inject(FaultKind::ForcedConflict, t.tid, t.attempt))
+    }
+
+    /// Closes a conflicting attempt: its registration is released first
+    /// (so backing off never pins the watermark), the abort is counted
+    /// and attributed, and the source decides how long to back off.
+    fn abort(
+        &self,
+        t: TaskCtx<'_>,
+        txn: Attempt<'_>,
+        plan: &CommitPlan,
+        aborted_classes: &mut Vec<ClassId>,
+    ) {
+        drop(txn);
+        let ctx = t.ctx;
+        ctx.counters.retries.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = t.obs {
+            o.record(EventKind::Abort {
+                task: t.tid,
+                reason: AbortReason::Conflict,
+            });
+        }
+        if let Some(c) = ctx.controller.as_ref() {
+            // The decomposition index holds one class per distinct
+            // location — clone from there instead of once per operation.
+            aborted_classes.clear();
+            aborted_classes.extend(plan.log.index().locs.values().map(|dl| dl.class.clone()));
+            aborted_classes.sort_unstable();
+            aborted_classes.dedup();
+            if let Some(on) = c.record(aborted_classes, true) {
+                if let Some(o) = t.obs {
+                    o.record(EventKind::SchedDegrade { on });
+                }
+            }
+        }
+        let hint = ctx
+            .source
+            .on_abort(t.worker, (t.tid - ctx.first_tid) as usize, t.attempt);
+        if hint.steps > 0 {
+            if let Some(o) = t.obs {
+                o.record(EventKind::SchedBackoff {
+                    task: t.tid,
+                    steps: hint.steps,
+                });
+            }
+            ctx.phases.set(t.worker, phase::BACKOFF, t.tid);
+            // Yield the slot instead of hot-restarting; bail promptly if
+            // the batch is poisoned meanwhile. Any work still queued on
+            // this worker's lane stays published for stealing.
+            ctx.source.on_park(t.worker);
+            backoff::wait(hint.steps, || ctx.poisoned.load(Ordering::SeqCst));
+            ctx.source.on_unpark(t.worker);
+        }
+    }
+
+    /// The last stop before the locks; `false` if the batch was poisoned
+    /// while parked. An injected stall widens commit races at the most
+    /// sensitive point (validated, not yet committed). Then the
+    /// cross-batch gate: a transaction whose footprint may intersect the
+    /// predecessor batch parks until that batch is done; staleness
+    /// accrued meanwhile is caught by the commit's head check.
+    fn await_commit(&self, t: TaskCtx<'_>, plan: &CommitPlan) -> bool {
+        if let Some(faults) = &self.faults {
+            if faults.should_inject(FaultKind::CommitStall, t.tid, t.attempt) {
+                std::thread::sleep(Duration::from_micros(faults.stall_micros(t.tid, t.attempt)));
+            }
+        }
+        let Some(g) = t.ctx.gate.as_deref() else {
+            return true;
+        };
+        let fp = plan.log.fingerprint();
+        if g.may_commit(t.tid, fp) {
+            return true;
+        }
+        t.ctx.counters.gate_waits.fetch_add(1, Ordering::Relaxed);
+        park_until(t.ctx, t.worker, t.tid, || g.may_commit(t.tid, fp))
+    }
+
+    /// `COMMIT`: write-lock exactly the touched shards, in ascending
+    /// shard order (the global lock-ordering invariant that makes
+    /// per-shard commits deadlock-free), check no shard moved past what
+    /// was validated, then draw the ticket, replay, publish, report to
+    /// the sink and reclaim — all under the locks. A moved shard hands
+    /// the attempt back as [`Commit::Stale`].
+    fn commit<'c>(
+        &self,
+        t: TaskCtx<'c>,
+        txn: Attempt<'c>,
+        plan: &CommitPlan,
+        validated: &[u64],
+    ) -> Commit<'c> {
+        let ctx = t.ctx;
+        ctx.phases.set(t.worker, phase::COMMITTING, t.tid);
+        let mut guards = Vec::with_capacity(plan.touched.len());
+        for &s in &plan.touched {
+            let t0 = Instant::now();
+            guards.push(ctx.shards()[s].data.write());
+            ctx.shards()[s].stats.lock_wait(t0.elapsed());
+        }
+        if guards.iter().zip(validated).any(|(g, &v)| g.head() != v) {
+            return Commit::Stale(txn);
+        }
+        // Draw the commit ticket while all touched shard locks are held:
+        // two committers sharing a shard are fully ordered by that
+        // shard's lock, so every shard's history stays seq-monotone and
+        // pruning below the watermark drops exactly a prefix.
+        let seq = ctx.oracle().ticket();
+        for (k, g) in guards.iter_mut().enumerate() {
+            // REPLAYLOGGEDOPERATIONS from the publish log's per-location
+            // index: each touched value is cloned out of the persistent
+            // store once, mutated in place, and written back once.
+            let log = &plan.publish[k];
+            for (loc, dl) in &log.index().locs {
+                let mut slot = g
+                    .slots
+                    .get(loc)
+                    .expect("committed op targets an allocated location")
+                    .clone();
+                for &i in &dl.ops {
+                    log.ops()[i as usize].kind.apply(&mut slot.value);
+                }
+                g.slots.insert(*loc, slot);
+            }
+            // The decomposition computed in `plan` is shared as-is.
+            g.history.push_back(SeqEntry {
+                seq,
+                log: Arc::clone(log),
+            });
+            ctx.shards()[plan.touched[k]].stats.commit();
+        }
+        ctx.counters.commits.fetch_add(1, Ordering::Relaxed);
+        // The durability seam: report the committed ticket while the
+        // touched shard locks are still held, so every ticket reaches
+        // the sink exactly once (see [`CommitSink`] for why calls may
+        // still arrive out of ticket order across disjoint shards).
+        if let Some(sink) = &self.commit_sink {
+            let mask = plan.touched.iter().fold(0u64, |m, &s| m | (1u64 << s));
+            sink.committed(seq, mask, plan.log.ops());
+        }
+        if let Some(o) = t.obs {
+            o.set_clock(seq + 1);
+            o.record(EventKind::Commit { task: t.tid });
+        }
+        // Epoch reclamation: unpin this begin, then prune the held shards
+        // below the minimum active begin ticket (capped by the oracle
+        // when no transaction is in flight). The watermark read is
+        // lock-free.
+        drop(txn);
+        let floor = ctx.core.active.watermark().min(ctx.oracle().now());
+        let mut reclaimed = 0;
+        for (k, g) in guards.iter_mut().enumerate() {
+            let dropped = g.prune(floor);
+            if dropped > 0 {
+                ctx.shards()[plan.touched[k]].stats.reclaimed(dropped);
+            }
+            reclaimed += dropped;
+        }
+        if reclaimed > 0 {
+            if let Some(o) = t.obs {
+                o.record(EventKind::GcReclaim { reclaimed });
+            }
+        }
+        Commit::Done
     }
 
     /// Closes a panicking attempt under [`PanicPolicy::Isolate`]: the
     /// transaction's privatized effects are dropped (nothing was ever
-    /// published), the task is recorded as failed, and — in ordered
-    /// runs — its commit turn is released with a tombstone so successors
-    /// never hang waiting for a commit that cannot come.
-    #[allow(clippy::too_many_arguments)] // closes run_task's explicit state
+    /// published) and the task is recorded as failed.
+    ///
+    /// In ordered runs the failed task still owns a commit turn: every
+    /// successor waits for `turn == tid + 1`, so it waits for its own
+    /// turn and releases it with a tombstone. The tombstone consumes one
+    /// oracle ticket — keeping the `commits + tombstones = seq - 1`
+    /// identity — but publishes no history entry: shard windows are
+    /// positional, so a skipped turn leaves no hole for successors to
+    /// validate against.
     fn isolate_failure(
         &self,
-        tid: u64,
-        worker: usize,
-        begin: u64,
-        attempt: u32,
+        t: TaskCtx<'_>,
+        txn: Attempt<'_>,
         payload: Box<dyn std::any::Any + Send>,
-        ctx: &BatchCtx,
-        obs: Option<&RingHandle>,
     ) {
-        if self.gc_history {
-            ctx.active().unregister(begin);
-        }
+        // Unpin before the tombstone turn wait below.
+        drop(txn);
+        let ctx = t.ctx;
         // The gate must not wait forever on a task that will never
         // produce a log.
         if let Some(g) = ctx.gate.as_deref() {
-            g.note_failed(tid);
+            g.note_failed(t.tid);
         }
         ctx.counters.tasks_failed.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = obs {
+        if let Some(o) = t.obs {
             o.record(EventKind::Abort {
-                task: tid,
+                task: t.tid,
                 reason: AbortReason::Failed,
             });
         }
         ctx.failed.lock().push(TaskFailure {
-            task: tid,
+            task: t.tid,
             message: payload_message(payload.as_ref()),
-            attempts: attempt + 1,
+            attempts: t.attempt + 1,
         });
-        if self.ordered {
-            self.release_turn_with_tombstone(tid, worker, ctx);
-        }
-    }
-
-    /// In ordered runs a failed task still owns a commit turn: every
-    /// successor waits for `turn == tid + 1`. Waiting for this task's
-    /// own turn and then advancing past it releases them. The released
-    /// turn consumes one oracle ticket — keeping the
-    /// `commits + tombstones = seq - 1` identity — but publishes no
-    /// history entry: shard windows are positional, so a skipped turn
-    /// leaves no hole for successors to validate against (the old
-    /// clock-indexed history needed an empty tombstone log here).
-    fn release_turn_with_tombstone(&self, tid: u64, worker: usize, ctx: &BatchCtx) {
-        ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
-        let mut parker = Parker::new();
-        // Acquire/Release on the turn as in the commit path.
-        while ctx.turn.load(Ordering::Acquire) != tid {
-            if ctx.poisoned.load(Ordering::Acquire) {
-                // The run is already failing wholesale; successors bail
-                // on the poison flag, not the turn.
-                return;
-            }
-            parker.pause();
+        // Acquire/Release on the turn as in the commit path. A poisoned
+        // batch is already failing wholesale; successors bail on the
+        // poison flag, not the turn.
+        let tid = t.tid;
+        if !self.ordered
+            || !park_until(ctx, t.worker, tid, || {
+                ctx.turn.load(Ordering::Acquire) == tid
+            })
+        {
+            return;
         }
         let seq = ctx.oracle().ticket();
         // The consumed ticket must still reach the sink: journals keep
@@ -2029,19 +2027,6 @@ mod tests {
     }
 
     #[test]
-    fn history_gc_can_be_disabled() {
-        let mut store = Store::new();
-        let work = store.alloc("work", Value::int(0));
-        let tasks = identity_tasks(work, 8);
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-            .threads(4)
-            .gc_history(false)
-            .run(store, tasks);
-        assert_eq!(outcome.stats.history_reclaimed, 0);
-        assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
-    }
-
-    #[test]
     fn gc_preserves_correctness_under_contention() {
         // Heavy write-write conflicts + GC: windows must stay valid
         // across pruning.
@@ -2342,5 +2327,83 @@ mod tests {
         assert_eq!(outcome.stats.watchdog_fires, 0);
         assert!(outcome.watchdog_dumps.is_empty());
         assert!(outcome.failed.is_empty());
+    }
+
+    /// A gate that never opens for one task and is open for every other.
+    struct ClosedFor(u64);
+
+    impl CommitGate for ClosedFor {
+        fn note_executed(&self, _tid: u64, _fp: &Fingerprint) {}
+
+        fn note_failed(&self, _tid: u64) {}
+
+        fn may_commit(&self, tid: u64, _fp: &Fingerprint) -> bool {
+            tid != self.0
+        }
+    }
+
+    #[test]
+    fn every_exit_path_releases_its_begin_ticket() {
+        // One ordered batch whose tasks leave RUNTASK through every exit:
+        // task 1 is forced to conflict once and then commits, task 2
+        // panics and is isolated (tombstoning its turn), task 3 parks at
+        // a gate that never opens, and tasks 4..=6 wait for a turn that
+        // never comes. The watchdog poisons the stalled batch, so the
+        // gate-parked committer and the ordered waiters all bail out.
+        let mut store = Store::new();
+        let acc = store.alloc("acc", Value::int(0));
+        let site = |kind, subject| janus_fault::FaultSite {
+            kind,
+            subject,
+            attempt: 0,
+        };
+        let plan = FaultPlan::from_sites(vec![
+            site(FaultKind::ForcedConflict, 1),
+            site(FaultKind::TaskPanic, 2),
+        ]);
+        let recorder = Recorder::new();
+        let janus = Janus::new(Arc::new(SequenceDetector::new()))
+            .threads(4)
+            .ordered(true)
+            .panic_policy(PanicPolicy::Isolate)
+            .watchdog(Duration::from_millis(500))
+            .faults(Arc::new(plan))
+            .recorder(Arc::clone(&recorder));
+        let session = janus.open_session(store);
+        let adds = |n: i64| -> Vec<Task> {
+            (1..=n)
+                .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
+                .collect()
+        };
+        let b = janus.run_batch(&session, adds(6), Some(Arc::new(ClosedFor(3))));
+        assert!(b.poisoned, "the watchdog poisons the stalled batch");
+        assert_eq!(b.stats.watchdog_fires, 1);
+        assert_eq!((b.stats.commits, b.stats.retries), (1, 1));
+        assert_eq!(b.failed.iter().map(|f| f.task).collect::<Vec<_>>(), [2]);
+        assert_eq!(b.tombstones, 1);
+        assert_eq!(b.stats.commit_gate_waits, 1);
+        let trace = recorder.finish();
+        trace.check_well_formed().expect("every attempt is closed");
+        assert_eq!(trace.aborts_with_reason(AbortReason::Conflict), 1);
+        assert_eq!(trace.aborts_with_reason(AbortReason::Failed), 1);
+        assert_eq!(
+            trace.aborts_with_reason(AbortReason::Poisoned),
+            4,
+            "the gate-parked committer and three ordered waiters bail"
+        );
+        assert_eq!(
+            session.core.active.watermark(),
+            u64::MAX,
+            "no begin ticket outlives its attempt"
+        );
+
+        // With nothing pinned, each commit of a quiet batch prunes its
+        // shards below the oracle: no shard retains more than the
+        // entry just published.
+        let quiet = Janus::new(Arc::new(SequenceDetector::new())).threads(1);
+        assert_eq!(quiet.run_batch(&session, adds(4), None).stats.commits, 4);
+        for shard in session.shard_report().0 {
+            assert!(shard.history_len <= 1, "shard {shard:?} kept history");
+        }
     }
 }

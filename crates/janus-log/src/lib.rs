@@ -37,7 +37,9 @@ mod loc;
 mod op;
 pub mod wire;
 
-pub use committed::{CommittedLog, DecomposedLoc, DecomposedLog, Fingerprint, HistoryWindow};
+pub use committed::{
+    splitmix64, CommittedLog, DecomposedLoc, DecomposedLog, Fingerprint, HistoryWindow,
+};
 pub use decompose::{decompose, CellKey, LocHistory};
 pub use loc::{ClassId, LocId, SHARD_BITS, SHARD_SPACE};
 pub use op::{replay, Op, OpKind, OpResult, ScalarOp};

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use janus_detect::{Relaxation, SequenceOracle};
-use janus_log::{CellKey, ClassId, Op};
+use janus_log::{splitmix64, CellKey, ClassId, Op};
 use janus_relational::Value;
 
 use crate::abstraction::{abstract_kind, AbstractOp};
@@ -48,13 +48,6 @@ const MAX_PROBES: usize = 64;
 /// Stand-in for the (astronomically unlikely) signature value 0, which
 /// the table reserves as the empty-slot marker.
 const ZERO_SIG_ALIAS: u64 = 0x9e37_79b9_7f4a_7c15;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Lock-free statistics of a [`FrozenCache`]: the same counters as
 /// [`crate::CacheStats`] (total and §7.1 *unique* hits/misses), recorded

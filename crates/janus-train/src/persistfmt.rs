@@ -12,13 +12,13 @@
 //! ```
 //!
 //! Patterns use the display syntax (`{aa}+r`); class labels escape
-//! backslash, tab and newline. [`CommutativityCache::from_text`] also
-//! reads the checksum-less v1 format (written by earlier builds), and
-//! rejects unknown versions, truncation, and checksum mismatches with
-//! an error naming the offending line.
+//! backslash, tab and newline. [`CommutativityCache::from_text`] rejects
+//! other versions, truncation, and checksum mismatches with an error
+//! naming the offending line.
 
 use std::fmt;
 
+use janus_log::wire::checksum;
 use janus_log::ClassId;
 
 use crate::abstraction::{AbstractOp, Element, Pattern};
@@ -126,17 +126,6 @@ pub fn parse_pattern(s: &str) -> Result<Pattern, String> {
     Ok(Pattern(stack.pop().expect("single frame")))
 }
 
-/// FNV-1a 64 over the serialized bytes preceding the checksum line
-/// (header and entries, each including its trailing newline).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl CommutativityCache {
     /// Serializes the cache to the current (v2) text format, ending with
     /// the integrity checksum line.
@@ -156,92 +145,74 @@ impl CommutativityCache {
                 escape(class.label()),
             ));
         }
-        out.push_str(&format!("checksum\t{:016x}\n", fnv1a(out.as_bytes())));
+        // FNV-1a 64 over every preceding byte (header and entries, each
+        // including its trailing newline).
+        out.push_str(&format!("checksum\t{:016x}\n", checksum(out.as_bytes())));
         out
     }
 
-    /// Parses a cache from the text format (v2, or the checksum-less v1
-    /// written by earlier builds).
+    /// Parses a cache from the v2 text format.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseCacheError`] naming the offending line on any
     /// unsupported version, malformed header, field count, shape,
-    /// pattern or condition — and, for v2, on a missing, malformed or
-    /// mismatching checksum line (truncation and bit rot both land
-    /// here).
+    /// pattern or condition, and on a missing, malformed or mismatching
+    /// checksum line (truncation and bit rot both land here).
     pub fn from_text(text: &str) -> Result<CommutativityCache, ParseCacheError> {
         let err = |line: usize, message: String| ParseCacheError { line, message };
         let header = text
             .lines()
             .next()
             .ok_or_else(|| err(1, "empty input".to_string()))?;
-        let (version, abstraction) = match header {
-            "janus-cache v2 abstraction=true" => (2, true),
-            "janus-cache v2 abstraction=false" => (2, false),
-            // v1 predates the checksum: still read, never written.
-            "janus-cache v1 abstraction=true" => (1, true),
-            "janus-cache v1 abstraction=false" => (1, false),
+        let abstraction = match header {
+            "janus-cache v2 abstraction=true" => true,
+            "janus-cache v2 abstraction=false" => false,
             other if other.starts_with("janus-cache v") => {
                 return Err(err(
                     1,
-                    format!(
-                        "unsupported cache format version: {other:?} (this build reads v1 and v2)"
-                    ),
+                    format!("unsupported cache format version: {other:?} (this build reads v2)"),
                 ));
             }
             other => return Err(err(1, format!("bad header {other:?}"))),
         };
-        // v2: locate and verify the trailing checksum, then parse only
-        // the body before it. The checksum line starts its own line, so
-        // an escaped "checksum" inside a class label cannot shadow it.
-        let body = if version >= 2 {
-            let nl = text.rfind("\nchecksum\t").ok_or_else(|| {
-                err(
-                    text.lines().count().max(1),
-                    "missing checksum line (truncated cache?)".to_string(),
-                )
-            })?;
-            let body = &text[..nl + 1];
-            let lineno = body.lines().count() + 1;
-            let tail = &text[nl + 1..];
-            let line = tail.lines().next().expect("found above");
-            if tail.len() > line.len() + 1 {
-                return Err(err(
-                    lineno + 1,
-                    "content after the checksum line".to_string(),
-                ));
-            }
-            let hex = line.strip_prefix("checksum\t").expect("found above");
-            let stated = u64::from_str_radix(hex, 16)
-                .map_err(|_| err(lineno, format!("bad checksum field {hex:?}")))?;
-            let computed = fnv1a(body.as_bytes());
-            if stated != computed {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "checksum mismatch: file says {stated:016x}, contents hash to \
-                         {computed:016x} (corrupt or hand-edited cache)"
-                    ),
-                ));
-            }
-            body
-        } else {
-            text
-        };
+        // Locate and verify the trailing checksum, then parse only the
+        // body before it. The checksum line starts its own line, so an
+        // escaped "checksum" inside a class label cannot shadow it.
+        let nl = text.rfind("\nchecksum\t").ok_or_else(|| {
+            err(
+                text.lines().count().max(1),
+                "missing checksum line (truncated cache?)".to_string(),
+            )
+        })?;
+        let body = &text[..nl + 1];
+        let lineno = body.lines().count() + 1;
+        let tail = &text[nl + 1..];
+        let line = tail.lines().next().expect("found above");
+        if tail.len() > line.len() + 1 {
+            return Err(err(
+                lineno + 1,
+                "content after the checksum line".to_string(),
+            ));
+        }
+        let hex = line.strip_prefix("checksum\t").expect("found above");
+        let stated = u64::from_str_radix(hex, 16)
+            .map_err(|_| err(lineno, format!("bad checksum field {hex:?}")))?;
+        let computed = checksum(body.as_bytes());
+        if stated != computed {
+            return Err(err(
+                lineno,
+                format!(
+                    "checksum mismatch: file says {stated:016x}, contents hash to \
+                     {computed:016x} (corrupt or hand-edited cache)"
+                ),
+            ));
+        }
         let mut cache = CommutativityCache::new(abstraction);
         for (i, line) in body.lines().enumerate().skip(1) {
             let lineno = i + 1;
             if line.is_empty() {
                 continue;
-            }
-            if line.starts_with("checksum\t") {
-                // Only reachable in v1 input (the v2 body excludes its
-                // checksum): a v1 cache never carries one.
-                return Err(err(
-                    lineno,
-                    "unexpected checksum line in a v1 cache".to_string(),
-                ));
             }
             let fields: Vec<&str> = line.split('\t').collect();
             if fields.len() != 6 || fields[0] != "entry" {
@@ -335,46 +306,47 @@ mod tests {
         assert!(parse_pattern("z").is_err(), "unknown op");
     }
 
+    /// A v2 cache of one entry line, with a valid checksum line.
+    fn v2_with_entry(entry: &str) -> String {
+        let body = format!("janus-cache v2 abstraction=true\n{entry}\n");
+        format!("{body}checksum\t{:016x}\n", checksum(body.as_bytes()))
+    }
+
     #[test]
     fn header_and_field_errors() {
         assert!(CommutativityCache::from_text("").is_err());
         assert!(CommutativityCache::from_text("nope\n").is_err());
-        let bad = "janus-cache v1 abstraction=true\nentry\tc\twhole\ta\n";
-        let e = CommutativityCache::from_text(bad).expect_err("field count");
+        let bad = v2_with_entry("entry\tc\twhole\ta");
+        let e = CommutativityCache::from_text(&bad).expect_err("field count");
         assert_eq!(e.line, 2);
-        let bad = "janus-cache v1 abstraction=true\nentry\tc\tnope\ta\ta\talways\n";
-        assert!(CommutativityCache::from_text(bad).is_err());
-        let bad = "janus-cache v1 abstraction=true\nentry\tc\twhole\ta\ta\tmaybe\n";
-        assert!(CommutativityCache::from_text(bad).is_err());
-    }
-
-    #[test]
-    fn legacy_v1_caches_still_parse() {
-        // A v1 serialization of `trained()`: same entries, old header,
-        // no checksum line.
-        let v2 = trained().to_text();
-        let v1: String = v2
-            .replace("janus-cache v2", "janus-cache v1")
-            .lines()
-            .filter(|l| !l.starts_with("checksum\t"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let parsed = CommutativityCache::from_text(&v1).expect("v1 parses");
-        assert_eq!(parsed.len(), trained().len());
-        // Re-serializing a legacy cache upgrades it to v2.
-        assert!(parsed.to_text().starts_with("janus-cache v2 "));
+        let bad = v2_with_entry("entry\tc\tnope\ta\ta\talways");
+        let e = CommutativityCache::from_text(&bad).expect_err("shape");
+        assert!(e.message.contains("bad shape"), "{}", e.message);
+        let bad = v2_with_entry("entry\tc\twhole\ta\ta\tmaybe");
+        let e = CommutativityCache::from_text(&bad).expect_err("condition");
+        assert!(e.message.contains("bad condition"), "{}", e.message);
+        let good = v2_with_entry("entry\tc\twhole\ta\ta\talways");
+        assert_eq!(
+            CommutativityCache::from_text(&good).expect("parse").len(),
+            1
+        );
     }
 
     #[test]
     fn unknown_version_is_rejected_with_a_version_error() {
-        let e = CommutativityCache::from_text("janus-cache v3 abstraction=true\n")
-            .expect_err("future version");
-        assert_eq!(e.line, 1);
-        assert!(
-            e.message.contains("unsupported cache format version"),
-            "message: {}",
-            e.message
-        );
+        for header in [
+            "janus-cache v3 abstraction=true",
+            "janus-cache v1 abstraction=true",
+        ] {
+            let e = CommutativityCache::from_text(&format!("{header}\n"))
+                .expect_err("unsupported version");
+            assert_eq!(e.line, 1);
+            assert!(
+                e.message.contains("unsupported cache format version"),
+                "message: {}",
+                e.message
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! janus-run train <workload> [--no-abstraction] [--cache <file>]
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
-//!                            [--cache <file>] [--eager] [--no-gc]
+//!                            [--cache <file>]
 //!                            [--schedule fifo|backoff|affinity|steal] [--footprints mine|shard]
 //!                            [--no-steal]
 //!                            [--degrade-threshold R] [--degrade-window N]
@@ -73,7 +73,7 @@ use janus::workloads::{all_workloads, training_runs, workload_by_name, InputSpec
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--eager] [--no-gc] [--schedule fifo|backoff|affinity|steal]\n                           [--footprints mine|shard] [--no-steal]\n                           [--degrade-threshold R] [--degrade-window N]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
+        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--schedule fifo|backoff|affinity|steal]\n                           [--footprints mine|shard] [--no-steal]\n                           [--degrade-threshold R] [--degrade-window N]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
     );
     ExitCode::from(2)
 }
@@ -98,7 +98,7 @@ const VALUE_FLAGS: &[&str] = &[
     "fault-rate",
     "footprints",
 ];
-const BOOL_FLAGS: &[&str] = &["no-abstraction", "eager", "no-gc", "metrics", "no-steal"];
+const BOOL_FLAGS: &[&str] = &["no-abstraction", "metrics", "no-steal"];
 
 struct Args {
     positional: Vec<String>,
@@ -442,8 +442,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         .threads(threads)
         .shards(shards)
         .ordered(w.ordered())
-        .eager_privatization(args.flag("eager"))
-        .gc_history(!args.flag("no-gc"))
         .schedule(schedule)
         .panic_policy(panic_policy);
     if let Some(threshold) = degrade_threshold {

@@ -108,7 +108,6 @@ fn gc_with_ordered_contention() {
     let outcome = Janus::new(Arc::new(SequenceDetector::new()))
         .threads(4)
         .ordered(true)
-        .gc_history(true)
         .run(store, tasks);
     assert_eq!(outcome.store.value(x), seq_store.value(x));
 }

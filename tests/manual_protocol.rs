@@ -81,44 +81,30 @@ fn apply_log_groups_per_location() {
 }
 
 #[test]
-fn eager_privatization_is_semantically_equivalent() {
-    // D4: eager deep-copy privatization must produce the same results as
-    // persistent snapshots, just slower.
-    let build = || {
-        let mut store = Store::new();
-        let m = MapAdt::alloc_with(
-            &mut store,
-            "m",
-            (0..200i64).map(|i| (Scalar::Int(i), Scalar::Int(i))),
-        );
-        let tasks: Vec<Task> = (0..10i64)
-            .map(|i| {
-                let m = m.clone();
-                Task::new(move |tx: &mut TxView| {
-                    m.put(tx, 1000 + i, i);
-                })
+fn persistent_privatization_lands_every_put() {
+    // Every transaction privatizes an O(1) persistent snapshot of a
+    // 200-entry map; concurrent puts of fresh keys must all land, with
+    // the preloaded entries untouched.
+    let mut store = Store::new();
+    let m = MapAdt::alloc_with(
+        &mut store,
+        "m",
+        (0..200i64).map(|i| (Scalar::Int(i), Scalar::Int(i))),
+    );
+    let tasks: Vec<Task> = (0..10i64)
+        .map(|i| {
+            let m = m.clone();
+            Task::new(move |tx: &mut TxView| {
+                m.put(tx, 1000 + i, i);
             })
-            .collect();
-        (store, tasks, m)
-    };
-
-    let detector: Arc<dyn ConflictDetector> = Arc::new(WriteSetDetector::new());
-    let (store, tasks, m) = build();
-    let persistent = Janus::new(Arc::clone(&detector))
+        })
+        .collect();
+    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
         .threads(3)
         .run(store, tasks);
-
-    let (store, tasks, _) = build();
-    let eager = Janus::new(detector)
-        .threads(3)
-        .eager_privatization(true)
-        .run(store, tasks);
-
-    assert_eq!(persistent.stats.commits, eager.stats.commits);
-    assert_eq!(m.entries(&persistent.store).len(), 210, "all puts landed");
-    // Final relational contents agree.
-    let a: Vec<_> = m.entries(&persistent.store);
-    let loc = m.loc();
-    assert_eq!(persistent.store.value(loc), eager.store.value(loc));
-    assert_eq!(a.len(), 210);
+    assert_eq!(outcome.stats.commits, 10);
+    let entries = m.entries(&outcome.store);
+    assert_eq!(entries.len(), 210, "all puts landed");
+    assert_eq!(entries[10], (Scalar::Int(10), Scalar::Int(10)));
+    assert!(entries.contains(&(Scalar::Int(1009), Scalar::Int(9))));
 }
