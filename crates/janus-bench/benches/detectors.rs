@@ -34,14 +34,14 @@ fn identity_log(len: usize) -> Vec<Op> {
     out
 }
 
-fn trained_cache() -> janus_train::CommutativityCache {
+fn trained_cache() -> janus_train::FrozenCache {
     let mut initial = MapState::default();
     initial.0.insert(LocId(0), Value::int(0));
     let run = TrainingRun {
         initial,
         task_logs: vec![identity_log(4), identity_log(8)],
     };
-    train(&[run], TrainConfig::default()).0
+    train(&[run], TrainConfig::default()).0.freeze()
 }
 
 fn bench_detectors(c: &mut Criterion) {

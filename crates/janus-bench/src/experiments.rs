@@ -10,7 +10,7 @@ use janus_detect::{
 use janus_fault::FaultPlan;
 use janus_log::{ClassId, CommittedLog, HistoryWindow, LocId, Op, OpKind, ScalarOp};
 use janus_relational::Value;
-use janus_train::{train, CommutativityCache, FrozenCache, TrainConfig};
+use janus_train::{train, FrozenCache, TrainConfig};
 use janus_workloads::{all_workloads, training_runs, InputSpec, Workload};
 
 use crate::sim::{sequential_baseline, simulate};
@@ -59,8 +59,9 @@ pub fn grid_input(workload: &dyn Workload, quick: bool) -> InputSpec {
     }
 }
 
-/// Trains the workload's commutativity cache (Figure 6's offline path).
-pub fn trained_cache(workload: &dyn Workload, use_abstraction: bool) -> CommutativityCache {
+/// Trains the workload's commutativity cache (Figure 6's offline path)
+/// and freezes it for querying.
+pub fn trained_cache(workload: &dyn Workload, use_abstraction: bool) -> FrozenCache {
     let runs = training_runs(workload);
     let (cache, _) = train(
         &runs,
@@ -69,7 +70,7 @@ pub fn trained_cache(workload: &dyn Workload, use_abstraction: bool) -> Commutat
             verify_symbolic: false,
         },
     );
-    cache
+    cache.freeze()
 }
 
 /// Runs the Figure 9/10 grid: every workload, write-set vs cached
@@ -81,7 +82,7 @@ pub fn speedup_retry_grid(quick: bool) -> Vec<GridPoint> {
         let input = grid_input(w, quick);
         let scenario = w.build(&input);
         let (_, baseline) = sequential_baseline(scenario.store, &scenario.tasks);
-        let cache = Arc::new(trained_cache(w, true).freeze());
+        let cache = Arc::new(trained_cache(w, true));
         for &threads in &THREAD_GRID {
             for (label, detector) in detector_pair(w, &cache) {
                 let scenario = w.build(&input);
@@ -163,7 +164,7 @@ pub fn figure11(quick: bool) -> Vec<MissRow> {
         let w = workload.as_ref();
         let mut counts = [(0u64, 0u64); 2];
         for (slot, use_abstraction) in [(0, true), (1, false)] {
-            let cache = trained_cache(w, use_abstraction).freeze();
+            let cache = trained_cache(w, use_abstraction);
             let detector = Arc::new(CachedSequenceDetector::with_relaxations(
                 cache,
                 w.relaxations(),

@@ -18,8 +18,7 @@
 //!   only its block ([`BlockStatus::Failed`]); the session and every
 //!   other block keep running.
 //!
-//! The `janus-serve` binary wires these into a line-protocol service;
-//! `bench_serve` measures sustained throughput pipelined vs. barrier.
+//! The `janus-serve` binary wires these into a line-protocol service.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

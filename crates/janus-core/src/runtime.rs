@@ -1724,7 +1724,7 @@ mod tests {
         );
         assert!(report.entries_added > 0);
 
-        let detector = Arc::new(CachedSequenceDetector::new(cache));
+        let detector = Arc::new(CachedSequenceDetector::new(cache.freeze()));
         let janus = Janus::new(detector.clone()).threads(4);
         let outcome = janus.run(store, identity_tasks(work, 12));
         assert_eq!(outcome.store.value(work), Some(&Value::int(0)));

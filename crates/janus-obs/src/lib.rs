@@ -17,7 +17,7 @@
 //!   sites branch on an `Option` handle, so a disabled recorder costs
 //!   one predictable branch.
 //! * [`MetricsRegistry`] / [`Snapshot`] — one sink for every statistics
-//!   struct in the workspace (`RunStats`, `DetectorStats`, `CacheStats`,
+//!   struct in the workspace (`RunStats`, `DetectorStats`, `FrozenCacheStats`,
 //!   `SolverStats`), plus log2 histograms for validation latency, window
 //!   length and ops scanned per attempt, derived from the event stream.
 //! * [`chrome_trace_json`] — a `chrome://tracing`-loadable JSON export,

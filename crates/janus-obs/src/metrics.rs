@@ -9,7 +9,7 @@ use crate::event::EventKind;
 use crate::recorder::Trace;
 
 /// A point-in-time view of some subsystem's counters. Implemented by
-/// `RunStats` (janus-core), `DetectorStats` (janus-detect), `CacheStats`
+/// `RunStats` (janus-core), `DetectorStats` (janus-detect), `FrozenCacheStats`
 /// (janus-train) and [`janus_sat::SolverStats`], so one registry absorbs
 /// the whole stack.
 pub trait Snapshot {

@@ -1,16 +1,13 @@
-//! The commutativity cache: what training produces and production
-//! queries (Figure 6).
+//! The commutativity cache as training builds it and persistence
+//! round-trips it (Figure 6). Queries go to its frozen form,
+//! [`crate::FrozenCache`].
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use janus_detect::{Relaxation, SequenceOracle};
-use janus_log::{CellKey, ClassId, Op};
-use janus_relational::Value;
+use janus_log::{CellKey, ClassId};
 
-use crate::abstraction::{abstract_kind, AbstractOp, Nfa, Pattern};
-use crate::condition::{evaluate_condition, Condition};
+use crate::abstraction::{Nfa, Pattern};
+use crate::condition::Condition;
 
 /// The granularity of a cached cell: whole-object or per-key. The key
 /// value itself is abstracted away — conditions are key-agnostic.
@@ -52,93 +49,22 @@ pub(crate) struct Entry {
     pub(crate) condition: Condition,
 }
 
-/// Statistics of cache usage. Following §7.1, *unique* queries are
-/// counted: multiple hits/misses for the same abstract query signature
-/// count once. Signatures are tracked as 64-bit hashes of the abstract
-/// query (not as rendered strings), and the tracked set is capped at
-/// [`CacheStats::UNIQUE_SIG_CAP`] — a long production run no longer grows
-/// an unbounded map of signature strings. Signatures arriving past the
-/// cap are counted in [`unique_overflow`](CacheStats::unique_overflow);
-/// the Figure 11 unique-miss-rate is exact whenever that counter is zero.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    /// Total per-cell queries answered from the cache.
-    pub hits: AtomicU64,
-    /// Total per-cell queries that missed.
-    pub misses: AtomicU64,
-    unique: Mutex<BTreeMap<u64, bool>>,
-    unique_overflow: AtomicU64,
-}
-
-impl CacheStats {
-    /// Maximum number of distinct query signatures tracked for the
-    /// unique-miss-rate metric.
-    pub const UNIQUE_SIG_CAP: usize = 1 << 16;
-
-    /// Unique query signatures that hit, and that missed.
-    pub fn unique_counts(&self) -> (u64, u64) {
-        let unique = self.unique.lock().expect("cache stats mutex");
-        let hits = unique.values().filter(|&&h| h).count() as u64;
-        let misses = unique.len() as u64 - hits;
-        (hits, misses)
-    }
-
-    /// Signatures that were not tracked because the unique set had
-    /// already reached [`CacheStats::UNIQUE_SIG_CAP`] distinct entries.
-    pub fn unique_overflow(&self) -> u64 {
-        self.unique_overflow.load(Ordering::Relaxed)
-    }
-
-    /// The unique-query miss rate in percent (the Figure 11 metric), or
-    /// `None` if no queries were recorded. Exact up to
-    /// [`CacheStats::UNIQUE_SIG_CAP`] distinct signatures; beyond that it
-    /// covers the first `UNIQUE_SIG_CAP` (see
-    /// [`unique_overflow`](CacheStats::unique_overflow)).
-    pub fn miss_rate_percent(&self) -> Option<f64> {
-        let (h, m) = self.unique_counts();
-        let total = h + m;
-        (total > 0).then(|| 100.0 * m as f64 / total as f64)
-    }
-
-    /// Resets all statistics.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.unique_overflow.store(0, Ordering::Relaxed);
-        self.unique.lock().expect("cache stats mutex").clear();
-    }
-
-    fn record(&self, sig: u64, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+impl Entry {
+    /// An entry for an unordered pattern pair: the patterns are stored in
+    /// canonical order and their matchers compiled once.
+    pub(crate) fn new(pat_a: Pattern, pat_b: Pattern, condition: Condition) -> Entry {
+        let (pat_a, pat_b) = if pat_a <= pat_b {
+            (pat_a, pat_b)
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            (pat_b, pat_a)
+        };
+        Entry {
+            nfa_a: Nfa::compile(&pat_a),
+            nfa_b: Nfa::compile(&pat_b),
+            pat_a,
+            pat_b,
+            condition,
         }
-        let mut unique = self.unique.lock().expect("cache stats mutex");
-        if !unique.contains_key(&sig) {
-            if unique.len() < CacheStats::UNIQUE_SIG_CAP {
-                unique.insert(sig, hit);
-            } else {
-                self.unique_overflow.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl janus_obs::Snapshot for CacheStats {
-    fn source(&self) -> &'static str {
-        "cache"
-    }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        let (unique_hits, unique_misses) = self.unique_counts();
-        vec![
-            ("hits".to_string(), self.hits.load(Ordering::Relaxed)),
-            ("misses".to_string(), self.misses.load(Ordering::Relaxed)),
-            ("unique_hits".to_string(), unique_hits),
-            ("unique_misses".to_string(), unique_misses),
-            ("unique_overflow".to_string(), self.unique_overflow()),
-        ]
     }
 }
 
@@ -158,13 +84,14 @@ pub struct TrainReport {
     pub symbolic_proved: u64,
 }
 
-/// The commutativity cache built by [`crate::train`] and queried — as a
-/// [`SequenceOracle`] — by `janus_detect::CachedSequenceDetector`.
+/// The commutativity cache built by [`crate::train`] and read back by
+/// [`CommutativityCache::from_text`]. It answers no queries:
+/// [`CommutativityCache::freeze`] turns it into the [`crate::FrozenCache`]
+/// that `janus_detect::CachedSequenceDetector` queries.
 #[derive(Debug, Default)]
 pub struct CommutativityCache {
     buckets: BTreeMap<CacheKey, Vec<Entry>>,
     use_abstraction: bool,
-    stats: CacheStats,
 }
 
 impl CommutativityCache {
@@ -175,7 +102,6 @@ impl CommutativityCache {
         CommutativityCache {
             buckets: BTreeMap::new(),
             use_abstraction,
-            stats: CacheStats::default(),
         }
     }
 
@@ -193,22 +119,10 @@ impl CommutativityCache {
         pat_b: Pattern,
         condition: Condition,
     ) {
-        let (pat_a, pat_b) = if pat_a <= pat_b {
-            (pat_a, pat_b)
-        } else {
-            (pat_b, pat_a)
-        };
-        let (nfa_a, nfa_b) = (Nfa::compile(&pat_a), Nfa::compile(&pat_b));
         self.buckets
             .entry(CacheKey { class, shape })
             .or_default()
-            .push(Entry {
-                pat_a,
-                pat_b,
-                nfa_a,
-                nfa_b,
-                condition,
-            });
+            .push(Entry::new(pat_a, pat_b, condition));
     }
 
     /// Number of cached entries.
@@ -219,11 +133,6 @@ impl CommutativityCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Cache usage statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     /// Iterates over the cached entries (for serialization and
@@ -241,275 +150,5 @@ impl CommutativityCache {
     /// Decomposes the cache for [`crate::FrozenCache`] construction.
     pub(crate) fn into_parts(self) -> (BTreeMap<CacheKey, Vec<Entry>>, bool) {
         (self.buckets, self.use_abstraction)
-    }
-
-    fn find(&self, key: &CacheKey, qa: &[AbstractOp], qb: &[AbstractOp]) -> Option<Condition> {
-        let entries = self.buckets.get(key)?;
-        entries
-            .iter()
-            .find(|e| {
-                (e.nfa_a.matches(qa) && e.nfa_b.matches(qb))
-                    || (e.nfa_a.matches(qb) && e.nfa_b.matches(qa))
-            })
-            .map(|e| e.condition)
-    }
-}
-
-/// Feeds `Display` output straight into a hasher, so signatures keep the
-/// rendered-string identity of the old implementation without building a
-/// string per query.
-struct HashWriter<H>(H);
-
-impl<H: std::hash::Hasher> std::fmt::Write for HashWriter<H> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// The 64-bit signature of one abstract query: class, shape, and the two
-/// rendered operation streams in symmetric (order-independent) order.
-pub(crate) fn signature(
-    class: &ClassId,
-    shape: CellShape,
-    qa: &[AbstractOp],
-    qb: &[AbstractOp],
-) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::fmt::Write;
-    use std::hash::Hasher;
-
-    let side = |ops: &[AbstractOp]| {
-        let mut w = HashWriter(DefaultHasher::new());
-        for op in ops {
-            let _ = write!(w, "{op}#");
-        }
-        w.0.finish()
-    };
-    let (sa, sb) = (side(qa), side(qb));
-    let (lo, hi) = if sa <= sb { (sa, sb) } else { (sb, sa) };
-    let mut w = HashWriter(DefaultHasher::new());
-    let _ = write!(w, "{class}#{shape:?}#");
-    w.0.write_u64(lo);
-    w.0.write_u64(hi);
-    w.0.finish()
-}
-
-impl SequenceOracle for CommutativityCache {
-    fn query(
-        &self,
-        class: &ClassId,
-        entry: Option<&Value>,
-        cell: &CellKey,
-        txn: &[&Op],
-        committed: &[&Op],
-        relax: Relaxation,
-    ) -> Option<bool> {
-        let qa: Vec<AbstractOp> = txn.iter().map(|op| abstract_kind(op)).collect();
-        let qb: Vec<AbstractOp> = committed.iter().map(|op| abstract_kind(op)).collect();
-        let key = CacheKey {
-            class: class.clone(),
-            shape: CellShape::of(cell),
-        };
-        let sig = signature(class, key.shape, &qa, &qb);
-        let condition = self.find(&key, &qa, &qb);
-        let answer =
-            condition.and_then(|c| evaluate_condition(c, entry, cell, txn, committed, relax));
-        self.stats.record(sig, answer.is_some());
-        answer
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::abstraction::Element;
-    use janus_log::{LocId, OpKind, ScalarOp};
-
-    fn mk_ops(kinds: Vec<OpKind>, class: &str) -> Vec<Op> {
-        let mut v = Value::int(0);
-        kinds
-            .into_iter()
-            .map(|k| Op::execute(LocId(0), ClassId::new(class), k, &mut v).0)
-            .collect()
-    }
-
-    fn add_pattern_plus() -> Pattern {
-        Pattern(vec![Element::Plus(vec![
-            Element::Atom(AbstractOp::Add),
-            Element::Atom(AbstractOp::Add),
-        ])])
-    }
-
-    #[test]
-    fn insert_and_query_roundtrip() {
-        let mut cache = CommutativityCache::new(true);
-        cache.insert(
-            ClassId::new("work"),
-            CellShape::Whole,
-            add_pattern_plus(),
-            add_pattern_plus(),
-            Condition::CommutesAlways,
-        );
-        assert_eq!(cache.len(), 1);
-        let a = mk_ops(
-            vec![
-                OpKind::Scalar(ScalarOp::Add(1)),
-                OpKind::Scalar(ScalarOp::Add(-1)),
-            ],
-            "work",
-        );
-        let ra: Vec<&Op> = a.iter().collect();
-        let answer = cache.query(
-            &ClassId::new("work"),
-            None,
-            &CellKey::Whole,
-            &ra,
-            &ra,
-            Relaxation::strict(),
-        );
-        assert_eq!(answer, Some(false));
-        let (uh, um) = cache.stats().unique_counts();
-        assert_eq!((uh, um), (1, 0));
-    }
-
-    #[test]
-    fn wrong_class_misses() {
-        let mut cache = CommutativityCache::new(true);
-        cache.insert(
-            ClassId::new("work"),
-            CellShape::Whole,
-            add_pattern_plus(),
-            add_pattern_plus(),
-            Condition::CommutesAlways,
-        );
-        let a = mk_ops(
-            vec![
-                OpKind::Scalar(ScalarOp::Add(1)),
-                OpKind::Scalar(ScalarOp::Add(-1)),
-            ],
-            "other",
-        );
-        let ra: Vec<&Op> = a.iter().collect();
-        assert_eq!(
-            cache.query(
-                &ClassId::new("other"),
-                None,
-                &CellKey::Whole,
-                &ra,
-                &ra,
-                Relaxation::strict()
-            ),
-            None
-        );
-        let (uh, um) = cache.stats().unique_counts();
-        assert_eq!((uh, um), (0, 1));
-        assert_eq!(cache.stats().miss_rate_percent(), Some(100.0));
-    }
-
-    #[test]
-    fn unique_counting_deduplicates() {
-        let cache = CommutativityCache::new(true);
-        let a = mk_ops(vec![OpKind::Scalar(ScalarOp::Read)], "x");
-        let ra: Vec<&Op> = a.iter().collect();
-        for _ in 0..5 {
-            cache.query(
-                &ClassId::new("x"),
-                None,
-                &CellKey::Whole,
-                &ra,
-                &ra,
-                Relaxation::strict(),
-            );
-        }
-        assert_eq!(cache.stats().misses.load(Ordering::Relaxed), 5);
-        let (uh, um) = cache.stats().unique_counts();
-        assert_eq!((uh, um), (0, 1), "five identical queries count once");
-    }
-
-    #[test]
-    fn symmetric_matching() {
-        let mut cache = CommutativityCache::new(true);
-        // pat_a = read, pat_b = {aa}+ — inserted in one order, queried in
-        // the other.
-        cache.insert(
-            ClassId::new("x"),
-            CellShape::Whole,
-            Pattern(vec![Element::Atom(AbstractOp::Read)]),
-            add_pattern_plus(),
-            Condition::InputDependent,
-        );
-        let reader = mk_ops(vec![OpKind::Scalar(ScalarOp::Read)], "x");
-        let adder = mk_ops(
-            vec![
-                OpKind::Scalar(ScalarOp::Add(2)),
-                OpKind::Scalar(ScalarOp::Add(-2)),
-            ],
-            "x",
-        );
-        let rr: Vec<&Op> = reader.iter().collect();
-        let rad: Vec<&Op> = adder.iter().collect();
-        let entry = Value::int(0);
-        // (adder, reader) — reversed relative to insertion order.
-        let ans = cache.query(
-            &ClassId::new("x"),
-            Some(&entry),
-            &CellKey::Whole,
-            &rad,
-            &rr,
-            Relaxation::strict(),
-        );
-        assert_eq!(ans, Some(false), "identity delta does not disturb the read");
-    }
-
-    #[test]
-    fn unique_signatures_are_capped() {
-        let stats = CacheStats::default();
-        let extra = 10u64;
-        for sig in 0..(CacheStats::UNIQUE_SIG_CAP as u64 + extra) {
-            stats.record(sig, false);
-        }
-        let (uh, um) = stats.unique_counts();
-        assert_eq!((uh, um), (0, CacheStats::UNIQUE_SIG_CAP as u64));
-        assert_eq!(stats.unique_overflow(), extra);
-        // A signature already tracked is not overflow, even at capacity.
-        stats.record(0, false);
-        assert_eq!(stats.unique_overflow(), extra);
-        stats.reset();
-        assert_eq!(stats.unique_overflow(), 0);
-        assert_eq!(stats.unique_counts(), (0, 0));
-    }
-
-    #[test]
-    fn signature_is_symmetric() {
-        let a = vec![AbstractOp::Add, AbstractOp::Read];
-        let b = vec![AbstractOp::Add];
-        let class = ClassId::new("x");
-        assert_eq!(
-            signature(&class, CellShape::Whole, &a, &b),
-            signature(&class, CellShape::Whole, &b, &a)
-        );
-        assert_ne!(
-            signature(&class, CellShape::Whole, &a, &b),
-            signature(&class, CellShape::Keyed, &a, &b)
-        );
-    }
-
-    #[test]
-    fn stats_reset() {
-        let cache = CommutativityCache::new(true);
-        let a = mk_ops(vec![OpKind::Scalar(ScalarOp::Read)], "x");
-        let ra: Vec<&Op> = a.iter().collect();
-        cache.query(
-            &ClassId::new("x"),
-            None,
-            &CellKey::Whole,
-            &ra,
-            &ra,
-            Relaxation::strict(),
-        );
-        cache.stats().reset();
-        assert_eq!(cache.stats().unique_counts(), (0, 0));
-        assert_eq!(cache.stats().misses.load(Ordering::Relaxed), 0);
     }
 }

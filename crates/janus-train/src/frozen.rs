@@ -1,24 +1,22 @@
-//! A frozen, lock-free view of the commutativity cache for production.
+//! The queryable commutativity cache.
 //!
-//! [`CommutativityCache`] answers queries through a `BTreeMap` walk and
-//! records statistics under a `Mutex` — fine for training, but in
-//! production every validated cell takes that lock, and under high thread
-//! counts the stats mutex becomes the hottest line in the cache. Freezing
-//! converts the trained cache into an immutable, hash-indexed structure
-//! whose query path is entirely lock-free:
+//! Training builds a [`CommutativityCache`]; freezing converts it into the
+//! one structure that answers queries, offline or online, and whose query
+//! path is entirely lock-free:
 //!
-//! * buckets move into a two-level `HashMap<ClassId, _>` keyed by class
-//!   then cell shape, so a lookup is one hash probe with **no key clone**;
+//! * buckets move into a `HashMap<ClassId, _>` keyed by class, then
+//!   indexed by cell shape, so a lookup is one hash probe with **no key
+//!   clone**;
 //! * hit/miss totals are plain atomic counters;
-//! * the §7.1 *unique*-signature set becomes an open-addressed table of
+//! * the §7.1 *unique*-signature set is an open-addressed table of
 //!   `AtomicU64` slots claimed by compare-and-swap — readers and writers
 //!   never block, and the table is bounded (1 MiB) regardless of run
 //!   length.
 //!
 //! Combined with the compact-NFA matcher and inline abstraction buffers,
-//! a frozen query performs **zero heap allocations** for transactions
-//! touching ≤ [`INLINE_OPS`] operations per cell (the common case by a
-//! wide margin), and acquires no mutex ever.
+//! a query performs **zero heap allocations** for transactions touching
+//! ≤ [`INLINE_OPS`] operations per cell (the common case by a wide
+//! margin), and acquires no mutex ever.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +26,7 @@ use janus_log::{splitmix64, CellKey, ClassId, Op};
 use janus_relational::Value;
 
 use crate::abstraction::{abstract_kind, AbstractOp};
-use crate::cache::{signature, CellShape, CommutativityCache, Entry};
+use crate::cache::{CellShape, CommutativityCache, Entry};
 use crate::condition::evaluate_condition;
 use crate::Condition;
 
@@ -49,16 +47,16 @@ const MAX_PROBES: usize = 64;
 /// the table reserves as the empty-slot marker.
 const ZERO_SIG_ALIAS: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Lock-free statistics of a [`FrozenCache`]: the same counters as
-/// [`crate::CacheStats`] (total and §7.1 *unique* hits/misses), recorded
-/// without any mutex. Unique signatures live in a fixed open-addressed
-/// table of [`AtomicU64`] slots; a slot is claimed exactly once by
-/// compare-and-swap, and the thread that wins the claim attributes the
-/// signature's first outcome — identical first-outcome semantics to the
-/// mutexed implementation. Signatures that arrive after
-/// [`UNIQUE_SIG_CAP`](FrozenCacheStats::UNIQUE_SIG_CAP) distinct entries
-/// (or whose probe window is full) are counted in
-/// [`unique_overflow`](FrozenCacheStats::unique_overflow).
+/// Lock-free statistics of a [`FrozenCache`]: total and §7.1 *unique*
+/// hits/misses — multiple hits or misses of the same abstract query
+/// signature count once — recorded without any mutex. Unique signatures
+/// live in a fixed open-addressed table of [`AtomicU64`] slots; a slot is
+/// claimed exactly once by compare-and-swap, and the thread that wins the
+/// claim attributes the signature's first outcome. Signatures that arrive
+/// after [`UNIQUE_SIG_CAP`](FrozenCacheStats::UNIQUE_SIG_CAP) distinct
+/// entries (or whose probe window is full) are counted in
+/// [`unique_overflow`](FrozenCacheStats::unique_overflow); the Figure 11
+/// unique-miss rate is exact whenever that counter is zero.
 #[derive(Debug)]
 pub struct FrozenCacheStats {
     /// Total per-cell queries answered from the cache.
@@ -88,7 +86,7 @@ impl Default for FrozenCacheStats {
 
 impl FrozenCacheStats {
     /// Maximum number of distinct query signatures tracked for the
-    /// unique-miss-rate metric (matches [`crate::CacheStats`]).
+    /// unique-miss-rate metric.
     pub const UNIQUE_SIG_CAP: usize = 1 << 16;
 
     /// Unique query signatures that hit, and that missed.
@@ -114,8 +112,7 @@ impl FrozenCacheStats {
     }
 
     /// Resets all statistics. Not linearizable against concurrent
-    /// `record` calls — call between measurement phases, as with
-    /// [`crate::CacheStats::reset`].
+    /// `record` calls — call between measurement phases.
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -195,56 +192,36 @@ impl janus_obs::Snapshot for FrozenCacheStats {
     }
 }
 
-/// Per-class entry lists, split by cell shape so a query indexes its
-/// shape without composing a hashed key.
-#[derive(Debug, Default)]
-struct FrozenBucket {
-    whole: Box<[Entry]>,
-    keyed: Box<[Entry]>,
-}
-
-impl FrozenBucket {
-    fn of(&self, shape: CellShape) -> &[Entry] {
-        match shape {
-            CellShape::Whole => &self.whole,
-            CellShape::Keyed => &self.keyed,
-        }
-    }
-}
-
-/// The immutable production form of a trained [`CommutativityCache`]:
-/// hash-indexed entry lookup, lock-free statistics, and a query path
-/// that allocates nothing for ordinary transactions. Built once with
+/// The queryable form of a trained [`CommutativityCache`]: hash-indexed
+/// entry lookup, lock-free statistics, and a query path that allocates
+/// nothing for ordinary transactions. Built once with
 /// [`CommutativityCache::freeze`], then shared across worker threads
 /// behind an `Arc`. Implements [`SequenceOracle`], so it plugs into
-/// `janus_detect::CachedSequenceDetector` exactly like the mutable cache.
+/// `janus_detect::CachedSequenceDetector`.
 #[derive(Debug)]
 pub struct FrozenCache {
-    buckets: HashMap<ClassId, FrozenBucket>,
+    /// Per-class entry lists, indexed by [`CellShape`] so a query picks
+    /// its shape without composing a hashed key.
+    buckets: HashMap<ClassId, [Vec<Entry>; 2]>,
     use_abstraction: bool,
     entries: usize,
     stats: FrozenCacheStats,
 }
 
 impl FrozenCache {
-    pub(crate) fn from_cache(cache: CommutativityCache) -> FrozenCache {
+    fn from_cache(cache: CommutativityCache) -> FrozenCache {
         let (tree, use_abstraction) = cache.into_parts();
-        let mut buckets: HashMap<ClassId, FrozenBucket> = HashMap::new();
-        let mut entries = 0;
-        for (key, list) in tree {
-            entries += list.len();
-            let bucket = buckets.entry(key.class).or_default();
-            match key.shape {
-                CellShape::Whole => bucket.whole = list.into_boxed_slice(),
-                CellShape::Keyed => bucket.keyed = list.into_boxed_slice(),
-            }
-        }
-        FrozenCache {
-            buckets,
+        let mut frozen = FrozenCache {
+            buckets: HashMap::new(),
             use_abstraction,
-            entries,
+            entries: 0,
             stats: FrozenCacheStats::default(),
+        };
+        for (key, list) in tree {
+            frozen.entries += list.len();
+            frozen.buckets.entry(key.class).or_default()[key.shape as usize] = list;
         }
+        frozen
     }
 
     /// Whether sequence abstraction was in force during training.
@@ -267,6 +244,25 @@ impl FrozenCache {
         &self.stats
     }
 
+    /// Adds a learned entry (the online learner's write path).
+    pub(crate) fn insert(&mut self, class: ClassId, shape: CellShape, entry: Entry) {
+        self.buckets.entry(class).or_default()[shape as usize].push(entry);
+        self.entries += 1;
+    }
+
+    /// Whether some entry matches the query, without recording it.
+    pub(crate) fn covers(
+        &self,
+        class: &ClassId,
+        cell: &CellKey,
+        txn: &[&Op],
+        committed: &[&Op],
+    ) -> bool {
+        abstracted(txn, committed, |qa, qb| {
+            self.find(class, CellShape::of(cell), qa, qb).is_some()
+        })
+    }
+
     fn find(
         &self,
         class: &ClassId,
@@ -274,8 +270,7 @@ impl FrozenCache {
         qa: &[AbstractOp],
         qb: &[AbstractOp],
     ) -> Option<Condition> {
-        let entries = self.buckets.get(class)?.of(shape);
-        entries
+        self.buckets.get(class)?[shape as usize]
             .iter()
             .find(|e| {
                 (e.nfa_a.matches(qa) && e.nfa_b.matches(qb))
@@ -285,21 +280,69 @@ impl FrozenCache {
     }
 }
 
-/// Abstracts `ops` into `buf` when it fits, spilling to `heap` otherwise.
-fn abstract_into<'a>(
-    ops: &[&Op],
-    buf: &'a mut [AbstractOp; INLINE_OPS],
-    heap: &'a mut Vec<AbstractOp>,
-) -> &'a [AbstractOp] {
-    if ops.len() <= INLINE_OPS {
-        for (slot, op) in buf.iter_mut().zip(ops) {
-            *slot = abstract_kind(op);
+/// Abstracts both query sides — each on the stack when it fits in
+/// [`INLINE_OPS`], spilling to the heap otherwise — and hands them to `f`.
+fn abstracted<R>(
+    txn: &[&Op],
+    committed: &[&Op],
+    f: impl FnOnce(&[AbstractOp], &[AbstractOp]) -> R,
+) -> R {
+    fn side<'a>(
+        ops: &[&Op],
+        buf: &'a mut [AbstractOp; INLINE_OPS],
+        heap: &'a mut Vec<AbstractOp>,
+    ) -> &'a [AbstractOp] {
+        if ops.len() <= INLINE_OPS {
+            for (slot, op) in buf.iter_mut().zip(ops) {
+                *slot = abstract_kind(op);
+            }
+            &buf[..ops.len()]
+        } else {
+            heap.extend(ops.iter().map(|op| abstract_kind(op)));
+            &heap[..]
         }
-        &buf[..ops.len()]
-    } else {
-        heap.extend(ops.iter().map(|op| abstract_kind(op)));
-        &heap[..]
     }
+    let (mut buf_a, mut heap_a) = ([AbstractOp::Read; INLINE_OPS], Vec::new());
+    let (mut buf_b, mut heap_b) = ([AbstractOp::Read; INLINE_OPS], Vec::new());
+    f(
+        side(txn, &mut buf_a, &mut heap_a),
+        side(committed, &mut buf_b, &mut heap_b),
+    )
+}
+
+/// Feeds `Display` output straight into a hasher, so signatures keep the
+/// rendered-string identity of the abstract query without building a
+/// string per query.
+struct HashWriter<H>(H);
+
+impl<H: std::hash::Hasher> std::fmt::Write for HashWriter<H> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The 64-bit signature of one abstract query: class, shape, and the two
+/// rendered operation streams in symmetric (order-independent) order.
+fn signature(class: &ClassId, shape: CellShape, qa: &[AbstractOp], qb: &[AbstractOp]) -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::fmt::Write;
+    use std::hash::Hasher;
+
+    let side = |ops: &[AbstractOp]| {
+        let mut w = HashWriter(DefaultHasher::new());
+        for op in ops {
+            let _ = write!(w, "{op}#");
+        }
+        w.0.finish()
+    };
+    let (sa, sb) = (side(qa), side(qb));
+    let (lo, hi) = if sa <= sb { (sa, sb) } else { (sb, sa) };
+    let mut w = HashWriter(DefaultHasher::new());
+    let _ = write!(w, "{class}#{shape:?}#");
+    w.0.write_u64(lo);
+    w.0.write_u64(hi);
+    w.0.finish()
 }
 
 impl SequenceOracle for FrozenCache {
@@ -312,13 +355,13 @@ impl SequenceOracle for FrozenCache {
         committed: &[&Op],
         relax: Relaxation,
     ) -> Option<bool> {
-        let (mut buf_a, mut heap_a) = ([AbstractOp::Read; INLINE_OPS], Vec::new());
-        let (mut buf_b, mut heap_b) = ([AbstractOp::Read; INLINE_OPS], Vec::new());
-        let qa = abstract_into(txn, &mut buf_a, &mut heap_a);
-        let qb = abstract_into(committed, &mut buf_b, &mut heap_b);
         let shape = CellShape::of(cell);
-        let sig = signature(class, shape, qa, qb);
-        let condition = self.find(class, shape, qa, qb);
+        let (sig, condition) = abstracted(txn, committed, |qa, qb| {
+            (
+                signature(class, shape, qa, qb),
+                self.find(class, shape, qa, qb),
+            )
+        });
         let answer =
             condition.and_then(|c| evaluate_condition(c, entry, cell, txn, committed, relax));
         self.stats.record(sig, answer.is_some());
@@ -327,10 +370,9 @@ impl SequenceOracle for FrozenCache {
 }
 
 impl CommutativityCache {
-    /// Consumes the trained cache into its immutable production form:
-    /// hash-indexed buckets, lock-free statistics, allocation-free
-    /// queries. Statistics accumulated before freezing are discarded —
-    /// freeze at the train/production boundary, before measurement.
+    /// Consumes the trained cache into its queryable form: hash-indexed
+    /// buckets, lock-free statistics, allocation-free queries. Freeze at
+    /// the train/production boundary, before measurement.
     pub fn freeze(self) -> FrozenCache {
         FrozenCache::from_cache(self)
     }
@@ -370,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_answers_match_mutable_cache() {
+    fn insert_and_query_roundtrip() {
         let frozen = trained();
         assert_eq!(frozen.len(), 1);
         assert!(!frozen.is_empty());
@@ -427,6 +469,57 @@ mod tests {
         );
         assert_eq!(frozen.stats().unique_counts(), (0, 1));
         assert_eq!(frozen.stats().miss_rate_percent(), Some(100.0));
+    }
+
+    #[test]
+    fn symmetric_matching() {
+        let mut cache = CommutativityCache::new(true);
+        // pat_a = read, pat_b = {aa}+ — inserted in one order, queried in
+        // the other.
+        cache.insert(
+            ClassId::new("x"),
+            CellShape::Whole,
+            Pattern(vec![Element::Atom(AbstractOp::Read)]),
+            add_pattern_plus(),
+            Condition::InputDependent,
+        );
+        let frozen = cache.freeze();
+        let reader = mk_ops(vec![OpKind::Scalar(ScalarOp::Read)], "x");
+        let adder = mk_ops(
+            vec![
+                OpKind::Scalar(ScalarOp::Add(2)),
+                OpKind::Scalar(ScalarOp::Add(-2)),
+            ],
+            "x",
+        );
+        let rr: Vec<&Op> = reader.iter().collect();
+        let rad: Vec<&Op> = adder.iter().collect();
+        let entry = Value::int(0);
+        // (adder, reader) — reversed relative to insertion order.
+        let ans = frozen.query(
+            &ClassId::new("x"),
+            Some(&entry),
+            &CellKey::Whole,
+            &rad,
+            &rr,
+            Relaxation::strict(),
+        );
+        assert_eq!(ans, Some(false), "identity delta does not disturb the read");
+    }
+
+    #[test]
+    fn signature_is_symmetric() {
+        let a = vec![AbstractOp::Add, AbstractOp::Read];
+        let b = vec![AbstractOp::Add];
+        let class = ClassId::new("x");
+        assert_eq!(
+            signature(&class, CellShape::Whole, &a, &b),
+            signature(&class, CellShape::Whole, &b, &a)
+        );
+        assert_ne!(
+            signature(&class, CellShape::Whole, &a, &b),
+            signature(&class, CellShape::Keyed, &a, &b)
+        );
     }
 
     #[test]

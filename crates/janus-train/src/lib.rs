@@ -21,9 +21,11 @@
 //!   `{work+=x; work-=x}` matches the arbitrarily long add/subtract
 //!   chains production inputs induce.
 //!
-//! The [`CommutativityCache`] produced by [`train`] implements
-//! [`janus_detect::SequenceOracle`] and plugs into
-//! [`janus_detect::CachedSequenceDetector`].
+//! [`train`] builds a [`CommutativityCache`]; freezing it gives the
+//! [`FrozenCache`], the one type that answers queries over cached
+//! entries. It implements [`janus_detect::SequenceOracle`] and plugs into
+//! [`janus_detect::CachedSequenceDetector`], directly or under the
+//! [`OnlineLearningCache`] that extends it on a miss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +44,7 @@ pub mod symbolic;
 pub use abstraction::{
     abstract_kind, abstract_sequence, matches_pattern, AbstractOp, Element, Nfa, Pattern,
 };
-pub use cache::{CacheKey, CacheStats, CellShape, CommutativityCache, TrainReport};
+pub use cache::{CacheKey, CellShape, CommutativityCache, TrainReport};
 pub use condition::{evaluate_condition, Condition};
 pub use depgraph::{DependenceGraph, OpNode};
 pub use effect::{compose, summarize, CellContent, Determined, Summary};

@@ -3,10 +3,10 @@
 use std::collections::BTreeSet;
 
 use janus_detect::{conflict_cell, MapState, Relaxation};
-use janus_log::{CellKey, ClassId, Op, OpKind};
+use janus_log::{CellKey, ClassId, Op, OpKind, ScalarOp};
 use janus_relational::{RelOp, Value};
 
-use crate::abstraction::abstract_sequence;
+use crate::abstraction::{abstract_sequence, Pattern};
 use crate::cache::{CellShape, CommutativityCache, TrainReport};
 use crate::condition::{evaluate_condition, Condition};
 use crate::depgraph::DependenceGraph;
@@ -114,11 +114,67 @@ pub fn mine_pairs(run: &TrainingRun) -> Vec<CandidatePair> {
 
 /// Whether every operation of both sides is a blind fetch-add (possibly
 /// none): such pairs commute for every input state and every binding.
-fn pure_adds(pair: &CandidatePair) -> bool {
-    pair.a
-        .iter()
-        .chain(&pair.b)
-        .all(|op| matches!(op.kind, OpKind::Scalar(janus_log::ScalarOp::Add(_))))
+fn pure_adds(a: &[&Op], b: &[&Op]) -> bool {
+    a.iter()
+        .chain(b)
+        .all(|op| matches!(op.kind, OpKind::Scalar(ScalarOp::Add(_))))
+}
+
+/// One observed pair of same-cell subsequences — `a`, then `b`, from
+/// `entry` — with both sides abstracted (§5.2). [`train`] and
+/// [`crate::OnlineLearningCache`] both learn through it, so a pair is
+/// cached by one rule wherever it was seen.
+pub(crate) struct Observation<'a> {
+    entry: &'a Value,
+    cell: &'a CellKey,
+    a: &'a [&'a Op],
+    b: &'a [&'a Op],
+    pub(crate) pat_a: Pattern,
+    pub(crate) pat_b: Pattern,
+}
+
+impl<'a> Observation<'a> {
+    pub(crate) fn new(
+        entry: &'a Value,
+        cell: &'a CellKey,
+        a: &'a [&'a Op],
+        b: &'a [&'a Op],
+        use_abstraction: bool,
+    ) -> Self {
+        Observation {
+            entry,
+            cell,
+            a,
+            b,
+            pat_a: abstract_sequence(cell, a, use_abstraction),
+            pat_b: abstract_sequence(cell, b, use_abstraction),
+        }
+    }
+
+    /// The condition to cache the pair under: `CommutesAlways` for pure
+    /// fetch-adds, otherwise `InputDependent`. `None` when the summary
+    /// evaluation disagrees with the precise Figure 8 check on this
+    /// observation — that would indicate a summary-algebra bug, so the
+    /// pair stays out of the cache (production then falls back — sound).
+    pub(crate) fn condition(&self) -> Option<Condition> {
+        let strict = Relaxation::strict();
+        let precise = conflict_cell(self.entry, self.cell, self.a, self.b, strict);
+        let summary = evaluate_condition(
+            Condition::InputDependent,
+            Some(self.entry),
+            self.cell,
+            self.a,
+            self.b,
+            strict,
+        );
+        (summary == Some(precise)).then(|| {
+            if pure_adds(self.a, self.b) {
+                Condition::CommutesAlways
+            } else {
+                Condition::InputDependent
+            }
+        })
+    }
 }
 
 /// The relational mutation sequence of a side, if it consists solely of
@@ -133,8 +189,8 @@ fn rel_ops(ops: &[Op]) -> Option<Vec<RelOp>> {
 }
 
 /// Runs the training phase over one or more sequential runs, producing
-/// the commutativity cache consumed by
-/// [`janus_detect::CachedSequenceDetector`].
+/// the commutativity cache whose frozen form ([`crate::FrozenCache`])
+/// [`janus_detect::CachedSequenceDetector`] queries.
 pub fn train(runs: &[TrainingRun], config: TrainConfig) -> (CommutativityCache, TrainReport) {
     let mut cache = CommutativityCache::new(config.use_abstraction);
     let mut report = TrainReport::default();
@@ -146,8 +202,9 @@ pub fn train(runs: &[TrainingRun], config: TrainConfig) -> (CommutativityCache, 
         for pair in pairs {
             let ra: Vec<&Op> = pair.a.iter().collect();
             let rb: Vec<&Op> = pair.b.iter().collect();
-            let pat_a = abstract_sequence(&pair.cell, &ra, config.use_abstraction);
-            let pat_b = abstract_sequence(&pair.cell, &rb, config.use_abstraction);
+            let observed =
+                Observation::new(&pair.entry, &pair.cell, &ra, &rb, config.use_abstraction);
+            let (pat_a, pat_b) = (&observed.pat_a, &observed.pat_b);
             let shape = CellShape::of(&pair.cell);
 
             // Deduplicate by abstract signature.
@@ -158,24 +215,10 @@ pub fn train(runs: &[TrainingRun], config: TrainConfig) -> (CommutativityCache, 
             }
             seen.insert(sig);
 
-            // Verify on the concrete training observation that the
-            // input-dependent evaluation agrees with the exact online
-            // check; a disagreement would indicate a summary-algebra bug,
-            // and the pair is skipped (production then falls back to
-            // write-set — sound).
-            let online = conflict_cell(&pair.entry, &pair.cell, &ra, &rb, Relaxation::strict());
-            let evaluated = evaluate_condition(
-                Condition::InputDependent,
-                Some(&pair.entry),
-                &pair.cell,
-                &ra,
-                &rb,
-                Relaxation::strict(),
-            );
-            if evaluated != Some(online) {
+            let Some(condition) = observed.condition() else {
                 report.pairs_rejected += 1;
                 continue;
-            }
+            };
 
             // Symbolic verification pass for relational pairs (§6.2).
             if config.verify_symbolic {
@@ -192,12 +235,13 @@ pub fn train(runs: &[TrainingRun], config: TrainConfig) -> (CommutativityCache, 
                 }
             }
 
-            let condition = if pure_adds(&pair) {
-                Condition::CommutesAlways
-            } else {
-                Condition::InputDependent
-            };
-            cache.insert(pair.class.clone(), shape, pat_a, pat_b, condition);
+            cache.insert(
+                pair.class.clone(),
+                shape,
+                observed.pat_a,
+                observed.pat_b,
+                condition,
+            );
             report.entries_added += 1;
         }
     }
@@ -270,6 +314,7 @@ mod tests {
     fn training_learns_identity_pattern() {
         let run = identity_run();
         let (cache, report) = train(&[run], TrainConfig::default());
+        let cache = cache.freeze();
         assert!(report.entries_added >= 1);
         assert_eq!(report.pairs_rejected, 0);
 
@@ -309,6 +354,7 @@ mod tests {
                 verify_symbolic: false,
             },
         );
+        let cache = cache.freeze();
         let class = ClassId::new("work");
         let entry = Value::int(0);
         let mut v = entry.clone();
@@ -355,7 +401,7 @@ mod tests {
             initial: state,
             task_logs: vec![task(vec![write(3)]), task(vec![write(3)])],
         };
-        let (cache, _) = train(&[run], TrainConfig::default());
+        let cache = train(&[run], TrainConfig::default()).0.freeze();
 
         let entry = Value::int(0);
         let mk = |val: i64| -> Vec<Op> {

@@ -6,19 +6,19 @@
 //! module implements that configuration: an oracle that starts from an
 //! empty (or pre-trained) cache, answers hits from it, and on a miss
 //! evaluates the precise Figure 8 check *and memoizes the abstract pair*
-//! so every later query with the same shape takes the cheap
-//! summary-based path. No offline phase is needed; the first production
-//! run pays for its own training.
+//! by training's own rule, so every later query with the same shape takes
+//! the cheap summary-based path. No offline phase is needed; the first
+//! production run pays for its own training.
 
 use std::sync::RwLock;
 
 use janus_detect::{conflict_cell, Relaxation, SequenceOracle};
-use janus_log::{CellKey, ClassId, Op, OpKind, ScalarOp};
+use janus_log::{CellKey, ClassId, Op};
 use janus_relational::Value;
 
-use crate::abstraction::abstract_sequence;
-use crate::cache::{CellShape, CommutativityCache};
-use crate::condition::Condition;
+use crate::cache::{CellShape, CommutativityCache, Entry};
+use crate::frozen::FrozenCache;
+use crate::mine::Observation;
 
 /// A [`SequenceOracle`] that learns during production (memoized online
 /// training).
@@ -34,25 +34,19 @@ use crate::condition::Condition;
 /// ```
 #[derive(Debug)]
 pub struct OnlineLearningCache {
-    inner: RwLock<CommutativityCache>,
-    use_abstraction: bool,
+    inner: RwLock<FrozenCache>,
 }
 
 impl OnlineLearningCache {
     /// Starts with an empty cache.
     pub fn new(use_abstraction: bool) -> Self {
-        OnlineLearningCache {
-            inner: RwLock::new(CommutativityCache::new(use_abstraction)),
-            use_abstraction,
-        }
+        OnlineLearningCache::from_cache(CommutativityCache::new(use_abstraction))
     }
 
     /// Starts from an offline-trained cache and keeps learning.
     pub fn from_cache(cache: CommutativityCache) -> Self {
-        let use_abstraction = cache.uses_abstraction();
         OnlineLearningCache {
-            inner: RwLock::new(cache),
-            use_abstraction,
+            inner: RwLock::new(cache.freeze()),
         }
     }
 
@@ -77,13 +71,6 @@ impl OnlineLearningCache {
     }
 }
 
-/// Whether every op of both sequences is a blind fetch-add.
-fn pure_adds(a: &[&Op], b: &[&Op]) -> bool {
-    a.iter()
-        .chain(b.iter())
-        .all(|op| matches!(op.kind, OpKind::Scalar(ScalarOp::Add(_))))
-}
-
 impl SequenceOracle for OnlineLearningCache {
     fn query(
         &self,
@@ -95,33 +82,32 @@ impl SequenceOracle for OnlineLearningCache {
         relax: Relaxation,
     ) -> Option<bool> {
         // Fast path: the memoized cache answers.
-        {
+        let use_abstraction = {
             let cache = self.inner.read().expect("cache lock");
             if let Some(answer) = cache.query(class, entry, cell, txn, committed, relax) {
                 return Some(answer);
             }
-        }
+            cache.uses_abstraction()
+        };
         // Miss: evaluate the precise check online (this needs the entry
         // state; without it we cannot learn or answer).
-        let entry_value = entry?;
-        let verdict = conflict_cell(entry_value, cell, txn, committed, relax);
+        let entry = entry?;
+        let verdict = conflict_cell(entry, cell, txn, committed, relax);
 
-        // Memoize the abstract pair so the next query with this shape
-        // takes the summary path.
-        let condition = if pure_adds(txn, committed) {
-            Condition::CommutesAlways
-        } else {
-            Condition::InputDependent
-        };
-        let pat_a = abstract_sequence(cell, txn, self.use_abstraction);
-        let pat_b = abstract_sequence(cell, committed, self.use_abstraction);
-        self.inner.write().expect("cache lock").insert(
-            class.clone(),
-            CellShape::of(cell),
-            pat_a,
-            pat_b,
-            condition,
-        );
+        // Memoize the abstract pair by training's rule so the next query
+        // with this shape takes the summary path — unless a concurrent
+        // miss on the same shape got there first.
+        let observed = Observation::new(entry, cell, txn, committed, use_abstraction);
+        if let Some(condition) = observed.condition() {
+            let mut cache = self.inner.write().expect("cache lock");
+            if !cache.covers(class, cell, txn, committed) {
+                cache.insert(
+                    class.clone(),
+                    CellShape::of(cell),
+                    Entry::new(observed.pat_a, observed.pat_b, condition),
+                );
+            }
+        }
         Some(verdict)
     }
 }
@@ -130,7 +116,7 @@ impl SequenceOracle for OnlineLearningCache {
 mod tests {
     use super::*;
     use janus_detect::{CachedSequenceDetector, ConflictDetector, MapState};
-    use janus_log::LocId;
+    use janus_log::{LocId, OpKind, ScalarOp};
 
     fn mk_ops(kinds: Vec<OpKind>, entry: i64) -> Vec<Op> {
         let mut v = Value::int(entry);
@@ -195,5 +181,34 @@ mod tests {
         let a = mk_ops(vec![add(1)], 0);
         let _ = detector.detect_ops(&state, &a, &a);
         assert_eq!(detector.oracle().len(), 1);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_shape_memoize_once() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let ops = mk_ops(vec![add(1)], 0);
+        let entry = Value::int(0);
+        for rep in 0..200 {
+            let oracle = OnlineLearningCache::new(true);
+            let barrier = Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        let txn: Vec<&Op> = ops.iter().collect();
+                        barrier.wait();
+                        oracle.query(
+                            &ClassId::new("work"),
+                            Some(&entry),
+                            &CellKey::Whole,
+                            &txn,
+                            &txn,
+                            Relaxation::strict(),
+                        )
+                    });
+                }
+            });
+            assert_eq!(oracle.len(), 1, "repetition {rep} memoized one shape twice");
+        }
     }
 }

@@ -163,7 +163,10 @@ pub fn run_workload(workload: &dyn Workload, config: &RunConfig) -> WorkloadMetr
                         verify_symbolic: false,
                     },
                 );
-                let detector = Arc::new(CachedSequenceDetector::with_relaxations(cache, relax));
+                let detector = Arc::new(CachedSequenceDetector::with_relaxations(
+                    cache.freeze(),
+                    relax,
+                ));
                 let janus = Janus::new(detector.clone())
                     .threads(config.threads)
                     .ordered(workload.ordered());

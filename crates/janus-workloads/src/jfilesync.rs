@@ -213,7 +213,7 @@ mod tests {
 
         let prod = w.build(&InputSpec::new(12, 3, 99));
         let detector = Arc::new(CachedSequenceDetector::with_relaxations(
-            cache,
+            cache.freeze(),
             w.relaxations(),
         ));
         let janus = Janus::new(detector.clone()).threads(4);

@@ -40,7 +40,7 @@ fn main() {
         (
             "sequence (trained)",
             Arc::new(CachedSequenceDetector::with_relaxations(
-                train(&runs, TrainConfig::default()).0,
+                cache.freeze(),
                 workload.relaxations(),
             )),
         ),
@@ -55,7 +55,6 @@ fn main() {
             outcome.stats.commits, outcome.stats.retries, outcome.stats.wall, ok
         );
     }
-    let _ = cache;
     println!(
         "\nEvery iteration restores the monitor before committing, so the\n\
          trained cache answers the conflict queries with 'commutes' and\n\

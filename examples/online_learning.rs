@@ -64,6 +64,9 @@ fn main() {
             .and_then(Value::as_int)
             .expect("int"),
     );
+    // Concurrent misses on one shape memoize it once: every entry is
+    // owed to a distinct learning miss.
+    assert!(detector.oracle().len() as u64 <= unique_misses);
     assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
     assert_eq!(
         outcome.store.value(total),

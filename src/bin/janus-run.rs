@@ -247,6 +247,10 @@ fn cmd_run(args: &Args) -> ExitCode {
         args.numeric::<usize>("scale", default_input.scale),
         args.numeric::<u64>("seed", default_input.seed),
     ) {
+        (Ok(0), _, _) => {
+            eprintln!("error: flag --threads: expected at least 1 worker thread");
+            return usage();
+        }
         (Ok(t), Ok(sc), Ok(se)) => (t, sc, se),
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
             eprintln!("error: {e}");

@@ -391,13 +391,13 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let parsed = (|| -> Result<(usize, usize, usize, usize, u64, u64), String> {
+    let parsed = (|| -> Result<(usize, usize, usize, usize, u32, u64), String> {
         Ok((
             args.numeric("threads", 4)?,
             args.numeric("shards", 8)?,
             args.numeric("locs", 64)?,
             args.numeric("max-inflight", 4)?,
-            args.numeric("max-attempts", 0u64)?,
+            args.numeric("max-attempts", 0u32)?,
             args.numeric("watchdog-ms", 0u64)?,
         ))
     })();
@@ -408,8 +408,12 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if locs == 0 || max_inflight == 0 {
-        eprintln!("error: --locs and --max-inflight must be at least 1");
+    if threads == 0 || locs == 0 || max_inflight == 0 {
+        eprintln!("error: --threads, --locs and --max-inflight must be at least 1");
+        return usage();
+    }
+    if !(1..=64).contains(&shards) {
+        eprintln!("error: flag --shards: expected a count in 1..=64, got {shards}");
         return usage();
     }
     let mode = match args.value("mode").unwrap_or("pipelined") {
@@ -515,7 +519,7 @@ fn main() -> ExitCode {
         .ordered(args.flag("ordered"))
         .panic_policy(panic_policy);
     if max_attempts > 0 {
-        janus = janus.max_attempts(max_attempts as u32);
+        janus = janus.max_attempts(max_attempts);
     }
     if watchdog_ms > 0 {
         janus = janus.watchdog(std::time::Duration::from_millis(watchdog_ms));

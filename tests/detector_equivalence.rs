@@ -132,7 +132,7 @@ fn cached_hits_agree_with_online_detection() {
         task_logs: logs,
     };
     let (cache, _) = train(&[run], TrainConfig::default());
-    let cached = CachedSequenceDetector::new(cache);
+    let cached = CachedSequenceDetector::new(cache.freeze());
     let online = SequenceDetector::new();
 
     for entry in [0i64, 5] {

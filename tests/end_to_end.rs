@@ -26,7 +26,7 @@ fn all_workloads_all_detectors_valid_final_state() {
             (
                 "cached+abs".into(),
                 Arc::new(CachedSequenceDetector::with_relaxations(
-                    train(&runs, TrainConfig::default()).0,
+                    train(&runs, TrainConfig::default()).0.freeze(),
                     w.relaxations(),
                 )),
             ),
@@ -40,7 +40,8 @@ fn all_workloads_all_detectors_valid_final_state() {
                             verify_symbolic: false,
                         },
                     )
-                    .0,
+                    .0
+                    .freeze(),
                     w.relaxations(),
                 )),
             ),
@@ -99,7 +100,7 @@ fn cached_detection_never_aborts_more_than_write_set() {
         let runs = training_runs(w);
         let scenario = w.build(&input);
         let cached = Janus::new(Arc::new(CachedSequenceDetector::with_relaxations(
-            train(&runs, TrainConfig::default()).0,
+            train(&runs, TrainConfig::default()).0.freeze(),
             w.relaxations(),
         )))
         .threads(4)

@@ -5,9 +5,7 @@
 //! inline, the compact NFA simulates in `u128` registers, the bucket
 //! lookup borrows the caller's `ClassId`, and the statistics are atomic
 //! counters plus a CAS-claimed signature table — no `Mutex`, no
-//! `BTreeMap` insert, no `Vec` per query. The mutable training-time
-//! cache, by contrast, allocates its abstraction vectors on every query;
-//! the contrast assertion keeps this test honest if either path changes.
+//! `BTreeMap` insert, no `Vec` per query.
 //!
 //! Everything lives in one `#[test]` so concurrent tests in this binary
 //! cannot pollute the global allocation counter.
@@ -19,7 +17,7 @@ use janus::detect::{Relaxation, SequenceOracle};
 use janus::log::{CellKey, ClassId, LocId, Op, OpKind, ScalarOp};
 use janus::relational::Value;
 use janus::train::{
-    AbstractOp, CellShape, CommutativityCache, Condition, Element, Pattern, INLINE_OPS,
+    AbstractOp, CellShape, CommutativityCache, Condition, Element, FrozenCache, Pattern, INLINE_OPS,
 };
 
 struct CountingAlloc;
@@ -73,7 +71,7 @@ fn add_pattern() -> Pattern {
     ])])
 }
 
-fn trained() -> CommutativityCache {
+fn trained() -> FrozenCache {
     let mut cache = CommutativityCache::new(true);
     cache.insert(
         ClassId::new("work"),
@@ -82,14 +80,14 @@ fn trained() -> CommutativityCache {
         add_pattern(),
         Condition::CommutesAlways,
     );
-    cache
+    cache.freeze()
 }
 
 #[test]
 fn frozen_cache_query_allocation_budget() {
     const QUERIES: u64 = 10_000;
 
-    let frozen = trained().freeze();
+    let frozen = trained();
     let ops = mk_ops(8);
     assert!(ops.len() <= INLINE_OPS);
     let txn: Vec<&Op> = ops.iter().collect();
@@ -159,38 +157,6 @@ fn frozen_cache_query_allocation_budget() {
     assert_eq!(frozen.stats().hits.load(Ordering::Relaxed), QUERIES + 16);
     assert_eq!(frozen.stats().misses.load(Ordering::Relaxed), QUERIES + 16);
     assert_eq!(frozen.stats().unique_counts(), (1, 1));
-
-    // --- Contrast: the mutable training-time cache allocates per query
-    // (abstraction vectors + stats map), which is exactly why production
-    // freezes it. If this ever reaches zero, the frozen path is no
-    // longer buying anything and the design note in DESIGN.md is stale.
-    let mutable = trained();
-    for _ in 0..16 {
-        mutable.query(
-            &work,
-            None,
-            &CellKey::Whole,
-            &txn,
-            &txn,
-            Relaxation::strict(),
-        );
-    }
-    let before = allocs();
-    for _ in 0..100 {
-        mutable.query(
-            &work,
-            None,
-            &CellKey::Whole,
-            &txn,
-            &txn,
-            Relaxation::strict(),
-        );
-    }
-    let mutable_allocs = allocs() - before;
-    assert!(
-        mutable_allocs >= 100,
-        "expected the mutable cache to allocate per query, got {mutable_allocs} for 100 queries"
-    );
 
     // --- Spill path: transactions beyond INLINE_OPS may allocate their
     // abstraction buffers, but must still answer identically. ---

@@ -120,7 +120,7 @@ fn mk_segments(committed: &[Vec<(u64, K)>], state: &mut MapState) -> Vec<Arc<Com
         .collect()
 }
 
-fn trained_cached_detector() -> CachedSequenceDetector<janus::train::CommutativityCache> {
+fn trained_cached_detector() -> CachedSequenceDetector<janus::train::FrozenCache> {
     let mut initial = initial_state();
     let mut mk = |accesses: &[(u64, K)]| mk_log(accesses, &mut initial);
     let task_logs = vec![
@@ -134,7 +134,7 @@ fn trained_cached_detector() -> CachedSequenceDetector<janus::train::Commutativi
         task_logs,
     };
     let (cache, _) = train(&[run], TrainConfig::default());
-    CachedSequenceDetector::new(cache)
+    CachedSequenceDetector::new(cache.freeze())
 }
 
 proptest! {

@@ -70,7 +70,10 @@ fn train_and_run(
 ) -> (janus::core::Outcome, u64) {
     let (_, training_run) = Janus::run_sequential(store.clone(), &train_tasks);
     let (cache, _) = train(&[training_run], TrainConfig::default());
-    let detector = Arc::new(CachedSequenceDetector::with_relaxations(cache, relax));
+    let detector = Arc::new(CachedSequenceDetector::with_relaxations(
+        cache.freeze(),
+        relax,
+    ));
     let outcome = Janus::new(detector.clone())
         .threads(4)
         .run(store, run_tasks);
