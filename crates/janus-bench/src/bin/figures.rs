@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! figures [--table5] [--table6] [--fig9] [--fig10] [--fig11] [--classes]
-//!         [--pipeline] [--attribution] [--contention] [--durability]
+//!         [--pipeline] [--attribution] [--durability]
 //!         [--all] [--quick]
 //! ```
 //!
 //! With no selection flags, `--all` is assumed. `--quick` scales the
 //! production inputs down for smoke runs.
 
-use janus_bench::contention::{contention_sweep, ContentionPoint};
 use janus_bench::experiments::{
     attribution_traces, block_pipeline, commit_pipeline, conflict_classes, figure11, headline,
     pipeline_counters, speedup_retry_grid, table5, table6, GridPoint, THREAD_GRID,
@@ -52,7 +51,6 @@ fn main() {
             || has("--classes")
             || has("--pipeline")
             || has("--attribution")
-            || has("--contention")
             || has("--durability"));
 
     if all || has("--table5") {
@@ -292,59 +290,6 @@ fn main() {
             }
             println!("{}", text_report(&trace, 5));
         }
-    }
-
-    if all || has("--contention") {
-        eprintln!("running the contention sweep (quick={quick})...");
-        println!("== Contention sweep: scheduling policies on the hotspot workload ==");
-        let points = contention_sweep(quick);
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}%", p.hot_pct),
-                    p.policy.to_string(),
-                    if p.degrade { "on" } else { "off" }.to_string(),
-                    p.retries.to_string(),
-                    f2(p.retry_ratio()),
-                    f2(p.wall_vs_sequential()),
-                    p.degrade_windows.to_string(),
-                    if p.check_ok { "ok" } else { "WRONG" }.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "hot",
-                    "policy",
-                    "degrade",
-                    "retries",
-                    "retries/txn",
-                    "wall/seq",
-                    "deg windows",
-                    "state"
-                ],
-                &rows
-            )
-        );
-        // Headline: how much of fifo's retry storm the adaptive policies
-        // remove at the hottest setting.
-        let ratio_of = |policy: &str| {
-            points
-                .iter()
-                .filter(|p| p.policy == policy && !p.degrade && p.hot_pct == 100)
-                .map(ContentionPoint::retry_ratio)
-                .next()
-                .unwrap_or(0.0)
-        };
-        println!(
-            "headline @ 100% hot: fifo {} retries/txn, backoff {}, affinity {}\n",
-            f2(ratio_of("fifo")),
-            f2(ratio_of("backoff")),
-            f2(ratio_of("affinity")),
-        );
     }
 
     if all || has("--fig11") {

@@ -7,14 +7,11 @@
 //!   only the parallel timeline is simulated, with the exact Figure 7
 //!   protocol semantics.
 //! * [`experiments`] — drivers for Tables 5 & 6 and Figures 9–11.
-//! * [`contention`] — the scheduling-policy contention sweep (hotspot
-//!   workload, fifo vs backoff vs affinity, with/without degradation).
 //! * [`report`] — plain-text table rendering for the `figures` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod contention;
 pub mod experiments;
 pub mod report;
 pub mod sim;

@@ -7,12 +7,9 @@ use std::time::{Duration, Instant};
 
 use janus_detect::{ConflictDetector, ValidationSession};
 use janus_fault::{FaultKind, FaultPlan};
-use janus_log::{ClassId, CommittedLog, Fingerprint, HistoryWindow, Op, SHARD_SPACE};
+use janus_log::{CommittedLog, Fingerprint, HistoryWindow, Op, SHARD_SPACE};
 use janus_obs::{AbortReason, EventKind, Recorder, RingHandle};
-use janus_sched::{
-    backoff, DegradeConfig, DegradeController, Fifo, Parker, SchedStats, SchedulePolicy,
-    SerialGuard, TaskSource,
-};
+use janus_sched::{backoff, Fifo, Parker, SchedStats, SchedulePolicy, TaskSource};
 use janus_train::{train, CommutativityCache, TrainConfig, TrainReport, TrainingRun};
 
 use crate::exec::{run_jobs, Job};
@@ -272,14 +269,12 @@ struct BatchCtx {
     turn: AtomicU64,
     counters: RunCounters,
     source: Box<dyn TaskSource>,
-    controller: Option<DegradeController>,
     /// Batch-scoped: a poisoned batch stops its own workers and waiters
     /// without touching sibling batches on the same session.
     poisoned: AtomicBool,
     phases: WorkerPhases,
     failed: parking_lot::Mutex<Vec<TaskFailure>>,
-    /// Escalated retries without a degradation controller serialize on
-    /// this batch-level token instead.
+    /// Retries past the retry budget serialize on this batch-level token.
     escalation: parking_lot::Mutex<()>,
     panic_payload: parking_lot::Mutex<Option<Box<dyn std::any::Any + Send>>>,
     dumps: parking_lot::Mutex<Vec<String>>,
@@ -417,9 +412,8 @@ enum Commit<'c> {
 }
 
 /// The one wait in `RUNTASK`: parks `worker` in the ordered-wait phase
-/// — its queued work stays published for stealing — until `ready`
-/// holds. Returns `false` if the batch is poisoned first: a predecessor
-/// turn or a gate may then never come.
+/// until `ready` holds. Returns `false` if the batch is poisoned first:
+/// a predecessor turn or a gate may then never come.
 fn park_until(ctx: &BatchCtx, worker: usize, tid: u64, mut ready: impl FnMut() -> bool) -> bool {
     ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
     ctx.source.on_park(worker);
@@ -595,7 +589,7 @@ pub struct Outcome {
     pub store: Store,
     /// Run statistics.
     pub stats: RunStats,
-    /// Scheduling statistics (dispatch, backoff, affinity, degradation).
+    /// Scheduling statistics (dispatch, backoff, affinity).
     pub sched: SchedStats,
     /// Tasks isolated after a body panic under [`PanicPolicy::Isolate`],
     /// sorted by task id. Empty under [`PanicPolicy::Poison`] (the panic
@@ -642,7 +636,6 @@ pub struct Janus {
     ordered: bool,
     recorder: Option<Arc<Recorder>>,
     schedule: Arc<dyn SchedulePolicy>,
-    degrade: Option<DegradeConfig>,
     panic_policy: PanicPolicy,
     max_attempts: Option<u32>,
     watchdog: Option<Duration>,
@@ -663,7 +656,6 @@ impl Janus {
             ordered: false,
             recorder: None,
             schedule: Arc::new(Fifo),
-            degrade: None,
             panic_policy: PanicPolicy::default(),
             max_attempts: None,
             watchdog: None,
@@ -682,12 +674,11 @@ impl Janus {
     }
 
     /// Sets the per-task retry budget: after `budget` conflict aborts, a
-    /// task's further retries take the serial token unconditionally
-    /// (through the degradation controller when one is configured, else
-    /// a run-level token), so it can no longer be starved by the
-    /// contenders that aborted it. Ignored in ordered runs, which have
-    /// an inherent progress guarantee: the task at the clock's turn
-    /// validates against a window that drains. Default: unbounded.
+    /// task's further retries take a batch-level serial token, so it can
+    /// no longer be starved by the contenders that aborted it. Ignored in
+    /// ordered runs, which have an inherent progress guarantee: the task
+    /// at the clock's turn validates against a window that drains.
+    /// Default: unbounded.
     pub fn max_attempts(mut self, budget: u32) -> Self {
         assert!(budget >= 1, "the retry budget must allow one attempt");
         self.max_attempts = Some(budget);
@@ -731,22 +722,11 @@ impl Janus {
 
     /// Sets the scheduling policy. The default, [`janus_sched::Fifo`],
     /// preserves the original dispatch bit for bit: one shared atomic
-    /// counter, immediate retry on abort. [`janus_sched::Backoff`] and
-    /// [`janus_sched::Affinity`] trade a little latency for far fewer
-    /// retries under contention.
+    /// counter, immediate retry on abort. [`janus_sched::Affinity`]
+    /// places predicted-conflicting tasks on one worker's sealed lane,
+    /// for loops whose conflicts the detector cannot dismiss.
     pub fn schedule(mut self, policy: Arc<dyn SchedulePolicy>) -> Self {
         self.schedule = policy;
-        self
-    }
-
-    /// Enables serial-fallback degradation: when the windowed retry
-    /// ratio crosses `config.threshold`, retries of tasks that touched
-    /// the hot location classes serialize on a token until the window
-    /// cools. Ignored in ordered runs — a serialized retry waiting for
-    /// its commit turn while holding the token would deadlock a
-    /// predecessor's serialized retry.
-    pub fn degrade(mut self, config: DegradeConfig) -> Self {
-        self.degrade = Some(config);
         self
     }
 
@@ -892,14 +872,6 @@ impl Janus {
             // One dispatch state per batch: the policy is reusable
             // config, the source is this batch's shared queue state.
             source: self.schedule.bind(tasks.len(), workers),
-            // Degradation is unordered-only: a serialized retry waiting
-            // for its commit turn while holding the token would deadlock
-            // any predecessor whose own retry needs the token.
-            controller: if self.ordered {
-                None
-            } else {
-                self.degrade.clone().map(DegradeController::new)
-            },
             poisoned: AtomicBool::new(false),
             phases: WorkerPhases::new(workers),
             failed: parking_lot::Mutex::new(Vec::new()),
@@ -929,10 +901,7 @@ impl Janus {
         let at_end = self.cumulative_counters(session);
         let [ops_scanned, segments_skipped, segments_scanned, faults_injected, history_reclaimed] =
             std::array::from_fn(|i| at_end[i].saturating_sub(at_start[i]));
-        let mut sched = ctx.source.stats();
-        if let Some(c) = &ctx.controller {
-            c.merge_into(&mut sched);
-        }
+        let sched = ctx.source.stats();
         let mut failed = std::mem::take(&mut *ctx.failed.lock());
         failed.sort_by_key(|f| f.task);
         let watchdog_dumps = std::mem::take(&mut *ctx.dumps.lock());
@@ -1009,14 +978,6 @@ impl Janus {
             };
             let i = dispatch.task;
             let tid = ctx.first_tid + i as u64;
-            if dispatch.stolen > 0 {
-                if let Some(o) = obs.as_ref() {
-                    o.record(EventKind::SchedSteal {
-                        task: tid,
-                        tasks: dispatch.stolen,
-                    });
-                }
-            }
             let t = TaskCtx {
                 tid,
                 worker: w,
@@ -1150,11 +1111,8 @@ impl Janus {
     /// `validate` for just the delta.
     fn run_task(&self, task: &Task, mut t: TaskCtx<'_>) {
         let (tid, worker, ctx, obs) = (t.tid, t.worker, t.ctx, t.obs);
-        // The location classes the last aborted attempt touched (drives
-        // degraded-retry targeting).
-        let mut aborted_classes: Vec<ClassId> = Vec::new();
         'restart: loop {
-            let _token = self.serial_token(t, &aborted_classes);
+            let _token = self.serial_token(t);
             let mut txn = self.begin(t);
             let ops = match self.execute(task, t, &txn) {
                 Ok(ops) => ops,
@@ -1180,7 +1138,7 @@ impl Janus {
             };
             loop {
                 if self.validate(t, &mut v, &plan) {
-                    self.abort(t, txn, &plan, &mut aborted_classes);
+                    self.abort(t, txn);
                     t.attempt += 1;
                     continue 'restart; // abort: rerun from scratch
                 }
@@ -1202,43 +1160,23 @@ impl Janus {
         // Scheduler bookkeeping happens after the shard locks are
         // released: none of it is on the commit critical path.
         ctx.source.on_commit(worker, (tid - ctx.first_tid) as usize);
-        if let Some(c) = ctx.controller.as_ref() {
-            if let Some(on) = c.record(&[], false) {
-                if let Some(o) = obs {
-                    o.record(EventKind::SchedDegrade { on });
-                }
-            }
-        }
     }
 
-    /// The serial token this attempt runs under, if any. A task past its
-    /// retry budget takes it unconditionally, so the contenders that keep
-    /// aborting it cannot starve it (unordered runs only: commit order
-    /// already bounds livelock, and a token held across an ordered wait
-    /// could deadlock a predecessor's retry). The degradation
-    /// controller's token doubles as the escalation token, else the
-    /// batch's serves; degraded retries of hot-class tasks take it too.
-    fn serial_token<'c>(
-        &self,
-        t: TaskCtx<'c>,
-        aborted_classes: &[ClassId],
-    ) -> Option<SerialGuard<'c>> {
-        let ctx = t.ctx;
+    /// The escalation token this attempt runs under, if any. A task past
+    /// its retry budget takes it, so the contenders that keep aborting it
+    /// cannot starve it (unordered runs only: commit order already
+    /// bounds livelock, and a token held across an ordered wait could
+    /// deadlock a predecessor's retry).
+    fn serial_token<'c>(&self, t: TaskCtx<'c>) -> Option<parking_lot::MutexGuard<'c, ()>> {
         let escalated = !self.ordered && matches!(self.max_attempts, Some(n) if t.attempt >= n);
         if !escalated {
-            return match ctx.controller.as_ref() {
-                Some(c) if t.attempt > 0 => c.serial_guard(aborted_classes),
-                _ => None,
-            };
+            return None;
         }
         if Some(t.attempt) == self.max_attempts {
-            ctx.counters.escalations.fetch_add(1, Ordering::Relaxed);
+            t.ctx.counters.escalations.fetch_add(1, Ordering::Relaxed);
         }
-        ctx.phases.set(t.worker, phase::SERIAL_WAIT, t.tid);
-        Some(match ctx.controller.as_ref() {
-            Some(c) => c.force_guard(),
-            None => ctx.escalation.lock(),
-        })
+        t.ctx.phases.set(t.worker, phase::SERIAL_WAIT, t.tid);
+        Some(t.ctx.escalation.lock())
     }
 
     /// `CREATETRANSACTION`: draw the begin timestamp from the oracle, pin
@@ -1348,7 +1286,7 @@ impl Janus {
             v.served_nonempty = true;
         }
         // A forced conflict flips a clean verdict so the full genuine
-        // abort path (counters, events, degradation, backoff) runs; a
+        // abort path (counters, events, backoff) runs; a
         // real conflict is never masked.
         v.session.extend(&HistoryWindow::new(&delta))
             || self
@@ -1360,13 +1298,7 @@ impl Janus {
     /// Closes a conflicting attempt: its registration is released first
     /// (so backing off never pins the watermark), the abort is counted
     /// and attributed, and the source decides how long to back off.
-    fn abort(
-        &self,
-        t: TaskCtx<'_>,
-        txn: Attempt<'_>,
-        plan: &CommitPlan,
-        aborted_classes: &mut Vec<ClassId>,
-    ) {
+    fn abort(&self, t: TaskCtx<'_>, txn: Attempt<'_>) {
         drop(txn);
         let ctx = t.ctx;
         ctx.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -1375,19 +1307,6 @@ impl Janus {
                 task: t.tid,
                 reason: AbortReason::Conflict,
             });
-        }
-        if let Some(c) = ctx.controller.as_ref() {
-            // The decomposition index holds one class per distinct
-            // location — clone from there instead of once per operation.
-            aborted_classes.clear();
-            aborted_classes.extend(plan.log.index().locs.values().map(|dl| dl.class.clone()));
-            aborted_classes.sort_unstable();
-            aborted_classes.dedup();
-            if let Some(on) = c.record(aborted_classes, true) {
-                if let Some(o) = t.obs {
-                    o.record(EventKind::SchedDegrade { on });
-                }
-            }
         }
         let hint = ctx
             .source
@@ -1401,8 +1320,7 @@ impl Janus {
             }
             ctx.phases.set(t.worker, phase::BACKOFF, t.tid);
             // Yield the slot instead of hot-restarting; bail promptly if
-            // the batch is poisoned meanwhile. Any work still queued on
-            // this worker's lane stays published for stealing.
+            // the batch is poisoned meanwhile.
             ctx.source.on_park(t.worker);
             backoff::wait(hint.steps, || ctx.poisoned.load(Ordering::SeqCst));
             ctx.source.on_unpark(t.worker);
@@ -1617,7 +1535,6 @@ impl std::fmt::Debug for Janus {
             .field("threads", &self.threads)
             .field("ordered", &self.ordered)
             .field("schedule", &self.schedule.name())
-            .field("degrade", &self.degrade)
             .finish()
     }
 }
@@ -1905,12 +1822,16 @@ mod tests {
     }
 
     #[test]
-    fn backoff_policy_commits_all_tasks_under_contention() {
+    fn sealed_lanes_back_off_every_conflict_abort() {
+        // No footprint signal: tasks go round-robin onto four sealed
+        // lanes, so the hot read-modify-writes still race each other.
         let mut store = Store::new();
         let hot = store.alloc("hot", Value::int(0));
         let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
             .threads(4)
-            .schedule(Arc::new(janus_sched::Backoff::new(7)))
+            .schedule(Arc::new(janus_sched::Affinity::new(Arc::new(
+                janus_sched::ExactFootprints::default(),
+            ))))
             .run(store, hot_rmw_tasks(hot, 16));
         assert_eq!(outcome.stats.commits, 16);
         assert_eq!(outcome.store.value(hot), Some(&Value::int((1..=16).sum())));
@@ -1943,59 +1864,11 @@ mod tests {
         assert_eq!(outcome.stats.commits, 16);
         assert_eq!(outcome.store.value(hot), Some(&Value::int((1..=8).sum())));
         assert_eq!(outcome.store.value(cold), Some(&Value::int((1..=8).sum())));
-        assert_eq!(
-            outcome.sched.affinity_hits + outcome.sched.affinity_steals,
-            16
-        );
+        assert_eq!(outcome.sched.dispatched, 16);
         assert_eq!(
             outcome.sched.affinity_routed, 14,
             "each chain's tail joined its head's worker"
         );
-    }
-
-    #[test]
-    fn degradation_serializes_hot_retries_and_preserves_results() {
-        let mut store = Store::new();
-        let hot = store.alloc("hot", Value::int(0));
-        let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-            .threads(4)
-            .degrade(janus_sched::DegradeConfig {
-                window: 8,
-                threshold: 0.25,
-            })
-            .run(store, hot_rmw_tasks(hot, 32));
-        assert_eq!(outcome.stats.commits, 32);
-        assert_eq!(outcome.store.value(hot), Some(&Value::int((1..=32).sum())));
-        // Degradation may or may not engage depending on interleaving;
-        // when it does, serialized retries must have been counted.
-        if outcome.sched.degrade_windows > 0 {
-            assert!(outcome.sched.serial_retries <= outcome.stats.retries);
-        }
-    }
-
-    #[test]
-    fn ordered_run_ignores_degradation() {
-        let mut store = Store::new();
-        let x = store.alloc("x", Value::int(1));
-        let tasks: Vec<Task> = (1..=8)
-            .map(|i| {
-                Task::new(move |tx: &mut TxView| {
-                    let v = tx.read_int(x);
-                    tx.write(x, v * 3 + i);
-                })
-            })
-            .collect();
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-            .threads(4)
-            .ordered(true)
-            .degrade(janus_sched::DegradeConfig {
-                window: 2,
-                threshold: 0.0,
-            })
-            .run(store, tasks);
-        assert_eq!(outcome.stats.commits, 8);
-        assert_eq!(outcome.sched.degrade_windows, 0, "unordered-only");
-        assert_eq!(outcome.sched.serial_retries, 0);
     }
 
     #[test]
@@ -2007,7 +1880,6 @@ mod tests {
             .run(store, identity_tasks(work, 12));
         assert_eq!(outcome.sched.dispatched, 12);
         assert_eq!(outcome.sched.backoff_waits, 0, "fifo never backs off");
-        assert_eq!(outcome.sched.degrade_windows, 0);
     }
 
     #[test]

@@ -104,34 +104,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                         ),
                     );
                 }
-                EventKind::SchedSteal { task, tasks } => {
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"sched_steal\",\"cat\":\"sched\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\
-                             \"args\":{{\"task\":{task},\"tasks\":{tasks},\"clock\":{}}}}}",
-                            t.tid,
-                            us(e.ts_ns),
-                            e.clock
-                        ),
-                    );
-                }
-                EventKind::SchedDegrade { on } => {
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"sched_degrade\",\"cat\":\"sched\",\"ph\":\"i\",\
-                             \"s\":\"p\",\"pid\":1,\"tid\":{},\"ts\":{},\
-                             \"args\":{{\"on\":{on},\"clock\":{}}}}}",
-                            t.tid,
-                            us(e.ts_ns),
-                            e.clock
-                        ),
-                    );
-                }
                 EventKind::ValidateOpen { window_segments }
                 | EventKind::DeltaRevalidate { window_segments } => {
                     push_event(
@@ -233,8 +205,6 @@ mod tests {
                 reason: AbortReason::Conflict,
             });
             h.record(EventKind::SchedBackoff { task: 1, steps: 5 });
-            h.record(EventKind::SchedDegrade { on: true });
-            h.record(EventKind::SchedSteal { task: 1, tasks: 3 });
             h.record(EventKind::Begin { task: 1 });
             h.set_clock(2);
             h.record(EventKind::Commit { task: 1 });
@@ -247,11 +217,7 @@ mod tests {
         assert!(json.contains("conflict hot\\\"spot"));
         assert!(json.contains("\"reason\":\"writeset-overlap\""));
         assert!(json.contains("\"name\":\"sched_backoff\""));
-        assert!(json.contains("\"name\":\"sched_steal\""));
-        assert!(json.contains("\"tasks\":3"));
         assert!(json.contains("\"steps\":5"));
-        assert!(json.contains("\"name\":\"sched_degrade\""));
-        assert!(json.contains("\"on\":true"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         // Balanced braces outside string literals is a decent smoke test
         // for hand-rolled JSON.

@@ -135,22 +135,6 @@ pub enum EventKind {
         /// Wait length, in backoff steps.
         steps: u64,
     },
-    /// The degradation feedback loop flipped state: `on = true` means
-    /// retries of hot tasks now serialize; `on = false` means full
-    /// parallelism re-opened.
-    SchedDegrade {
-        /// The new degradation state.
-        on: bool,
-    },
-    /// An idle worker stole a batch of queued tasks from a loaded
-    /// worker; `task` is the first stolen task (the one the thief runs
-    /// next), the rest are staged for later dispatch.
-    SchedSteal {
-        /// The first stolen task's id.
-        task: u64,
-        /// Tasks transferred by the steal (including `task`).
-        tasks: u64,
-    },
     /// The attempt committed (the clock stamp is the post-commit clock).
     Commit {
         /// The committing task's id.
@@ -173,8 +157,6 @@ impl EventKind {
             EventKind::PerCellCheck { .. } => "per_cell_check",
             EventKind::Abort { .. } => "abort",
             EventKind::SchedBackoff { .. } => "sched_backoff",
-            EventKind::SchedDegrade { .. } => "sched_degrade",
-            EventKind::SchedSteal { .. } => "sched_steal",
             EventKind::Commit { .. } => "commit",
             EventKind::GcReclaim { .. } => "gc_reclaim",
         }
@@ -211,14 +193,6 @@ mod tests {
         assert_eq!(
             EventKind::SchedBackoff { task: 1, steps: 4 }.label(),
             "sched_backoff"
-        );
-        assert_eq!(
-            EventKind::SchedDegrade { on: true }.label(),
-            "sched_degrade"
-        );
-        assert_eq!(
-            EventKind::SchedSteal { task: 3, tasks: 4 }.label(),
-            "sched_steal"
         );
     }
 }

@@ -213,8 +213,7 @@ impl MetricsRegistry {
     ///   checks, summed over each attempt;
     /// * `backoff_steps` — scheduler backoff wait lengths.
     ///
-    /// Aborts additionally count under `trace.abort.<reason>`, and
-    /// degradation onsets under `trace.degrade_on`.
+    /// Aborts additionally count under `trace.abort.<reason>`.
     pub fn absorb_trace(&mut self, trace: &Trace) {
         for t in &trace.threads {
             let mut validate_open_ts: Option<u64> = None;
@@ -248,14 +247,6 @@ impl MetricsRegistry {
                     }
                     EventKind::SchedBackoff { steps, .. } => {
                         self.observe("backoff_steps", *steps);
-                    }
-                    EventKind::SchedSteal { tasks, .. } => {
-                        self.observe("steal_batch_tasks", *tasks);
-                    }
-                    EventKind::SchedDegrade { on } => {
-                        if *on {
-                            self.add("trace.degrade_on", 1);
-                        }
                     }
                     EventKind::GcReclaim { reclaimed } => {
                         self.add("trace.gc_reclaimed_entries", *reclaimed);

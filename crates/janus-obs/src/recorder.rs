@@ -358,7 +358,6 @@ mod tests {
             });
             // Scheduler events are legal between attempts.
             h.record(EventKind::SchedBackoff { task: 1, steps: 3 });
-            h.record(EventKind::SchedDegrade { on: true });
             begin(&h, 1);
             h.record(EventKind::Commit { task: 1 });
         }

@@ -92,9 +92,8 @@ pub fn text_report(trace: &Trace, top_k: usize) -> String {
         );
     }
     let backoffs = trace.count("sched_backoff");
-    let steals = trace.count("sched_steal");
-    if backoffs > 0 || steals > 0 {
-        let _ = writeln!(out, "scheduler: {backoffs} backoff waits  {steals} steals");
+    if backoffs > 0 {
+        let _ = writeln!(out, "scheduler: {backoffs} backoff waits");
     }
     let attr = attribution(trace);
     if attr.by_class.is_empty() {
@@ -163,6 +162,6 @@ mod tests {
         assert!(report.contains("hot"));
         assert!(report.contains("retry ratio: 1.000"));
         assert!(report.contains("aborts by reason: 1 conflict  0 poisoned  0 failed"));
-        assert!(report.contains("scheduler: 1 backoff waits  0 steals"));
+        assert!(report.contains("scheduler: 1 backoff waits"));
     }
 }

@@ -8,13 +8,24 @@
 //! workers. Predictions come from the same place as the commutativity
 //! conditions: the read/write sets mined from a sequential (training or
 //! hindsight) run.
+//!
+//! Lanes are *sealed*: placement fixes each worker's lane at bind time,
+//! a worker pops only its own lane, front to back, and stops as soon as
+//! it is empty. Nothing moves between lanes, so a hot chain runs on one
+//! core while the others finish their own lanes and leave. Ordered runs
+//! stay live because every lane ascends in task index: the smallest
+//! uncommitted task is always at the front of its lane, and that lane's
+//! worker has committed everything before it, so it is either running
+//! the task or about to pop it.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use janus_train::TrainingRun;
 
-use crate::policy::{SchedulePolicy, TaskSource};
-use crate::steal::LaneSource;
+use crate::backoff::{deterministic_steps, BackoffHint};
+use crate::policy::{Dispatch, SchedulePolicy, TaskSource};
+use crate::stats::SchedStats;
 
 /// Predicts the shared-state footprint of a task before it runs.
 pub trait FootprintPredictor: Send + Sync + std::fmt::Debug {
@@ -106,21 +117,15 @@ impl FootprintPredictor for ShardFootprints {
     }
 }
 
-/// Routes tasks to workers by predicted footprint overlap, with
-/// lock-free batch work stealing for liveness (see
-/// [`steal`](crate::steal) for the deque protocol). Aborts (which
-/// still happen when predictions miss or stealing mixes footprints)
-/// back off on the same deterministic curve as
-/// [`Backoff`](crate::Backoff).
+/// Routes tasks to workers by predicted footprint overlap onto sealed
+/// lanes. Aborts (which still happen when predictions miss) back off on
+/// a deterministic curve seeded by `seed`.
 #[derive(Debug, Clone)]
 pub struct Affinity {
     /// The footprint oracle driving placement.
     pub predictor: Arc<dyn FootprintPredictor>,
-    /// Seed of the retry-backoff schedule and steal probe order.
+    /// Seed of the retry-backoff schedule.
     pub seed: u64,
-    /// Whether idle workers steal from loaded ones (on by default;
-    /// disabling is a measurement ablation, not a production mode).
-    pub stealing: bool,
 }
 
 impl Affinity {
@@ -130,14 +135,7 @@ impl Affinity {
         Affinity {
             predictor,
             seed: 0x006a_616e_7573,
-            stealing: true,
         }
-    }
-
-    /// Disables stealing (the bench ablation baseline).
-    pub fn without_stealing(mut self) -> Self {
-        self.stealing = false;
-        self
     }
 }
 
@@ -170,9 +168,75 @@ impl SchedulePolicy for Affinity {
             }
             queues[best].push(task);
         }
-        // Dispatch and stealing are the shared lane protocol; placement
-        // above is the only affinity-specific part.
-        Box::new(LaneSource::new(queues, self.seed, routed, self.stealing))
+        Box::new(SealedLanes::new(queues, self.seed, routed))
+    }
+}
+
+/// One worker's share of the batch: its routed tasks, ascending, and the
+/// index of the next one to dispatch.
+struct Lane {
+    tasks: Box<[u32]>,
+    next: AtomicUsize,
+}
+
+/// The bound affinity source: one sealed lane per worker.
+struct SealedLanes {
+    lanes: Vec<Lane>,
+    seed: u64,
+    routed: u64,
+    waits: AtomicU64,
+    steps: AtomicU64,
+}
+
+impl SealedLanes {
+    fn new(queues: Vec<Vec<usize>>, seed: u64, routed: u64) -> Self {
+        let lanes = queues
+            .into_iter()
+            .map(|q| Lane {
+                tasks: q
+                    .into_iter()
+                    .map(|t| u32::try_from(t).expect("affinity lanes hold under 2^32 tasks"))
+                    .collect(),
+                next: AtomicUsize::new(0),
+            })
+            .collect();
+        SealedLanes {
+            lanes,
+            seed,
+            routed,
+            waits: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
+        }
+    }
+}
+
+impl TaskSource for SealedLanes {
+    fn next_task(&self, worker: usize) -> Option<Dispatch> {
+        let lane = &self.lanes[worker % self.lanes.len()];
+        // Relaxed: the lane's tasks are immutable after bind, so the
+        // cursor only has to hand each index out once.
+        let i = lane.next.fetch_add(1, Ordering::Relaxed);
+        lane.tasks.get(i).map(|&t| Dispatch::own(t as usize))
+    }
+
+    fn on_abort(&self, _worker: usize, task: usize, attempt: u32) -> BackoffHint {
+        let steps = deterministic_steps(self.seed, task as u64, attempt, 16, 4096);
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.steps.fetch_add(steps, Ordering::Relaxed);
+        BackoffHint { steps }
+    }
+
+    fn stats(&self) -> SchedStats {
+        SchedStats {
+            dispatched: self
+                .lanes
+                .iter()
+                .map(|l| l.next.load(Ordering::Relaxed).min(l.tasks.len()) as u64)
+                .sum(),
+            backoff_waits: self.waits.load(Ordering::Relaxed),
+            backoff_steps: self.steps.load(Ordering::Relaxed),
+            affinity_routed: self.routed,
+        }
     }
 }
 
@@ -189,7 +253,7 @@ mod tests {
     #[test]
     fn overlapping_tasks_share_a_worker() {
         // Tasks 0, 2, 4 overlap (locations 7/9); tasks 1, 3 are
-        // disjoint. The chain must land on one worker's queue, the
+        // disjoint. The chain must land on one worker's lane, the
         // disjoint tasks on the other's.
         let policy = Affinity::new(exact(&[&[7], &[1], &[7, 9], &[2], &[9]]));
         let source = policy.bind(5, 2);
@@ -198,26 +262,14 @@ mod tests {
             2,
             "tasks 2 and 4 joined task 0"
         );
-        // Each worker serves its own queue before stealing, so probing
-        // worker 0 reveals which queue it owns; the hot chain {0, 2, 4}
-        // must then drain in submission order from a single worker.
-        let first = source.next_task(0).expect("five tasks queued").task;
-        let (hot, cold, mut hot_tasks, mut cold_tasks) = if first == 0 {
-            (0, 1, vec![0usize], vec![])
-        } else {
-            assert_eq!(first, 1, "worker 0 owns either chain head");
-            (1, 0, vec![], vec![1usize])
+        let drain = |w: usize| -> Vec<usize> {
+            std::iter::from_fn(|| source.next_task(w).map(|d| d.task)).collect()
         };
-        while hot_tasks.len() < 3 {
-            hot_tasks.push(source.next_task(hot).expect("hot queue has 3 tasks").task);
-        }
-        while cold_tasks.len() < 2 {
-            cold_tasks.push(source.next_task(cold).expect("cold queue has 2 tasks").task);
-        }
-        assert_eq!(hot_tasks, vec![0, 2, 4], "the overlap chain serializes");
-        assert_eq!(cold_tasks, vec![1, 3]);
-        assert_eq!(source.stats().affinity_steals, 0, "no steal was needed");
-        assert_eq!(source.next_task(hot), None);
+        let (a, b) = (drain(0), drain(1));
+        let (hot, cold) = if a.contains(&0) { (a, b) } else { (b, a) };
+        assert_eq!(hot, vec![0, 2, 4], "the overlap chain serializes");
+        assert_eq!(cold, vec![1, 3]);
+        assert_eq!(source.stats().dispatched, 5);
     }
 
     #[test]
@@ -225,21 +277,14 @@ mod tests {
         let policy = Affinity::new(exact(&[&[1], &[1], &[2], &[], &[2], &[1, 2]]));
         let source = policy.bind(6, 3);
         let mut seen = Vec::new();
-        // Round-robin the workers so stealing paths get exercised.
-        let mut idle = 0;
-        while idle < 3 {
-            idle = 0;
-            for w in 0..3 {
-                match source.next_task(w) {
-                    Some(d) => seen.push(d.task),
-                    None => idle += 1,
-                }
+        for w in 0..3 {
+            while let Some(d) = source.next_task(w) {
+                seen.push(d.task);
             }
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        let stats = source.stats();
-        assert_eq!(stats.affinity_hits + stats.affinity_steals, 6);
+        assert_eq!(source.stats().dispatched, 6);
     }
 
     #[test]
@@ -247,13 +292,35 @@ mod tests {
         let policy = Affinity::new(exact(&[&[], &[], &[], &[]]));
         let source = policy.bind(4, 2);
         // With no footprint signal, placement alternates by load: each
-        // worker's own queue serves exactly two tasks.
-        assert!(source.next_task(0).is_some());
-        assert!(source.next_task(1).is_some());
-        assert!(source.next_task(0).is_some());
-        assert!(source.next_task(1).is_some());
-        assert_eq!(source.stats().affinity_steals, 0);
+        // worker's own lane serves exactly two tasks.
+        for w in [0, 1] {
+            assert!(source.next_task(w).is_some());
+            assert!(source.next_task(w).is_some());
+            assert_eq!(source.next_task(w), None);
+        }
         assert_eq!(source.stats().affinity_routed, 0);
+    }
+
+    #[test]
+    fn a_drained_lane_is_done_while_another_still_holds_work() {
+        let source = SealedLanes::new(vec![vec![0, 1, 2], vec![]], 7, 0);
+        assert_eq!(source.next_task(1), None, "lane 1 is sealed and empty");
+        let lane0: Vec<usize> = (0..3).map(|_| source.next_task(0).unwrap().task).collect();
+        assert_eq!(lane0, vec![0, 1, 2]);
+        assert_eq!(source.next_task(0), None);
+        assert_eq!(source.stats().dispatched, 3);
+    }
+
+    #[test]
+    fn aborts_back_off_on_the_seeded_curve() {
+        let source = Affinity::new(exact(&[&[], &[]])).bind(2, 2);
+        let hint = source.on_abort(0, 1, 0);
+        assert_eq!(
+            hint.steps,
+            deterministic_steps(0x006a_616e_7573, 1, 0, 16, 4096)
+        );
+        let stats = source.stats();
+        assert_eq!((stats.backoff_waits, stats.backoff_steps), (1, hint.steps));
     }
 
     #[test]
@@ -288,8 +355,9 @@ mod tests {
         // The wrapped predictor composes with the affinity policy.
         let policy = Affinity::new(Arc::new(p));
         let source = policy.bind(3, 2);
-        let mut seen: Vec<usize> = (0..3)
-            .filter_map(|w| source.next_task(w).map(|d| d.task))
+        let source = &source;
+        let mut seen: Vec<usize> = (0..2)
+            .flat_map(|w| std::iter::from_fn(move || source.next_task(w).map(|d| d.task)))
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);

@@ -1,12 +1,8 @@
-//! Randomized exponential backoff and the shared waiting primitive.
+//! The deterministic retry wait and the shared waiting primitive.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-use crate::policy::{Dispatch, SchedulePolicy, TaskSource};
-use crate::stats::SchedStats;
 
 /// How long an aborted attempt should wait before re-executing, in
 /// abstract steps consumed by [`wait`]. Zero means retry immediately
@@ -103,92 +99,6 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Per-task randomized exponential backoff over FIFO dispatch.
-///
-/// Dispenses tasks exactly like [`Fifo`](crate::Fifo); on abort, the
-/// worker waits a deterministic pseudo-random number of steps that
-/// doubles (up to `cap`) with each consecutive failure of the same
-/// task, instead of hot-restarting against the same contenders.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    /// Seed of the deterministic wait schedule.
-    pub seed: u64,
-    /// Wait ceiling after the first abort, in steps.
-    pub base: u64,
-    /// Hard ceiling on any single wait, in steps.
-    pub cap: u64,
-}
-
-impl Backoff {
-    /// A backoff policy with the default curve (base 16, cap 4096).
-    pub fn new(seed: u64) -> Self {
-        Backoff {
-            seed,
-            base: 16,
-            cap: 4096,
-        }
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::new(0x006a_616e_7573)
-    }
-}
-
-impl SchedulePolicy for Backoff {
-    fn name(&self) -> &'static str {
-        "backoff"
-    }
-
-    fn bind(&self, tasks: usize, _workers: usize) -> Box<dyn TaskSource> {
-        Box::new(BackoffSource {
-            next: AtomicUsize::new(0),
-            total: tasks,
-            config: self.clone(),
-            waits: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-        })
-    }
-}
-
-struct BackoffSource {
-    next: AtomicUsize,
-    total: usize,
-    config: Backoff,
-    waits: AtomicU64,
-    steps: AtomicU64,
-}
-
-impl TaskSource for BackoffSource {
-    fn next_task(&self, _worker: usize) -> Option<Dispatch> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then(|| Dispatch::own(i))
-    }
-
-    fn on_abort(&self, _worker: usize, task: usize, attempt: u32) -> BackoffHint {
-        let steps = deterministic_steps(
-            self.config.seed,
-            task as u64,
-            attempt,
-            self.config.base,
-            self.config.cap,
-        );
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.steps.fetch_add(steps, Ordering::Relaxed);
-        BackoffHint { steps }
-    }
-
-    fn stats(&self) -> SchedStats {
-        SchedStats {
-            dispatched: self.next.load(Ordering::Relaxed).min(self.total) as u64,
-            backoff_waits: self.waits.load(Ordering::Relaxed),
-            backoff_steps: self.steps.load(Ordering::Relaxed),
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,22 +133,6 @@ mod tests {
         assert!(max_at(1) <= 32);
         assert!(max_at(10) <= 256, "cap bounds the wait");
         assert!(max_at(10) > 128, "large attempts reach the cap region");
-    }
-
-    #[test]
-    fn backoff_source_dispenses_fifo_and_counts() {
-        let policy = Backoff::new(42);
-        let source = policy.bind(3, 2);
-        assert_eq!(source.next_task(0), Some(Dispatch::own(0)));
-        assert_eq!(source.next_task(1), Some(Dispatch::own(1)));
-        assert_eq!(source.next_task(0), Some(Dispatch::own(2)));
-        assert_eq!(source.next_task(1), None);
-        let hint = source.on_abort(0, 1, 0);
-        assert!(hint.steps >= 1 && hint.steps <= 16);
-        let stats = source.stats();
-        assert_eq!(stats.dispatched, 3);
-        assert_eq!(stats.backoff_waits, 1);
-        assert_eq!(stats.backoff_steps, hint.steps);
     }
 
     #[test]

@@ -1,43 +1,25 @@
-//! Contention-aware scheduling for the JANUS runtime.
+//! Task dispatch for the JANUS runtime.
 //!
 //! The protocol of Figure 7 dispenses tasks with a bare counter and
 //! re-runs every aborted attempt immediately from scratch. That is the
 //! right policy when conflicts are rare — the regime sequence-based
-//! detection creates — but under genuine contention it livelocks the
-//! runtime on exactly the workloads the paper targets: every worker
-//! re-executes against the same hot location, loses the commit race,
-//! and pays the full re-execution again. Transaction-repair systems
-//! show that once optimistic validation starts failing, the *retry
-//! policy* (not the detector) dominates throughput.
-//!
-//! This crate supplies the missing policy layer:
+//! detection creates — and it stays the default here. A wall-clock grid
+//! over the five paper loops (`BENCH_wall_contention.json`) found one
+//! other placement worth keeping: sealed affinity lanes, for loops whose
+//! conflicts the detector cannot dismiss.
 //!
 //! * [`SchedulePolicy`] — a pluggable strategy, bound per run to a
-//!   [`TaskSource`] the workers dispatch through.
+//!   [`TaskSource`] the workers dispatch through. `TaskSource` is the
+//!   seam: a policy sees every dispatch, abort, commit and park.
 //!   * [`Fifo`] — the seed behavior, bit for bit: a shared atomic
 //!     counter, immediate retry on abort.
-//!   * [`Backoff`] — per-task randomized exponential backoff with a
-//!     deterministic seeded RNG: an aborted attempt waits a bounded,
-//!     reproducible number of yield/park steps before re-executing,
-//!     ceding its core to workers that can still make progress.
 //!   * [`Affinity`] — routes tasks to workers by predicted footprint
 //!     overlap (the read/write sets the trainer already mines), so
-//!     likely-conflicting tasks serialize on one worker's queue instead
-//!     of aborting against each other. Idle workers steal half the
-//!     longest queue in one lock-free batch, so routing never strands
-//!     work (see [`steal`] for the deque protocol).
-//!   * [`WorkSteal`] — the footprint-free variant of the same lanes:
-//!     round-robin placement plus batch stealing; also the ablation
-//!     handle benches use to measure stealing itself.
-//! * [`DegradeController`] — an abort-rate feedback loop: when the
-//!   windowed retry ratio crosses a threshold, retries of tasks that
-//!   touched the hot location classes must hold a serial token while
-//!   they re-execute, collapsing the hot set to sequential execution
-//!   (never wrong, bounded worst case); the window keeps accumulating
-//!   and parallelism re-opens as soon as it cools.
+//!     likely-conflicting tasks serialize on one worker's lane instead
+//!     of aborting against each other. Lanes are sealed: a worker runs
+//!     only its own lane and stops when it is empty.
 //! * [`backoff::wait`] / [`Parker`] — the spin→yield→park primitive
-//!   shared by the backoff policy and the ordered-commit wait (which
-//!   previously burned a core in a `yield_now` loop).
+//!   behind an affinity abort's wait and the ordered-commit wait.
 //!
 //! Everything here is deterministic given its inputs: backoff waits are
 //! a pure function of `(seed, task, attempt)`, affinity partitions are
@@ -49,16 +31,12 @@
 
 pub mod affinity;
 pub mod backoff;
-mod degrade;
 mod policy;
 mod stats;
-pub mod steal;
 
 pub use affinity::{
     Affinity, ExactFootprints, FootprintPredictor, ShardFootprints, TrainedFootprints,
 };
-pub use backoff::{Backoff, BackoffHint, Parker};
-pub use degrade::{DegradeConfig, DegradeController, SerialGuard};
+pub use backoff::{BackoffHint, Parker};
 pub use policy::{Dispatch, Fifo, SchedulePolicy, TaskSource};
-pub use stats::{SchedStats, StealStats};
-pub use steal::WorkSteal;
+pub use stats::SchedStats;

@@ -10,7 +10,7 @@ use crate::stats::SchedStats;
 /// obtain the shared mutable state ([`TaskSource`]) its workers
 /// dispatch through, so one `Janus` instance can be reused across runs.
 pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
-    /// The policy's stable label ("fifo", "backoff", "affinity").
+    /// The policy's stable label ("fifo", "affinity").
     fn name(&self) -> &'static str;
 
     /// Binds the policy to one run over `tasks` tasks executed by
@@ -18,33 +18,25 @@ pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
     fn bind(&self, tasks: usize, workers: usize) -> Box<dyn TaskSource>;
 }
 
-/// One dispatched task plus how it reached the worker.
-///
-/// Sources that steal report the batch size of the transfer that served
-/// the dispatch, so the runtime can surface steal traffic in the trace
-/// without the source needing a recorder handle.
+/// One dispatched task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
     /// Index of the task to run.
     pub task: usize,
-    /// Tasks transferred by the steal that served this dispatch (the
-    /// dispatched task plus everything staged for later pops); 0 when
-    /// the task came from the worker's own queue or stash.
-    pub stolen: u64,
 }
 
 impl Dispatch {
-    /// A dispatch served from the worker's own queue.
+    /// A dispatch of task `task`.
     pub fn own(task: usize) -> Self {
-        Dispatch { task, stolen: 0 }
+        Dispatch { task }
     }
 }
 
 /// One run's dispatch state, shared by every worker thread.
 pub trait TaskSource: Send + Sync {
-    /// The next task for worker `worker`, or `None` when the pool is
-    /// drained for that worker (all sources guarantee global progress:
-    /// `None` is only returned once no unstarted task remains).
+    /// The next task for worker `worker`, or `None` once no task is left
+    /// for that worker. Every task is dispatched exactly once, provided
+    /// each of the bound `workers` keeps asking until it sees `None`.
     fn next_task(&self, worker: usize) -> Option<Dispatch>;
 
     /// Reports that `worker`'s attempt of `task` aborted for the
@@ -57,10 +49,8 @@ pub trait TaskSource: Send + Sync {
     fn on_commit(&self, _worker: usize, _task: usize) {}
 
     /// Reports that `worker` is about to block (gate park, ordered-turn
-    /// wait, or a backoff sleep). Stealing sources use this to note
-    /// whether the worker parks with undispatched work still queued —
-    /// such work is always published for stealing, so the hook is a
-    /// statistic, not a correctness requirement.
+    /// wait, or a backoff sleep). A statistic hook, never a correctness
+    /// requirement.
     fn on_park(&self, _worker: usize) {}
 
     /// Reports that `worker` resumed after an [`on_park`](Self::on_park).

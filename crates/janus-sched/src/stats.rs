@@ -1,59 +1,7 @@
 //! Scheduler counters, absorbed by the unified metrics registry.
 
-use janus_obs::Histogram;
-
-/// Work-stealing traffic for one run: how often workers probed for
-/// victims, how much work moved, and whether parked workers still held
-/// queued tasks (always published for stealing, so `parks_with_work`
-/// measures exposure, not loss).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StealStats {
-    /// Steal probe rounds (victim scans), successful or not.
-    pub attempts: u64,
-    /// Successful steals (each transfers a batch of tasks).
-    pub batches: u64,
-    /// Tasks transferred by steals. A task re-stolen from a thief's
-    /// stash counts once per transfer, so this can exceed the task
-    /// count under heavy contention.
-    pub stolen_tasks: u64,
-    /// Times a worker parked (gate, ordered turn, or backoff) while its
-    /// own queue or stash still held undispatched tasks.
-    pub parks_with_work: u64,
-    /// Victim queue depth observed at each successful steal.
-    pub queue_depth: Histogram,
-}
-
-impl StealStats {
-    /// Folds another run's steal counters into this one.
-    pub fn merge(&mut self, other: &StealStats) {
-        self.attempts += other.attempts;
-        self.batches += other.batches;
-        self.stolen_tasks += other.stolen_tasks;
-        self.parks_with_work += other.parks_with_work;
-        self.queue_depth.merge(&other.queue_depth);
-    }
-}
-
-impl janus_obs::Snapshot for StealStats {
-    fn source(&self) -> &'static str {
-        "steal"
-    }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        vec![
-            ("attempts".to_string(), self.attempts),
-            ("batches".to_string(), self.batches),
-            ("stolen_tasks".to_string(), self.stolen_tasks),
-            ("parks_with_work".to_string(), self.parks_with_work),
-        ]
-    }
-}
-
-/// Monotone counters describing what the scheduler did during one run.
-///
-/// Populated by the bound [`TaskSource`](crate::TaskSource) and, when
-/// degradation is enabled, merged with the
-/// [`DegradeController`](crate::DegradeController)'s counters.
+/// Monotone counters describing what the scheduler did during one run,
+/// populated by the bound [`TaskSource`](crate::TaskSource).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Tasks handed to workers (every task exactly once).
@@ -63,20 +11,9 @@ pub struct SchedStats {
     /// Total backoff steps waited across all retries (one step is one
     /// spin/yield/park unit of [`backoff::wait`](crate::backoff::wait)).
     pub backoff_steps: u64,
-    /// Tasks served to a worker from its own affinity queue.
-    pub affinity_hits: u64,
-    /// Tasks an idle worker stole from another worker's queue.
-    pub affinity_steals: u64,
     /// Tasks the affinity partitioner placed by footprint overlap (the
     /// rest were placed by load balance alone).
     pub affinity_routed: u64,
-    /// Feedback windows that closed in (or entered) the degraded state.
-    pub degrade_windows: u64,
-    /// Retries that re-executed while holding the serial token.
-    pub serial_retries: u64,
-    /// Work-stealing traffic (zero for non-stealing sources). Exposed
-    /// to the metrics registry as its own `steal.*` snapshot.
-    pub steal: StealStats,
 }
 
 impl janus_obs::Snapshot for SchedStats {
@@ -89,11 +26,7 @@ impl janus_obs::Snapshot for SchedStats {
             ("dispatched".to_string(), self.dispatched),
             ("backoff_waits".to_string(), self.backoff_waits),
             ("backoff_steps".to_string(), self.backoff_steps),
-            ("affinity_hits".to_string(), self.affinity_hits),
-            ("affinity_steals".to_string(), self.affinity_steals),
             ("affinity_routed".to_string(), self.affinity_routed),
-            ("degrade_windows".to_string(), self.degrade_windows),
-            ("serial_retries".to_string(), self.serial_retries),
         ]
     }
 }
@@ -112,48 +45,8 @@ mod tests {
         };
         assert_eq!(stats.source(), "sched");
         let counters = stats.counters();
-        assert_eq!(counters.len(), 8);
+        assert_eq!(counters.len(), 4);
         assert!(counters.contains(&("dispatched".to_string(), 3)));
         assert!(counters.contains(&("backoff_waits".to_string(), 2)));
-    }
-
-    #[test]
-    fn steal_snapshot_exposes_every_counter() {
-        let stats = StealStats {
-            attempts: 5,
-            batches: 2,
-            stolen_tasks: 7,
-            parks_with_work: 1,
-            ..Default::default()
-        };
-        assert_eq!(stats.source(), "steal");
-        let counters = stats.counters();
-        assert_eq!(counters.len(), 4);
-        assert!(counters.contains(&("attempts".to_string(), 5)));
-        assert!(counters.contains(&("stolen_tasks".to_string(), 7)));
-    }
-
-    #[test]
-    fn steal_stats_merge_folds_counters_and_depths() {
-        let mut a = StealStats {
-            attempts: 1,
-            batches: 1,
-            stolen_tasks: 4,
-            ..Default::default()
-        };
-        a.queue_depth.observe(8);
-        let mut b = StealStats {
-            attempts: 2,
-            parks_with_work: 3,
-            ..Default::default()
-        };
-        b.queue_depth.observe(2);
-        a.merge(&b);
-        assert_eq!(a.attempts, 3);
-        assert_eq!(a.batches, 1);
-        assert_eq!(a.stolen_tasks, 4);
-        assert_eq!(a.parks_with_work, 3);
-        assert_eq!(a.queue_depth.count(), 2);
-        assert_eq!(a.queue_depth.max(), 8);
     }
 }

@@ -6,9 +6,7 @@
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
 //!                            [--cache <file>]
-//!                            [--schedule fifo|backoff|affinity|steal] [--footprints mine|shard]
-//!                            [--no-steal]
-//!                            [--degrade-threshold R] [--degrade-window N]
+//!                            [--schedule fifo|affinity] [--footprints mine|shard]
 //!                            [--panic-policy poison|isolate] [--max-attempts N]
 //!                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
 //!                            [--trace <file>] [--metrics]
@@ -32,21 +30,14 @@
 //! history and lock-wait statistics land in the metrics registry under
 //! `shard.*`.
 //!
-//! `--schedule` picks the retry/dispatch policy: `fifo` (the default;
-//! immediate retry), `backoff` (deterministic randomized exponential
-//! backoff), `affinity` (tasks routed to workers by footprint overlap)
-//! or `steal` (round-robin placement onto per-worker lanes). Both
-//! `affinity` and `steal` dispatch through work-stealing lanes — an
-//! idle worker takes half of the longest queue in one batch — unless
-//! `--no-steal` seals each lane (the ablation baseline).
-//! With affinity, `--footprints` picks the prediction source: `mine`
-//! (default) profiles a sequential hindsight pre-run, `shard` routes
-//! from the workload's declared footprints coarsened to shard
-//! identities — no pre-run, so the run starts immediately.
-//! `--degrade-threshold R`
-//! enables serial-fallback degradation: when a `--degrade-window`-sized
-//! window of attempts retries at ratio >= R, retries of hot-class tasks
-//! serialize until the window cools.
+//! `--schedule` picks the dispatch policy: `fifo` (the default; one
+//! shared counter, immediate retry) or `affinity` (tasks routed by
+//! footprint overlap onto sealed per-worker lanes; an abort backs off
+//! on a deterministic curve). With affinity, `--footprints` picks the
+//! prediction source: `mine` (default) profiles a sequential hindsight
+//! pre-run, `shard` routes from the workload's declared footprints
+//! coarsened to shard identities — no pre-run, so the run starts
+//! immediately.
 //!
 //! The robustness flags drive the failure model: `--panic-policy
 //! isolate` survives task-body panics (the failed tasks are listed and
@@ -64,16 +55,13 @@ use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, 
 use janus::fault::FaultPlan;
 use janus::obs::{chrome_trace_json, text_report, MetricsRegistry, Recorder, Snapshot};
 use janus::sat::global_solver_stats;
-use janus::sched::{
-    Affinity, Backoff, DegradeConfig, ExactFootprints, SchedulePolicy, ShardFootprints,
-    TrainedFootprints, WorkSteal,
-};
+use janus::sched::{Affinity, ExactFootprints, SchedulePolicy, ShardFootprints, TrainedFootprints};
 use janus::train::{train, CommutativityCache, FrozenCache, OnlineLearningCache, TrainConfig};
 use janus::workloads::{all_workloads, training_runs, workload_by_name, InputSpec, Workload};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--schedule fifo|backoff|affinity|steal]\n                           [--footprints mine|shard] [--no-steal]\n                           [--degrade-threshold R] [--degrade-window N]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
+        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--schedule fifo|affinity] [--footprints mine|shard]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
     );
     ExitCode::from(2)
 }
@@ -89,8 +77,6 @@ const VALUE_FLAGS: &[&str] = &[
     "cache",
     "trace",
     "schedule",
-    "degrade-threshold",
-    "degrade-window",
     "panic-policy",
     "max-attempts",
     "watchdog-ms",
@@ -98,7 +84,7 @@ const VALUE_FLAGS: &[&str] = &[
     "fault-rate",
     "footprints",
 ];
-const BOOL_FLAGS: &[&str] = &["no-abstraction", "metrics", "no-steal"];
+const BOOL_FLAGS: &[&str] = &["no-abstraction", "metrics"];
 
 struct Args {
     positional: Vec<String>,
@@ -340,8 +326,11 @@ fn cmd_run(args: &Args) -> ExitCode {
             }
         }
         other => {
-            eprintln!("unknown detector {other:?}");
-            return ExitCode::FAILURE;
+            eprintln!(
+                "error: flag --detector: expected write-set|sequence|cached|online-learning, \
+                 got {other:?}"
+            );
+            return usage();
         }
     };
 
@@ -353,15 +342,8 @@ fn cmd_run(args: &Args) -> ExitCode {
     let recorder = (trace_path.is_some() || want_metrics).then(Recorder::new);
     let scenario = w.build(&input);
     let schedule_name = args.value("schedule").unwrap_or("fifo");
-    let no_steal = args.flag("no-steal");
-    let seal = |a: Affinity| if no_steal { a.without_stealing() } else { a };
     let schedule: Arc<dyn SchedulePolicy> = match schedule_name {
         "fifo" => Arc::new(janus::sched::Fifo),
-        "backoff" => Arc::new(Backoff::default()),
-        "steal" => {
-            let p = WorkSteal::new(seed);
-            Arc::new(if no_steal { p.without_stealing() } else { p })
-        }
         "affinity" => match args.value("footprints").unwrap_or("mine") {
             "mine" => {
                 // Hindsight profiling: mine each production task's exact
@@ -369,9 +351,9 @@ fn cmd_run(args: &Args) -> ExitCode {
                 // then route overlapping tasks to the same worker.
                 eprintln!("mining footprints from a sequential pre-run...");
                 let (_, training) = Janus::run_sequential(scenario.store.clone(), &scenario.tasks);
-                Arc::new(seal(Affinity::new(Arc::new(
+                Arc::new(Affinity::new(Arc::new(
                     TrainedFootprints::from_training_run(&training),
-                ))))
+                )))
             }
             "shard" => {
                 // No pre-run: route from the workload's declared
@@ -385,10 +367,10 @@ fn cmd_run(args: &Args) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 eprintln!("routing by declared footprints at shard granularity (no pre-run)...");
-                Arc::new(seal(Affinity::new(Arc::new(ShardFootprints::new(
+                Arc::new(Affinity::new(Arc::new(ShardFootprints::new(
                     Arc::new(ExactFootprints(scenario.footprints.clone())),
                     shards,
-                )))))
+                ))))
             }
             other => {
                 eprintln!("error: flag --footprints: expected mine|shard, got {other:?}");
@@ -396,26 +378,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             }
         },
         other => {
-            eprintln!("unknown schedule {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let degrade_threshold = match args.value("degrade-threshold").map(str::parse::<f64>) {
-        None => None,
-        Some(Ok(t)) if t >= 0.0 => Some(t),
-        Some(_) => {
-            eprintln!("error: flag --degrade-threshold: expected a non-negative ratio");
-            return usage();
-        }
-    };
-    let degrade_window = match args.numeric::<u64>("degrade-window", 32) {
-        Ok(n) if n >= 1 => n,
-        Ok(_) => {
-            eprintln!("error: flag --degrade-window: must be at least 1");
-            return usage();
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: flag --schedule: expected fifo|affinity, got {other:?}");
             return usage();
         }
     };
@@ -448,12 +411,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         .ordered(w.ordered())
         .schedule(schedule)
         .panic_policy(panic_policy);
-    if let Some(threshold) = degrade_threshold {
-        janus = janus.degrade(DegradeConfig {
-            window: degrade_window,
-            threshold,
-        });
-    }
     if let Some(budget) = max_attempts {
         janus = janus.max_attempts(budget);
     }
@@ -534,30 +491,15 @@ fn cmd_run(args: &Args) -> ExitCode {
         "fast path: {} segments skipped by fingerprint  {} segments scanned",
         outcome.stats.fastpath_segments_skipped, outcome.stats.fastpath_segments_scanned,
     );
-    if schedule_name != "fifo" || outcome.sched.degrade_windows > 0 {
+    if schedule_name != "fifo" {
         println!(
-            "schedule ({schedule_name}): {} dispatched  {} backoff waits ({} steps)  \
-             {} affinity hits  {} steals  {} degraded windows  {} serial retries",
+            "schedule ({schedule_name}): {} dispatched  {} routed by footprint  \
+             {} backoff waits ({} steps)",
             outcome.sched.dispatched,
+            outcome.sched.affinity_routed,
             outcome.sched.backoff_waits,
             outcome.sched.backoff_steps,
-            outcome.sched.affinity_hits,
-            outcome.sched.affinity_steals,
-            outcome.sched.degrade_windows,
-            outcome.sched.serial_retries,
         );
-        let steal = &outcome.sched.steal;
-        if steal.attempts > 0 || steal.parks_with_work > 0 {
-            println!(
-                "stealing: {} attempts  {} batches  {} tasks moved  {} parks with work  \
-                 victim depth {}",
-                steal.attempts,
-                steal.batches,
-                steal.stolen_tasks,
-                steal.parks_with_work,
-                steal.queue_depth.render(),
-            );
-        }
     }
     let by_class = detector.stats().conflicts_by_class();
     if !by_class.is_empty() {
@@ -591,8 +533,6 @@ fn cmd_run(args: &Args) -> ExitCode {
             let mut metrics = MetricsRegistry::new();
             metrics.absorb(&outcome.stats);
             metrics.absorb(&outcome.sched);
-            metrics.absorb(&outcome.sched.steal);
-            metrics.merge_histogram("steal.queue_depth", &outcome.sched.steal.queue_depth);
             metrics.absorb(&outcome.shard_stats);
             metrics.merge_histogram("shard.lock_wait_ns", &outcome.shard_stats.lock_wait_ns());
             metrics.absorb(detector.stats() as &dyn Snapshot);

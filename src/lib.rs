@@ -24,7 +24,7 @@
 //! | [`sat`] | `janus-sat` | the SAT solver behind symbolic equivalence checks |
 //! | [`persist`] | `janus-persist` | the persistent map behind O(1) snapshots |
 //! | [`obs`] | `janus-obs` | lifecycle tracing, abort attribution, the unified metrics registry |
-//! | [`sched`] | `janus-sched` | contention-aware scheduling: backoff, affinity routing, serial-fallback degradation |
+//! | [`sched`] | `janus-sched` | task dispatch: FIFO and sealed conflict-affinity lanes |
 //! | [`fault`] | `janus-fault` | deterministic fault-injection plans for chaos testing |
 //! | [`block`] | `janus-block` | the pipelined block-executor service: warm worker pool, cross-batch commit gating, admission control |
 //! | [`wal`] | `janus-wal` | the durable commit journal: segmented write-ahead log, snapshots, crash recovery |
@@ -111,8 +111,8 @@ pub mod obs {
     pub use janus_obs::*;
 }
 
-/// Contention-aware scheduling policies, backoff and serial-fallback
-/// degradation (re-export of `janus-sched`).
+/// Task dispatch policies: FIFO and sealed conflict-affinity lanes
+/// (re-export of `janus-sched`).
 pub mod sched {
     pub use janus_sched::*;
 }

@@ -18,7 +18,7 @@ use janus::detect::SequenceDetector;
 use janus::fault::{FaultKind, FaultPlan};
 use janus::obs::Recorder;
 use janus::relational::Value;
-use janus::sched::{Affinity, Backoff, ExactFootprints, Fifo, SchedulePolicy};
+use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 const LOCS: usize = 3;
@@ -69,7 +69,8 @@ fn footprints(specs: &[Spec], locs: &[janus::log::LocId]) -> Vec<Vec<u64>> {
 fn policy(index: usize, fps: Vec<Vec<u64>>) -> Arc<dyn SchedulePolicy> {
     match index {
         0 => Arc::new(Fifo),
-        1 => Arc::new(Backoff::new(5)),
+        // Round-robin sealed lanes: no footprint signal.
+        1 => Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
         _ => Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
     }
 }

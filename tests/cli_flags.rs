@@ -1,6 +1,7 @@
-//! Out-of-range numeric flags are usage errors: both binaries print
-//! `error: …` and the usage, and exit 2 — they never reach a builder
-//! assert and panic.
+//! Bad flag values are usage errors: out-of-range numbers, unknown
+//! policy names and removed flags make both binaries print `error: …`
+//! and the usage, and exit 2 — they never reach a builder assert and
+//! panic.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -52,4 +53,23 @@ fn run_rejects_zero_threads() {
         &["run", "pmd", "--threads", "0"],
         "",
     );
+}
+
+#[test]
+fn run_rejects_unknown_and_removed_policy_values() {
+    for args in [
+        &["--schedule", "bogus"][..],
+        &["--detector", "bogus"],
+        &["--schedule", "steal"],
+        &["--schedule", "backoff"],
+        &["--no-steal"],
+        &["--degrade-threshold", "0.5"],
+        &["--degrade-window", "4"],
+    ] {
+        let argv: Vec<&str> = ["run", "pmd", "--scale", "8"]
+            .into_iter()
+            .chain(args.iter().copied())
+            .collect();
+        assert_usage_error(env!("CARGO_BIN_EXE_janus-run"), &argv, "");
+    }
 }

@@ -13,13 +13,17 @@ use janus::core::{Janus, PanicPolicy, Store, Task, TxView};
 use janus::detect::SequenceDetector;
 use janus::fault::{FaultKind, FaultPlan, FaultSite};
 use janus::relational::Value;
-use janus::sched::{Affinity, Backoff, ExactFootprints, Fifo, SchedulePolicy};
+use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
 
-/// The three policies, with footprints for affinity routing.
+/// The three policies: fifo, round-robin sealed lanes (no footprint
+/// signal), and sealed lanes routed by footprint.
 fn policies(fps: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
     vec![
         ("fifo", Arc::new(Fifo)),
-        ("backoff", Arc::new(Backoff::new(5))),
+        (
+            "sealed",
+            Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
+        ),
         (
             "affinity",
             Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
@@ -137,42 +141,4 @@ fn retry_budget_escalation_terminates_a_conflicting_pair_under_every_policy() {
             "{name}: escalated retries still serialize to the correct sum"
         );
     }
-}
-
-#[test]
-fn escalation_with_degradation_controller_shares_the_serial_token() {
-    // With a degradation controller configured, escalated retries take
-    // the controller's token (counted as serial retries) instead of the
-    // run-level one.
-    let sites: Vec<FaultSite> = (1..=4u64)
-        .flat_map(|t| {
-            (0..3u32).map(move |a| FaultSite {
-                kind: FaultKind::ForcedConflict,
-                subject: t,
-                attempt: a,
-            })
-        })
-        .collect();
-    let mut store = Store::new();
-    let work = store.alloc("work", Value::int(0));
-    let tasks: Vec<Task> = (1..=4i64)
-        .map(|d| Task::new(move |tx: &mut TxView| tx.add(work, d)))
-        .collect();
-    let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-        .threads(2)
-        .degrade(janus::sched::DegradeConfig {
-            window: 64, // never fills: only escalation touches the token
-            threshold: 1.0,
-        })
-        .max_attempts(2)
-        .faults(Arc::new(FaultPlan::from_sites(sites)))
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, 4);
-    assert_eq!(outcome.stats.retry_budget_escalations, 4);
-    assert!(
-        outcome.sched.serial_retries >= 4,
-        "escalated attempts are counted as serial retries (got {})",
-        outcome.sched.serial_retries
-    );
-    assert_eq!(outcome.store.value(work), Some(&Value::int(10)));
 }

@@ -1,21 +1,19 @@
 //! Scheduling-policy equivalence under high contention: whatever policy
-//! dispatches the tasks — and whether or not serial-fallback degradation
-//! kicks in — the protocol's outcome guarantees are unchanged.
+//! dispatches the tasks, the protocol's outcome guarantees are unchanged.
 //!
-//! * Commutative (add-only) task sets: every policy × degradation
-//!   setting commits all tasks and lands on exactly the sequential
-//!   final store, for random thread counts and hotspot skews.
+//! * Commutative (add-only) task sets: every policy commits all tasks
+//!   and lands on exactly the sequential final store, for random thread
+//!   counts and hotspot skews.
 //! * Order-sensitive tasks under `ordered(true)`: every policy equals
-//!   the sequential outcome bit for bit.
+//!   the sequential outcome bit for bit, including a chain sealed onto
+//!   one lane.
 
 use std::sync::Arc;
 
 use janus::core::{Janus, Store, Task, TxView};
 use janus::detect::WriteSetDetector;
 use janus::relational::Value;
-use janus::sched::{
-    Affinity, Backoff, DegradeConfig, ExactFootprints, Fifo, SchedulePolicy, WorkSteal,
-};
+use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 /// One add-only task: bump location `loc` by `delta`. Addition commutes,
@@ -40,18 +38,16 @@ fn add_task_strategy(cold: usize) -> impl Strategy<Value = AddTask> {
 fn policies(footprints: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
     vec![
         ("fifo", Arc::new(Fifo)),
-        ("backoff", Arc::new(Backoff::default())),
         (
             "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints.clone())))),
+            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints)))),
         ),
-        // Same routing with lanes sealed: the no-steal ablation must be
-        // just as correct, only slower on skewed queues.
+        // No footprint signal: placement round-robins by load, so hot
+        // tasks land on every lane and still race each other.
         (
-            "affinity-nosteal",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints))).without_stealing()),
+            "affinity-round-robin",
+            Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
         ),
-        ("steal", Arc::new(WorkSteal::new(0xA5))),
     ]
 }
 
@@ -60,7 +56,6 @@ fn run_policy(
     n_locs: usize,
     threads: usize,
     policy: Arc<dyn SchedulePolicy>,
-    degrade: bool,
 ) -> (u64, Vec<i64>) {
     let mut store = Store::new();
     let locs: Vec<_> = (0..n_locs)
@@ -79,16 +74,10 @@ fn run_policy(
             })
         })
         .collect();
-    let mut janus = Janus::new(Arc::new(WriteSetDetector::new()))
+    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
         .threads(threads)
-        .schedule(policy);
-    if degrade {
-        janus = janus.degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        });
-    }
-    let outcome = janus.run(store, built);
+        .schedule(policy)
+        .run(store, built);
     let finals = locs
         .iter()
         .map(|&l| outcome.store.value(l).and_then(Value::as_int).expect("int"))
@@ -113,20 +102,9 @@ proptest! {
         }
         let footprints: Vec<Vec<u64>> = tasks.iter().map(|t| vec![t.loc as u64]).collect();
         for (label, policy) in policies(footprints) {
-            for degrade in [false, true] {
-                let (commits, finals) =
-                    run_policy(&tasks, n_locs, threads, Arc::clone(&policy), degrade);
-                prop_assert_eq!(
-                    commits,
-                    tasks.len() as u64,
-                    "{} (degrade {}): all tasks commit", label, degrade
-                );
-                prop_assert_eq!(
-                    &finals,
-                    &expected,
-                    "{} (degrade {}) @ {} threads", label, degrade, threads
-                );
-            }
+            let (commits, finals) = run_policy(&tasks, n_locs, threads, policy);
+            prop_assert_eq!(commits, tasks.len() as u64, "{}: all tasks commit", label);
+            prop_assert_eq!(&finals, &expected, "{} @ {} threads", label, threads);
         }
     }
 
@@ -137,7 +115,7 @@ proptest! {
     ) {
         // Order-sensitive hot chain: x := x * 3 + d. Only the submission
         // order produces the sequential value, so ordered commit must
-        // hold under every policy (degradation is a no-op when ordered).
+        // hold under every policy.
         let mut store = Store::new();
         let x = store.alloc("x", Value::int(1));
         let build = |deltas: &[i64]| -> Vec<Task> {
@@ -168,64 +146,11 @@ proptest! {
 }
 
 #[test]
-fn stealing_from_one_hot_lane_preserves_sums_and_engages_thieves() {
-    // Every task carries the same footprint, so affinity routing piles
-    // the whole batch onto one worker's lane; the other three workers
-    // have nothing of their own and must steal. Tasks write disjoint
-    // locations (no conflicts) but take real time, so the hot lane
-    // cannot drain before the thieves arrive.
-    let n = 48usize;
-    let mut store = Store::new();
-    let locs: Vec<_> = (0..n)
-        .map(|i| store.alloc(format!("d{i}").as_str(), Value::int(0)))
-        .collect();
-    let tasks: Vec<Task> = locs
-        .iter()
-        .map(|&loc| {
-            Task::new(move |tx: &mut TxView| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                let v = tx.read_int(loc);
-                tx.write(loc, v + 1);
-            })
-        })
-        .collect();
-    let footprints = vec![vec![0u64]; n];
-    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .schedule(Arc::new(Affinity::new(Arc::new(ExactFootprints(
-            footprints,
-        )))))
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, n as u64);
-    for &l in &locs {
-        assert_eq!(outcome.store.value(l), Some(&Value::int(1)));
-    }
-    let steal = &outcome.sched.steal;
-    assert!(
-        steal.batches > 0,
-        "idle workers must steal from the hot lane (attempts {})",
-        steal.attempts
-    );
-    assert!(
-        steal.stolen_tasks >= steal.batches,
-        "batches move >= 1 task"
-    );
-    assert!(
-        steal.queue_depth.count() == steal.batches,
-        "one victim-depth sample per successful steal"
-    );
-    assert_eq!(
-        outcome.sched.dispatched, n as u64,
-        "stealing never duplicates or drops a dispatch"
-    );
-}
-
-#[test]
-fn ordered_hot_lane_with_stealing_matches_sequential_exactly() {
-    // The hostile combination from the issue: an order-sensitive chain,
-    // all routed to one lane, stealing enabled, commits pinned to
-    // submission order. Thieves may run tasks out of line but the turn
-    // gate must still serialize the visible effects.
+fn ordered_hot_lane_on_sealed_lanes_matches_sequential_exactly() {
+    // An order-sensitive chain whose shared footprint routes every task
+    // onto one sealed lane: the other workers find their lanes empty and
+    // leave at once, and the lone owner commits the chain in submission
+    // order.
     let n = 24usize;
     let mut store = Store::new();
     let x = store.alloc("x", Value::int(1));
@@ -251,69 +176,10 @@ fn ordered_hot_lane_with_stealing_matches_sequential_exactly() {
             )))))
             .run(store.clone(), build());
         assert_eq!(outcome.stats.commits, n as u64);
+        assert_eq!(outcome.stats.retries, 0, "one lane never races itself");
+        assert_eq!(outcome.sched.dispatched, n as u64);
+        assert_eq!(outcome.sched.affinity_routed, n as u64 - 1);
         let got = outcome.store.value(x).and_then(Value::as_int).expect("int");
-        assert_eq!(got, expected, "ordered stealing run @ {threads} threads");
+        assert_eq!(got, expected, "ordered sealed-lane run @ {threads} threads");
     }
-}
-
-#[test]
-fn degradation_with_stealing_still_sums_correctly() {
-    // Degradation active while thieves roam: the serial-fallback guard
-    // and the steal path must compose without losing a commit.
-    let mut store = Store::new();
-    let hot = store.alloc("hot", Value::int(0));
-    let tasks: Vec<Task> = (1..=48i64)
-        .map(|d| {
-            Task::new(move |tx: &mut TxView| {
-                let v = tx.read_int(hot);
-                tx.write(hot, v + d);
-            })
-        })
-        .collect();
-    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .schedule(Arc::new(WorkSteal::new(11)))
-        .degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        })
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, 48);
-    assert_eq!(
-        outcome.store.value(hot),
-        Some(&Value::int((1..=48).sum::<i64>()))
-    );
-}
-
-#[test]
-fn degradation_under_a_pure_hotspot_still_sums_correctly() {
-    // Deterministic high-contention case outside proptest: 48 tasks all
-    // read-modify-write one location, aggressive degradation settings.
-    let mut store = Store::new();
-    let hot = store.alloc("hot", Value::int(0));
-    let tasks: Vec<Task> = (1..=48i64)
-        .map(|d| {
-            Task::new(move |tx: &mut TxView| {
-                let v = tx.read_int(hot);
-                tx.write(hot, v + d);
-            })
-        })
-        .collect();
-    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .schedule(Arc::new(Backoff::default()))
-        .degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        })
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, 48);
-    assert_eq!(
-        outcome.store.value(hot),
-        Some(&Value::int((1..=48).sum::<i64>()))
-    );
-    assert_eq!(
-        outcome.sched.backoff_waits, outcome.stats.retries,
-        "every conflict abort backs off exactly once"
-    );
 }
