@@ -18,25 +18,10 @@ use std::sync::Arc;
 use janus_bench::report::{bar, f2, pct, render_table};
 use janus_core::{Janus, Store, Task};
 use janus_detect::SequenceDetector;
-use janus_fault::{CrashSite, FaultKind, FaultPlan, FaultSite};
+use janus_fault::{silence_injected_panics, CrashSite, FaultKind, FaultPlan, FaultSite};
 use janus_obs::{text_report, MetricsRegistry};
 use janus_relational::Value;
 use janus_wal::{recover, FsyncPolicy, Wal};
-
-/// The faulted attribution entry injects panics on purpose; keep their
-/// backtraces out of the report. Genuine panics still print.
-fn quiet_injected_panics() {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.starts_with("janus-fault:"));
-        if !injected {
-            hook(info);
-        }
-    }));
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -270,7 +255,8 @@ fn main() {
     if all || has("--attribution") {
         eprintln!("recording lifecycle traces under write-set detection (quick={quick})...");
         println!("== Abort attribution: lifecycle traces under write-set detection ==");
-        quiet_injected_panics();
+        // The faulted attribution entry injects panics on purpose.
+        silence_injected_panics();
         for (name, trace, stats) in attribution_traces(quick) {
             let consistent = trace.count("commit") == stats.commits
                 && trace.count("abort") == stats.retries + stats.tasks_failed

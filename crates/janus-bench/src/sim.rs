@@ -35,22 +35,6 @@ pub struct SimMetrics {
     pub commits: u64,
     /// Aborted attempts.
     pub retries: u64,
-    /// Total CPU time spent executing task bodies (including retried
-    /// executions), in seconds.
-    pub exec_time: f64,
-    /// Total CPU time spent in conflict detection, in seconds.
-    pub detect_time: f64,
-}
-
-impl SimMetrics {
-    /// Retries per committed transaction.
-    pub fn retry_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.retries as f64 / self.commits as f64
-        }
-    }
 }
 
 /// An in-flight transaction awaiting its (virtual) completion.
@@ -131,22 +115,14 @@ pub fn simulate(
         virtual_wall: 0.0,
         commits: 0,
         retries: 0,
-        exec_time: 0.0,
-        detect_time: 0.0,
     };
 
-    let start_task = |store: &Store,
-                      task_idx: usize,
-                      thread: usize,
-                      at: f64,
-                      begin_clock: u64,
-                      metrics: &mut SimMetrics| {
+    let start_task = |store: &Store, task_idx: usize, thread: usize, at: f64, begin_clock: u64| {
         let snapshot = store.snapshot_state();
         let mut tx = store.begin();
         let t0 = Instant::now();
         tasks[task_idx].run(&mut tx);
         let d = t0.elapsed().as_secs_f64();
-        metrics.exec_time += d;
         Pending {
             finish: at + d,
             thread,
@@ -159,7 +135,7 @@ pub fn simulate(
 
     let initial = threads.min(tasks.len());
     for thread in 0..initial {
-        let p = start_task(&store, next_task, thread, 0.0, clock, &mut metrics);
+        let p = start_task(&store, next_task, thread, 0.0, clock);
         next_task += 1;
         heap.push(Reverse(ByFinish(p)));
     }
@@ -177,15 +153,13 @@ pub fn simulate(
         let window = HistoryWindow::new(&committed[(p.begin_clock - 1) as usize..]);
         let t0 = Instant::now();
         let conflict = detector.detect(&p.snapshot, &p.log, window);
-        let det = t0.elapsed().as_secs_f64();
-        metrics.detect_time += det;
-        let now = now + det;
+        let now = now + t0.elapsed().as_secs_f64();
 
         if conflict {
             metrics.retries += 1;
             let thread = p.thread;
             let task_idx = p.task_idx;
-            let p = start_task(&store, task_idx, thread, now, clock, &mut metrics);
+            let p = start_task(&store, task_idx, thread, now, clock);
             heap.push(Reverse(ByFinish(p)));
             continue;
         }
@@ -213,141 +187,13 @@ pub fn simulate(
 
         // The freed thread picks the next task.
         if next_task < tasks.len() {
-            let p = start_task(
-                &store,
-                next_task,
-                p.thread,
-                commit_time,
-                clock,
-                &mut metrics,
-            );
+            let p = start_task(&store, next_task, p.thread, commit_time, clock);
             next_task += 1;
             heap.push(Reverse(ByFinish(p)));
         }
     }
 
     debug_assert!(waiting.is_empty(), "ordered waiters must all be woken");
-    (store, metrics)
-}
-
-/// Simulates an unordered parallel run committing through the *sharded*
-/// store's per-shard locks instead of one global virtual lock.
-///
-/// The timeline discipline matches [`simulate`] — every body, conflict
-/// check and replay runs for real and is timed — but the commit
-/// serialization point is per shard: a committing transaction waits for
-/// `lock_free_at[s]` of exactly the shards its log touches (the ascending
-/// multi-lock of the real commit path collapses to a `max` in virtual
-/// time), so disjoint-shard commits overlap instead of queueing. This is
-/// the scaling experiment's substitute for a real multicore: with one
-/// global lock, 16 threads on disjoint footprints still commit one at a
-/// time; with per-shard locks they commit `shards`-wide.
-pub fn simulate_sharded(
-    store: Store,
-    tasks: &[Task],
-    detector: &Arc<dyn ConflictDetector>,
-    threads: usize,
-    shards: usize,
-) -> (Store, SimMetrics) {
-    assert!(shards >= 1, "at least one shard");
-    let mut store = store;
-    let mut heap: BinaryHeap<Reverse<ByFinish>> = BinaryHeap::new();
-    let mut committed: Vec<Arc<CommittedLog>> = Vec::new();
-    let mut clock: u64 = 1;
-    // Per-shard commit-lock release times; a commit waits only for the
-    // shards it touches.
-    let mut lock_free_at = vec![0.0f64; shards];
-    let mut next_task = 0usize;
-    let mut metrics = SimMetrics {
-        virtual_wall: 0.0,
-        commits: 0,
-        retries: 0,
-        exec_time: 0.0,
-        detect_time: 0.0,
-    };
-
-    let start_task = |store: &Store,
-                      task_idx: usize,
-                      thread: usize,
-                      at: f64,
-                      begin_clock: u64,
-                      metrics: &mut SimMetrics| {
-        let snapshot = store.snapshot_state();
-        let mut tx = store.begin();
-        let t0 = Instant::now();
-        tasks[task_idx].run(&mut tx);
-        let d = t0.elapsed().as_secs_f64();
-        metrics.exec_time += d;
-        Pending {
-            finish: at + d,
-            thread,
-            task_idx,
-            begin_clock,
-            snapshot,
-            log: CommittedLog::new(tx.into_log()),
-        }
-    };
-
-    let initial = threads.min(tasks.len());
-    for thread in 0..initial {
-        let p = start_task(&store, next_task, thread, 0.0, clock, &mut metrics);
-        next_task += 1;
-        heap.push(Reverse(ByFinish(p)));
-    }
-
-    while let Some(Reverse(ByFinish(p))) = heap.pop() {
-        let now = p.finish;
-        let window = HistoryWindow::new(&committed[(p.begin_clock - 1) as usize..]);
-        let t0 = Instant::now();
-        let conflict = detector.detect(&p.snapshot, &p.log, window);
-        let det = t0.elapsed().as_secs_f64();
-        metrics.detect_time += det;
-        let now = now + det;
-
-        if conflict {
-            metrics.retries += 1;
-            let thread = p.thread;
-            let task_idx = p.task_idx;
-            let p = start_task(&store, task_idx, thread, now, clock, &mut metrics);
-            heap.push(Reverse(ByFinish(p)));
-            continue;
-        }
-
-        // COMMIT through the touched shards' virtual write locks only.
-        let mut touched: Vec<usize> = p.log.ops().iter().map(|op| op.loc.shard(shards)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let locks_free = touched
-            .iter()
-            .map(|&s| lock_free_at[s])
-            .fold(0.0f64, f64::max);
-        let commit_start = now.max(locks_free);
-        let t0 = Instant::now();
-        store.apply_log(p.log.ops());
-        let replay = t0.elapsed().as_secs_f64();
-        let commit_time = commit_start + replay;
-        committed.push(Arc::new(p.log));
-        for &s in &touched {
-            lock_free_at[s] = commit_time;
-        }
-        clock += 1;
-        metrics.commits += 1;
-        metrics.virtual_wall = metrics.virtual_wall.max(commit_time);
-
-        if next_task < tasks.len() {
-            let p = start_task(
-                &store,
-                next_task,
-                p.thread,
-                commit_time,
-                clock,
-                &mut metrics,
-            );
-            next_task += 1;
-            heap.push(Reverse(ByFinish(p)));
-        }
-    }
-
     (store, metrics)
 }
 
@@ -446,51 +292,6 @@ mod tests {
         let (sim_store, metrics) = simulate(store, &mk_tasks(), &det, 3, true);
         assert_eq!(sim_store.value(x), seq_store.value(x));
         assert_eq!(metrics.commits, 6);
-    }
-
-    #[test]
-    fn sharded_simulation_matches_state_and_overlaps_disjoint_commits() {
-        // 16 tasks over 16 disjoint-class locations: every commit touches
-        // its own shard (mod collisions), so per-shard locks overlap
-        // commits that the single global lock serializes.
-        let mut store = Store::new();
-        let locs: Vec<_> = (0..16)
-            .map(|i| store.alloc(format!("cls{i}").as_str(), Value::int(0)))
-            .collect();
-        let mk_tasks = || -> Vec<Task> {
-            locs.iter()
-                .map(|&l| {
-                    Task::new(move |tx: &mut janus_core::TxView| {
-                        tx.add(l, 1);
-                        janus_workloads::local_work(20_000);
-                    })
-                })
-                .collect()
-        };
-        let det: Arc<dyn ConflictDetector> = Arc::new(SequenceDetector::new());
-        let (s1, m1) = simulate_sharded(store.clone(), &mk_tasks(), &det, 8, 1);
-        let (s16, m16) = simulate_sharded(store.clone(), &mk_tasks(), &det, 8, 16);
-        for &l in &locs {
-            assert_eq!(s1.value(l), Some(&Value::int(1)));
-            assert_eq!(s16.value(l), s1.value(l));
-        }
-        assert_eq!(m1.commits, 16);
-        assert_eq!(m16.commits, 16);
-        assert_eq!(m16.retries, 0, "disjoint tasks never conflict");
-        // One shard degenerates to the global-lock simulator's timeline
-        // discipline; 16 shards must not be slower.
-        let wall = |shards| {
-            least_of_3(|| {
-                simulate_sharded(store.clone(), &mk_tasks(), &det, 8, shards)
-                    .1
-                    .virtual_wall
-            })
-        };
-        let (wall1, wall16) = (wall(1), wall(16));
-        assert!(
-            wall16 <= wall1 * 1.5,
-            "sharded commits must not serialize worse: {wall16} vs {wall1}"
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use janus_detect::{ConflictDetector, ValidationSession};
-use janus_fault::{FaultKind, FaultPlan};
+use janus_fault::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
 use janus_log::{CommittedLog, Fingerprint, HistoryWindow, Op, SHARD_SPACE};
 use janus_obs::{AbortReason, EventKind, Recorder, RingHandle};
 use janus_sched::{backoff, Fifo, Parker, SchedStats, SchedulePolicy, TaskSource};
@@ -1231,7 +1231,9 @@ impl Janus {
         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(plan) = &self.faults {
                 if plan.should_inject(FaultKind::TaskPanic, tid, attempt) {
-                    panic!("janus-fault: injected panic (task {tid}, attempt {attempt})");
+                    panic!(
+                        "{INJECTED_PANIC_PREFIX} injected panic (task {tid}, attempt {attempt})"
+                    );
                 }
             }
             task.run(&mut tx);

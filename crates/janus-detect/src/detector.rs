@@ -296,8 +296,8 @@ trait CellJudge: Sync {
 
     /// Whether sessions may dismiss history segments whose footprint
     /// fingerprint is disjoint from the transaction's (on by default;
-    /// the equivalence tests and benchmarks turn it off to compare
-    /// against exhaustive scanning).
+    /// the equivalence tests turn it off to compare against exhaustive
+    /// scanning).
     fn prefilter_enabled(&self) -> bool;
 
     /// Whether the cell's subsequences conflict, plus the rule that
@@ -620,7 +620,7 @@ impl ConflictDetector for WriteSetDetector {
 ///
 /// Exact, but each query costs a full re-evaluation of both subsequences;
 /// the paper keeps this mode for completeness and uses the cached
-/// detector in production. We benchmark it as ablation D3.
+/// detector in production; the gap is ablation D3 (DESIGN.md §4).
 #[derive(Debug)]
 pub struct SequenceDetector {
     relax: RelaxationSpec,

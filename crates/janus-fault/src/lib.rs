@@ -319,6 +319,33 @@ fn site_hash(seed: u64, kind: FaultKind, subject: u64, attempt: u32) -> u64 {
     (z ^ (z >> 31)) >> 11
 }
 
+/// The prefix of every panic message an injected
+/// [`FaultKind::TaskPanic`] raises; [`silence_injected_panics`] keys on it.
+pub const INJECTED_PANIC_PREFIX: &str = "janus-fault:";
+
+/// Whether a panic payload is an injected [`FaultKind::TaskPanic`]
+/// rather than a genuine panic.
+fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|s| s.starts_with(INJECTED_PANIC_PREFIX))
+}
+
+/// Installs, once per process, a panic hook that keeps injected panics'
+/// messages and backtraces out of the output. Genuine panics still go
+/// through the previously installed hook.
+pub fn silence_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !is_injected_panic(info.payload()) {
+                hook(info);
+            }
+        }));
+    });
+}
+
 /// A stable 64-bit key for string subjects (FNV-1a), used to address
 /// [`FaultKind::CacheMiss`] sites by location-class label.
 pub fn stable_key(label: &str) -> u64 {
@@ -474,6 +501,22 @@ mod tests {
         // The attempt coordinates are dense and ordered like the append.
         let attempts: Vec<u32> = CrashSite::ALL.iter().map(|s| s.attempt()).collect();
         assert_eq!(attempts, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn injected_panics_are_told_apart_from_genuine_ones() {
+        let (tid, attempt) = (3u64, 1u32);
+        // The runtime's task-panic injection site, verbatim.
+        let injected = std::panic::catch_unwind(|| {
+            panic!("{INJECTED_PANIC_PREFIX} injected panic (task {tid}, attempt {attempt})")
+        })
+        .expect_err("the injection site panics");
+        assert!(is_injected_panic(injected.as_ref()));
+        let genuine = std::panic::catch_unwind(|| panic!("index {tid} out of bounds"))
+            .expect_err("a genuine panic");
+        assert!(!is_injected_panic(genuine.as_ref()));
+        let literal = std::panic::catch_unwind(|| panic!("boom")).expect_err("a literal panic");
+        assert!(!is_injected_panic(literal.as_ref()));
     }
 
     #[test]

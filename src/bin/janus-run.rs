@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use janus::core::{Janus, PanicPolicy};
 use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, WriteSetDetector};
-use janus::fault::FaultPlan;
+use janus::fault::{silence_injected_panics, FaultPlan};
 use janus::obs::{chrome_trace_json, text_report, MetricsRegistry, Recorder, Snapshot};
 use janus::sat::global_solver_stats;
 use janus::sched::{Affinity, ExactFootprints, SchedulePolicy, ShardFootprints, TrainedFootprints};
@@ -425,18 +425,8 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
     if panic_policy == PanicPolicy::Isolate && fault_plan.is_some() {
         // Injected panics are expected by construction: keep their
-        // backtraces out of the chaos run's output. Genuine panics
-        // still print through the default hook.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("janus-fault:"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
+        // backtraces out of the chaos run's output.
+        silence_injected_panics();
     }
     let outcome = janus.run(scenario.store, scenario.tasks);
 

@@ -72,7 +72,7 @@ use janus::block::{
 };
 use janus::core::{Janus, PanicPolicy, Store, Task};
 use janus::detect::{ConflictDetector, SequenceDetector, WriteSetDetector};
-use janus::fault::FaultPlan;
+use janus::fault::{silence_injected_panics, FaultPlan};
 use janus::log::LocId;
 use janus::obs::MetricsRegistry;
 use janus::relational::Value;
@@ -391,17 +391,16 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let parsed = (|| -> Result<(usize, usize, usize, usize, u32, u64), String> {
+    let parsed = (|| -> Result<(usize, usize, usize, usize, u64), String> {
         Ok((
             args.numeric("threads", 4)?,
             args.numeric("shards", 8)?,
             args.numeric("locs", 64)?,
             args.numeric("max-inflight", 4)?,
-            args.numeric("max-attempts", 0u32)?,
             args.numeric("watchdog-ms", 0u64)?,
         ))
     })();
-    let (threads, shards, locs, max_inflight, max_attempts, watchdog_ms) = match parsed {
+    let (threads, shards, locs, max_inflight, watchdog_ms) = match parsed {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -416,6 +415,14 @@ fn main() -> ExitCode {
         eprintln!("error: flag --shards: expected a count in 1..=64, got {shards}");
         return usage();
     }
+    let max_attempts = match args.value("max-attempts").map(str::parse::<u32>) {
+        None => None,
+        Some(Ok(n)) if n >= 1 => Some(n),
+        Some(_) => {
+            eprintln!("error: flag --max-attempts: expected a positive attempt budget");
+            return usage();
+        }
+    };
     let mode = match args.value("mode").unwrap_or("pipelined") {
         "pipelined" => PipelineMode::Pipelined,
         "barrier" => PipelineMode::Barrier,
@@ -518,8 +525,8 @@ fn main() -> ExitCode {
         .shards(shards)
         .ordered(args.flag("ordered"))
         .panic_policy(panic_policy);
-    if max_attempts > 0 {
-        janus = janus.max_attempts(max_attempts);
+    if let Some(budget) = max_attempts {
+        janus = janus.max_attempts(budget);
     }
     if watchdog_ms > 0 {
         janus = janus.watchdog(std::time::Duration::from_millis(watchdog_ms));
@@ -532,21 +539,9 @@ fn main() -> ExitCode {
             fault_seed,
             fault_rate.unwrap_or(FaultPlan::DEFAULT_RATE),
         )));
-        {
-            // Injected panics are expected (and block-scoped under
-            // either policy); keep their backtraces out of the service
-            // log. Genuine panics still print.
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.starts_with("janus-fault:"));
-                if !injected {
-                    default_hook(info);
-                }
-            }));
-        }
+        // Injected panics are expected (and block-scoped under either
+        // policy); keep their backtraces out of the service log.
+        silence_injected_panics();
     }
 
     let exec = BlockExecutor::new(janus, store, mode).with_seq_base(seq_base);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use janus::core::{Janus, PanicPolicy, Store, Task, TxView};
 use janus::detect::SequenceDetector;
-use janus::fault::{FaultKind, FaultPlan};
+use janus::fault::{silence_injected_panics, FaultKind, FaultPlan};
 use janus::obs::Recorder;
 use janus::relational::Value;
 use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
@@ -27,25 +27,6 @@ const LOCS: usize = 3;
 type Spec = Vec<(usize, i64)>;
 /// Task constructor: builds the workload from specs + allocated locations.
 type MkTasks = fn(&[Spec], &[janus::log::LocId]) -> Vec<Task>;
-
-/// Injected panics are expected output here; keep their backtraces out
-/// of the test log. Genuine panics (including proptest assertion
-/// failures) still print through the default hook.
-fn quiet_injected_panics() {
-    static QUIET: std::sync::Once = std::sync::Once::new();
-    QUIET.call_once(|| {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("janus-fault:"));
-            if !injected {
-                hook(info);
-            }
-        }));
-    });
-}
 
 fn alloc_locs(store: &mut Store) -> Vec<janus::log::LocId> {
     (0..LOCS)
@@ -124,7 +105,7 @@ fn check_chaos(
     budget: u32,
     mk: MkTasks,
 ) {
-    quiet_injected_panics();
+    silence_injected_panics();
     let mut store = Store::new();
     let locs = alloc_locs(&mut store);
     let recorder = Recorder::new();
@@ -252,7 +233,7 @@ fn same_seed_same_injected_site_sequence() {
 /// number of attempts and retry identically.
 #[test]
 fn same_seed_fails_the_same_tasks() {
-    quiet_injected_panics();
+    silence_injected_panics();
     let run = || {
         let mut store = Store::new();
         let locs: Vec<_> = (0..16)
@@ -280,7 +261,7 @@ fn same_seed_fails_the_same_tasks() {
 /// that means six consecutive tombstoned turns.
 #[test]
 fn saturated_fault_rate_still_terminates() {
-    quiet_injected_panics();
+    silence_injected_panics();
     for ordered in [false, true] {
         let mut store = Store::new();
         let work = store.alloc("work", Value::int(0));

@@ -41,6 +41,7 @@ fn serve_rejects_out_of_range_numbers() {
         &["--shards", "0"],
         &["--shards", "65"],
         &["--max-attempts", "4294967296"],
+        &["--max-attempts", "0"],
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_janus-serve"), args, "quit\n");
     }

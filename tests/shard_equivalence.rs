@@ -16,31 +16,13 @@ use std::sync::Arc;
 
 use janus::core::{Janus, PanicPolicy, Store, Task, TxView};
 use janus::detect::{ConflictDetector, SequenceDetector, WriteSetDetector};
-use janus::fault::{FaultKind, FaultPlan, FaultSite};
+use janus::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultSite};
 use janus::relational::Value;
 use proptest::prelude::*;
 
 /// The shard counts under test: degenerate, tiny, the default, and the
 /// full hint space.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 8, 64];
-
-/// Injected panics are expected by construction in the chaos cases; keep
-/// their backtraces out of the test output.
-fn quiet_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("janus-fault:"));
-            if !injected {
-                hook(info);
-            }
-        }));
-    });
-}
 
 /// One add-only task: bump location `loc` by `delta`. Addition commutes,
 /// so any commit order yields the sequential sums.
@@ -178,7 +160,7 @@ proptest! {
         fault_seed in 0u64..64,
         rate_pct in 5u32..35,
     ) {
-        quiet_injected_panics();
+        silence_injected_panics();
         let run = |shards: usize| {
             let mut store = Store::new();
             let locs: Vec<_> = (0..12)
