@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 mod cnf;
-pub mod dimacs;
 mod prop;
 mod solver;
 

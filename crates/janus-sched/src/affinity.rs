@@ -79,44 +79,6 @@ impl FootprintPredictor for TrainedFootprints {
     }
 }
 
-/// Coarsens another predictor's location keys to *shard* identities: key
-/// `k` becomes `LocId(k).shard(n)`. With the sharded runtime, two tasks
-/// conflict on the store's commit path only when they touch the same
-/// shard, so routing at shard granularity serializes exactly the tasks
-/// that would contend for the same shard locks — a coarser but cheaper
-/// signal than exact location overlap (and one that matches what the
-/// commit path actually locks).
-#[derive(Debug, Clone)]
-pub struct ShardFootprints {
-    inner: Arc<dyn FootprintPredictor>,
-    shards: usize,
-}
-
-impl ShardFootprints {
-    /// Wraps `inner`, folding its keys onto `shards` shards (must match
-    /// the runtime's `Janus::shards` setting for the signal to be exact).
-    pub fn new(inner: Arc<dyn FootprintPredictor>, shards: usize) -> Self {
-        ShardFootprints {
-            inner,
-            shards: shards.max(1),
-        }
-    }
-}
-
-impl FootprintPredictor for ShardFootprints {
-    fn footprint(&self, task: usize) -> Vec<u64> {
-        let mut shards: Vec<u64> = self
-            .inner
-            .footprint(task)
-            .into_iter()
-            .map(|k| janus_log::LocId(k).shard(self.shards) as u64)
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
-}
-
 /// Routes tasks to workers by predicted footprint overlap onto sealed
 /// lanes. Aborts (which still happen when predictions miss) back off on
 /// a deterministic curve seeded by `seed`.
@@ -321,46 +283,6 @@ mod tests {
         );
         let stats = source.stats();
         assert_eq!((stats.backoff_waits, stats.backoff_steps), (1, hint.steps));
-    }
-
-    #[test]
-    fn shard_footprints_coarsen_keys_to_shards() {
-        use janus_log::{ClassId, LocId, SHARD_BITS};
-
-        // Two locations of one class (same shard hint, distinct ids) and
-        // one of another class. At shard granularity the class mates
-        // collapse to a single key.
-        let hint_a = ClassId::new("queue").shard_hint();
-        let hint_b = ClassId::new("stats").shard_hint();
-        let loc = |counter: u64, hint: u64| (counter << SHARD_BITS) | hint;
-        let exact = exact(&[&[loc(0, hint_a), loc(1, hint_a)], &[loc(2, hint_b)], &[]]);
-        let shards = 8;
-        let p = ShardFootprints::new(Arc::clone(&exact), shards);
-        assert_eq!(
-            p.footprint(0),
-            vec![LocId(loc(0, hint_a)).shard(shards) as u64],
-            "class mates share a shard key"
-        );
-        assert_eq!(
-            p.footprint(1),
-            vec![LocId(loc(2, hint_b)).shard(shards) as u64]
-        );
-        assert_eq!(p.footprint(2), Vec::<u64>::new());
-        // Every key is a valid shard index.
-        for task in 0..3 {
-            for k in p.footprint(task) {
-                assert!((k as usize) < shards);
-            }
-        }
-        // The wrapped predictor composes with the affinity policy.
-        let policy = Affinity::new(Arc::new(p));
-        let source = policy.bind(3, 2);
-        let source = &source;
-        let mut seen: Vec<usize> = (0..2)
-            .flat_map(|w| std::iter::from_fn(move || source.next_task(w).map(|d| d.task)))
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     #[test]

@@ -34,9 +34,7 @@ pub mod backoff;
 mod policy;
 mod stats;
 
-pub use affinity::{
-    Affinity, ExactFootprints, FootprintPredictor, ShardFootprints, TrainedFootprints,
-};
+pub use affinity::{Affinity, ExactFootprints, FootprintPredictor, TrainedFootprints};
 pub use backoff::{BackoffHint, Parker};
 pub use policy::{Dispatch, Fifo, SchedulePolicy, TaskSource};
 pub use stats::SchedStats;

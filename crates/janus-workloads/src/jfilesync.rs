@@ -124,25 +124,11 @@ impl Workload for JFileSync {
             })
             .collect();
 
-        // Each pair's sync walks the shared progress monitor (both stack
-        // lists), the root-URI cells, and the cancellation flag.
-        let footprint = vec![
-            started.items_loc().0,
-            started.size_loc().0,
-            weight.items_loc().0,
-            weight.size_loc().0,
-            root_src.loc().0,
-            root_tgt.loc().0,
-            canceled.loc().0,
-        ];
-        let footprints = vec![footprint; pairs.len()];
-
         let started_check = started.clone();
         let weight_check = weight.clone();
         Scenario {
             store,
             tasks,
-            footprints,
             check: Box::new(move |store| {
                 started_check.depth(store) == 0 && weight_check.depth(store) == 0
             }),

@@ -123,17 +123,11 @@ impl Workload for JGraphTColor {
             })
             .collect();
 
-        // Every node's coloring step reads/writes the shared color map,
-        // the scratch used-color set, and the running maximum.
-        let footprint = vec![color.loc().0, used.loc().0, max_color.loc().0];
-        let footprints = vec![footprint; nodes];
-
         let color_check = color.clone();
         let graph_check = graph;
         Scenario {
             store,
             tasks,
-            footprints,
             check: Box::new(move |store| {
                 // Proper coloring: no edge joins equal colors, everyone
                 // colored.

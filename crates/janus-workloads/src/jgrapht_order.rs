@@ -123,24 +123,11 @@ impl Workload for JGraphTOrder {
             })
             .collect();
 
-        // Each ordering step touches all six shared containers of the
-        // original entry point.
-        let footprint = vec![
-            saturation.loc().0,
-            degree_sum.loc().0,
-            sat_sum.loc().0,
-            buckets.loc().0,
-            marker.loc().0,
-            processed.loc().0,
-        ];
-        let footprints = vec![footprint; nodes];
-
         let saturation_check = saturation.clone();
         let expected_nodes = nodes;
         Scenario {
             store,
             tasks,
-            footprints,
             check: Box::new(move |store| {
                 saturation_check.entries(store).len() == expected_nodes
                     && processed.value(store) == expected_nodes as i64

@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 mod catalog;
-mod harness;
 mod inputs;
 mod jfilesync;
 mod jgrapht_color;
@@ -29,7 +28,6 @@ mod util;
 mod weka;
 
 pub use catalog::{all_workloads, workload_by_name};
-pub use harness::{run_workload, training_runs, DetectorKind, RunConfig, WorkloadMetrics};
 pub use inputs::{DirTree, Graph, InputSpec, SourceFile};
 pub use jfilesync::JFileSync;
 pub use jgrapht_color::JGraphTColor;
@@ -38,8 +36,9 @@ pub use pmd::Pmd;
 pub use util::local_work;
 pub use weka::Weka;
 
-use janus_core::{Store, Task};
+use janus_core::{Janus, Store, Task};
 use janus_detect::RelaxationSpec;
+use janus_train::TrainingRun;
 
 /// A ready-to-run instance of a workload: the initial store, the tasks,
 /// and a predicate validating the final state.
@@ -48,16 +47,8 @@ pub struct Scenario {
     pub store: Store,
     /// One task per loop iteration of the original benchmark.
     pub tasks: Vec<Task>,
-    /// Validates the final state (used by tests and the harness).
+    /// Validates the final state.
     pub check: Box<dyn Fn(&Store) -> bool + Send + Sync>,
-    /// Per-task predicted footprints: the `LocId` keys (as raw `u64`s,
-    /// the encoding `janus_sched`'s `FootprintPredictor` uses) each task
-    /// is expected to touch. Declared by the workload from what it
-    /// allocated — no sequential pre-run needed — so affinity scheduling
-    /// can route from them directly (`--footprints shard`). An empty
-    /// outer vector means "not declared"; an empty inner vector means
-    /// "task touches nothing shared".
-    pub footprints: Vec<Vec<u64>>,
 }
 
 /// One of the five evaluation benchmarks.
@@ -97,4 +88,18 @@ pub trait Workload: Send + Sync {
 
     /// Materializes a scenario from an input specification.
     fn build(&self, input: &InputSpec) -> Scenario;
+}
+
+/// Runs the workload's training inputs sequentially and collects the
+/// traces (Figure 6's offline path).
+pub fn training_runs(workload: &dyn Workload) -> Vec<TrainingRun> {
+    workload
+        .training_inputs()
+        .iter()
+        .map(|input| {
+            let scenario = workload.build(input);
+            let (_, run) = Janus::run_sequential(scenario.store, &scenario.tasks);
+            run
+        })
+        .collect()
 }

@@ -128,19 +128,9 @@ impl Workload for Pmd {
             .iter()
             .map(|f| f.tokens.iter().filter(|&&t| t % 16 == 0).count() as i64)
             .sum();
-        // Every file's rule pass funnels through the same shared context
-        // cells, attribute map, and report counter.
-        let footprint = vec![
-            ctx_filename.loc().0,
-            ctx_file.loc().0,
-            ctx_attrs.loc().0,
-            violations.loc().0,
-        ];
-        let footprints = vec![footprint; files.len()];
         Scenario {
             store,
             tasks,
-            footprints,
             check: Box::new(move |store| violations.value(store) == expected),
         }
     }

@@ -119,17 +119,10 @@ impl Workload for Weka {
             })
             .collect();
 
-        // Every iteration paints through the same brush and pixel
-        // relation; the conflict structure below that granularity is the
-        // detector's business, not the scheduler's.
-        let footprint = vec![canvas.brush_loc().0, canvas.pixels_loc().0];
-        let footprints = vec![footprint; nodes];
-
         let canvas_check = canvas.clone();
         Scenario {
             store,
             tasks,
-            footprints,
             check: Box::new(move |store| {
                 // Every node box was painted: at least nodes * box pixels
                 // distinct pixels exist.

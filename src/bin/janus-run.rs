@@ -6,7 +6,7 @@
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
 //!                            [--cache <file>]
-//!                            [--schedule fifo|affinity] [--footprints mine|shard]
+//!                            [--schedule fifo|affinity]
 //!                            [--panic-policy poison|isolate] [--max-attempts N]
 //!                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
 //!                            [--trace <file>] [--metrics]
@@ -33,11 +33,8 @@
 //! `--schedule` picks the dispatch policy: `fifo` (the default; one
 //! shared counter, immediate retry) or `affinity` (tasks routed by
 //! footprint overlap onto sealed per-worker lanes; an abort backs off
-//! on a deterministic curve). With affinity, `--footprints` picks the
-//! prediction source: `mine` (default) profiles a sequential hindsight
-//! pre-run, `shard` routes from the workload's declared footprints
-//! coarsened to shard identities — no pre-run, so the run starts
-//! immediately.
+//! on a deterministic curve). Affinity mines each task's footprint —
+//! its hindsight read/write set — from a sequential pre-run.
 //!
 //! The robustness flags drive the failure model: `--panic-policy
 //! isolate` survives task-body panics (the failed tasks are listed and
@@ -52,91 +49,30 @@ use std::sync::Arc;
 
 use janus::core::{Janus, PanicPolicy};
 use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, WriteSetDetector};
-use janus::fault::{silence_injected_panics, FaultPlan};
+use janus::fault::silence_injected_panics;
 use janus::obs::{chrome_trace_json, text_report, MetricsRegistry, Recorder, Snapshot};
 use janus::sat::global_solver_stats;
-use janus::sched::{Affinity, ExactFootprints, SchedulePolicy, ShardFootprints, TrainedFootprints};
+use janus::sched::{Affinity, SchedulePolicy, TrainedFootprints};
 use janus::train::{train, CommutativityCache, FrozenCache, OnlineLearningCache, TrainConfig};
 use janus::workloads::{all_workloads, training_runs, workload_by_name, InputSpec, Workload};
 
+mod cli;
+
+use cli::{usage_error, Args, Runtime};
+
+const USAGE: &str = "usage:
+  janus-run list
+  janus-run train <workload> [--no-abstraction] [--cache FILE]
+  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]
+                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]
+                           [--schedule fifo|affinity]
+                           [--panic-policy poison|isolate] [--max-attempts N]
+                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
+                           [--trace FILE] [--metrics]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--schedule fifo|affinity] [--footprints mine|shard]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
-}
-
-/// Flags that take a value. Everything else with a `--` prefix must be in
-/// [`BOOL_FLAGS`]; unknown flags are a usage error, not a silent no-op.
-const VALUE_FLAGS: &[&str] = &[
-    "detector",
-    "threads",
-    "shards",
-    "scale",
-    "seed",
-    "cache",
-    "trace",
-    "schedule",
-    "panic-policy",
-    "max-attempts",
-    "watchdog-ms",
-    "fault-seed",
-    "fault-rate",
-    "footprints",
-];
-const BOOL_FLAGS: &[&str] = &["no-abstraction", "metrics"];
-
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&name) {
-                    let value = iter
-                        .next()
-                        .filter(|v| !v.starts_with("--"))
-                        .ok_or_else(|| format!("flag --{name} requires a value"))?;
-                    flags.push((name.to_string(), Some(value)));
-                } else if BOOL_FLAGS.contains(&name) {
-                    flags.push((name.to_string(), None));
-                } else {
-                    return Err(format!("unknown flag --{name}"));
-                }
-            } else {
-                positional.push(arg);
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// A numeric flag value, defaulting when absent, erroring on garbage
-    /// (instead of silently substituting the default).
-    fn numeric<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{name}: invalid value {v:?}")),
-        }
-    }
 }
 
 fn cache_path(args: &Args, workload: &str) -> String {
@@ -228,68 +164,32 @@ fn cmd_run(args: &Args) -> ExitCode {
     };
     let w: &dyn Workload = workload.as_ref();
     let default_input = w.production_inputs()[0];
-    let (threads, scale, seed) = match (
-        args.numeric::<usize>("threads", 4),
-        args.numeric::<usize>("scale", default_input.scale),
-        args.numeric::<u64>("seed", default_input.seed),
-    ) {
-        (Ok(0), _, _) => {
-            eprintln!("error: flag --threads: expected at least 1 worker thread");
-            return usage();
-        }
-        (Ok(t), Ok(sc), Ok(se)) => (t, sc, se),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let shards = match args.numeric::<usize>("shards", 8) {
-        Ok(n) if (1..=64).contains(&n) => n,
-        Ok(n) => {
-            eprintln!("error: flag --shards: expected a count in 1..=64, got {n}");
-            return usage();
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+    let flags = (|| -> Result<_, String> {
+        Ok((
+            Runtime::parse(args)?,
+            args.numeric::<usize>("scale", default_input.scale)?,
+            args.numeric::<u64>("seed", default_input.seed)?,
+            args.one_of(
+                "detector",
+                &["sequence", "write-set", "cached", "online-learning"],
+            )?,
+            args.one_of("schedule", &["fifo", "affinity"])?,
+        ))
+    })();
+    let (rt, scale, seed, detector_name, schedule_name) = match flags {
+        Ok(flags) => flags,
+        Err(e) => return usage_error(USAGE, &e),
     };
     let input = InputSpec::new(scale, default_input.degree, seed);
 
-    // The fault plan is parsed before the detector so cache-miss
-    // injection can be threaded into cached detection.
-    let fault_rate = match args.value("fault-rate").map(str::parse::<f64>) {
-        None => None,
-        Some(Ok(r)) if (0.0..=1.0).contains(&r) => Some(r),
-        Some(_) => {
-            eprintln!("error: flag --fault-rate: expected a rate in [0, 1]");
-            return usage();
-        }
-    };
-    let fault_seed = match args.numeric::<u64>("fault-seed", 0) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let fault_plan = (args.value("fault-seed").is_some() || fault_rate.is_some()).then(|| {
-        Arc::new(FaultPlan::seeded(
-            fault_seed,
-            fault_rate.unwrap_or(FaultPlan::DEFAULT_RATE),
-        ))
-    });
-
-    let detector_name = args.value("detector").unwrap_or("sequence");
     let relax = w.relaxations();
     let mut cache_for_metrics: Option<Arc<FrozenCache>> = None;
     let detector: Arc<dyn ConflictDetector> = match detector_name {
         "write-set" => Arc::new(WriteSetDetector::new()),
-        "sequence" => Arc::new(SequenceDetector::with_relaxations(relax)),
         "online-learning" => {
             let mut d =
                 CachedSequenceDetector::with_relaxations(OnlineLearningCache::new(true), relax);
-            if let Some(plan) = &fault_plan {
+            if let Some(plan) = &rt.faults {
                 d = d.with_faults(Arc::clone(plan));
             }
             Arc::new(d)
@@ -305,7 +205,7 @@ fn cmd_run(args: &Args) -> ExitCode {
                     eprintln!("loaded {} cache entries from {path} (frozen)", cache.len());
                     cache_for_metrics = Some(Arc::clone(&cache));
                     let mut d = CachedSequenceDetector::with_relaxations(cache, relax);
-                    if let Some(plan) = &fault_plan {
+                    if let Some(plan) = &rt.faults {
                         d = d.with_faults(Arc::clone(plan));
                     }
                     Arc::new(d)
@@ -325,107 +225,40 @@ fn cmd_run(args: &Args) -> ExitCode {
                 }
             }
         }
-        other => {
-            eprintln!(
-                "error: flag --detector: expected write-set|sequence|cached|online-learning, \
-                 got {other:?}"
-            );
-            return usage();
-        }
+        _ => Arc::new(SequenceDetector::with_relaxations(relax)),
     };
 
     eprintln!(
-        "running {name} (scale={scale}, seed={seed}) on {threads} threads under {detector_name}..."
+        "running {name} (scale={scale}, seed={seed}) on {} threads under {detector_name}...",
+        rt.threads
     );
     let trace_path = args.value("trace").map(str::to_string);
     let want_metrics = args.flag("metrics");
     let recorder = (trace_path.is_some() || want_metrics).then(Recorder::new);
     let scenario = w.build(&input);
-    let schedule_name = args.value("schedule").unwrap_or("fifo");
-    let schedule: Arc<dyn SchedulePolicy> = match schedule_name {
-        "fifo" => Arc::new(janus::sched::Fifo),
-        "affinity" => match args.value("footprints").unwrap_or("mine") {
-            "mine" => {
-                // Hindsight profiling: mine each production task's exact
-                // footprint from a sequential pre-run on a cloned store,
-                // then route overlapping tasks to the same worker.
-                eprintln!("mining footprints from a sequential pre-run...");
-                let (_, training) = Janus::run_sequential(scenario.store.clone(), &scenario.tasks);
-                Arc::new(Affinity::new(Arc::new(
-                    TrainedFootprints::from_training_run(&training),
-                )))
-            }
-            "shard" => {
-                // No pre-run: route from the workload's declared
-                // footprints, coarsened to the shard identities the
-                // commit path actually locks. Skips the sequential
-                // mining pass that doubles wall-clock on large inputs.
-                if scenario.footprints.is_empty() {
-                    eprintln!(
-                        "error: workload {name} declares no footprints; use --footprints mine"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("routing by declared footprints at shard granularity (no pre-run)...");
-                Arc::new(Affinity::new(Arc::new(ShardFootprints::new(
-                    Arc::new(ExactFootprints(scenario.footprints.clone())),
-                    shards,
-                ))))
-            }
-            other => {
-                eprintln!("error: flag --footprints: expected mine|shard, got {other:?}");
-                return usage();
-            }
-        },
-        other => {
-            eprintln!("error: flag --schedule: expected fifo|affinity, got {other:?}");
-            return usage();
-        }
+    let schedule: Arc<dyn SchedulePolicy> = if schedule_name == "affinity" {
+        // Hindsight profiling: mine each production task's exact
+        // footprint from a sequential pre-run on a cloned store, then
+        // route overlapping tasks to the same worker.
+        eprintln!("mining footprints from a sequential pre-run...");
+        let (_, training) = Janus::run_sequential(scenario.store.clone(), &scenario.tasks);
+        Arc::new(Affinity::new(Arc::new(
+            TrainedFootprints::from_training_run(&training),
+        )))
+    } else {
+        Arc::new(janus::sched::Fifo)
     };
-    let panic_policy = match args.value("panic-policy").unwrap_or("poison") {
-        "poison" => PanicPolicy::Poison,
-        "isolate" => PanicPolicy::Isolate,
-        other => {
-            eprintln!("error: flag --panic-policy: expected poison|isolate, got {other:?}");
-            return usage();
-        }
-    };
-    let max_attempts = match args.value("max-attempts").map(str::parse::<u32>) {
-        None => None,
-        Some(Ok(n)) if n >= 1 => Some(n),
-        Some(_) => {
-            eprintln!("error: flag --max-attempts: expected a positive attempt budget");
-            return usage();
-        }
-    };
-    let watchdog_ms = match args.numeric::<u64>("watchdog-ms", 0) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let mut janus = Janus::new(Arc::clone(&detector))
-        .threads(threads)
-        .shards(shards)
+    let mut janus = rt
+        .apply(Janus::new(Arc::clone(&detector)))
         .ordered(w.ordered())
-        .schedule(schedule)
-        .panic_policy(panic_policy);
-    if let Some(budget) = max_attempts {
-        janus = janus.max_attempts(budget);
-    }
-    if watchdog_ms > 0 {
-        janus = janus.watchdog(std::time::Duration::from_millis(watchdog_ms));
-    }
-    if let Some(plan) = &fault_plan {
-        janus = janus.faults(Arc::clone(plan));
-    }
+        .schedule(schedule);
     if let Some(rec) = &recorder {
         janus = janus.recorder(Arc::clone(rec));
     }
-    if panic_policy == PanicPolicy::Isolate && fault_plan.is_some() {
+    if rt.panic_policy == PanicPolicy::Isolate && rt.faults.is_some() {
         // Injected panics are expected by construction: keep their
-        // backtraces out of the chaos run's output.
+        // backtraces out of the chaos run's output. Under `poison` the
+        // panic message is the run's only report, so it stays.
         silence_injected_panics();
     }
     let outcome = janus.run(scenario.store, scenario.tasks);
@@ -451,7 +284,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         + outcome.stats.tasks_failed
         + outcome.stats.retry_budget_escalations
         + outcome.stats.watchdog_fires;
-    if fault_plan.is_some() || robust > 0 {
+    if rt.faults.is_some() || robust > 0 {
         println!(
             "robustness: {} faults injected  {} tasks failed  {} budget escalations  \
              {} watchdog fires",
@@ -529,7 +362,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             if let Some(cache) = &cache_for_metrics {
                 metrics.absorb(cache.stats());
             }
-            if let Some(plan) = &fault_plan {
+            if let Some(plan) = &rt.faults {
                 metrics.absorb(plan.stats());
             }
             metrics.absorb(&global_solver_stats());
@@ -547,12 +380,12 @@ fn cmd_run(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse() {
+    let args = match Args::parse(
+        &["detector", "scale", "seed", "cache", "trace", "schedule"],
+        &["no-abstraction", "metrics"],
+    ) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+        Err(e) => return usage_error(USAGE, &e),
     };
     match args.positional.first().map(String::as_str) {
         Some("list") => cmd_list(),

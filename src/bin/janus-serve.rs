@@ -70,85 +70,24 @@ use std::sync::{Arc, Mutex};
 use janus::block::{
     Admission, AdmissionQueue, BlockExecutor, BlockOutcome, BlockStatus, PipelineMode, ServeStats,
 };
-use janus::core::{Janus, PanicPolicy, Store, Task};
+use janus::core::{Janus, Store, Task};
 use janus::detect::{ConflictDetector, SequenceDetector, WriteSetDetector};
-use janus::fault::{silence_injected_panics, FaultPlan};
+use janus::fault::silence_injected_panics;
 use janus::log::LocId;
 use janus::obs::MetricsRegistry;
 use janus::relational::Value;
 use janus::wal::{recover, FsyncPolicy, Wal};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  janus-serve [--threads N] [--shards N] [--locs N] [--mode pipelined|barrier]\n              [--ordered] [--max-inflight N] [--detector sequence|write-set]\n              [--panic-policy poison|isolate] [--max-attempts N] [--watchdog-ms N]\n              [--fault-seed N] [--fault-rate R] [--metrics] [--listen ADDR]\n              [--wal-dir DIR] [--wal-fsync always|every-n:N|interval-ms:N]"
-    );
-    ExitCode::from(2)
-}
+mod cli;
 
-const VALUE_FLAGS: &[&str] = &[
-    "threads",
-    "shards",
-    "locs",
-    "mode",
-    "max-inflight",
-    "detector",
-    "panic-policy",
-    "max-attempts",
-    "watchdog-ms",
-    "fault-seed",
-    "fault-rate",
-    "listen",
-    "wal-dir",
-    "wal-fsync",
-];
-const BOOL_FLAGS: &[&str] = &["ordered", "metrics"];
+use cli::{usage_error, Args, Runtime};
 
-struct Args {
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut flags = Vec::new();
-        let mut iter = std::env::args().skip(1);
-        while let Some(arg) = iter.next() {
-            let Some(name) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected argument {arg:?}"));
-            };
-            if VALUE_FLAGS.contains(&name) {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} requires a value"))?;
-                flags.push((name.to_string(), Some(value)));
-            } else if BOOL_FLAGS.contains(&name) {
-                flags.push((name.to_string(), None));
-            } else {
-                return Err(format!("unknown flag --{name}"));
-            }
-        }
-        Ok(Args { flags })
-    }
-
-    fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn numeric<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{name}: invalid value {v:?}")),
-        }
-    }
-}
+const USAGE: &str = "usage:
+  janus-serve [--threads N] [--shards N] [--locs N] [--mode pipelined|barrier]
+              [--ordered] [--max-inflight N] [--detector sequence|write-set]
+              [--panic-policy poison|isolate] [--max-attempts N] [--watchdog-ms N]
+              [--fault-seed N] [--fault-rate R] [--metrics] [--listen ADDR]
+              [--wal-dir DIR] [--wal-fsync always|every-n:N|interval-ms:N]";
 
 /// One protocol command, as handed to the pipeline consumer. Batches go
 /// through bounded admission; everything else is control plane.
@@ -384,95 +323,48 @@ fn serve_connection(
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse() {
+    let args = match Args::parse(
+        &[
+            "locs",
+            "mode",
+            "max-inflight",
+            "detector",
+            "listen",
+            "wal-dir",
+            "wal-fsync",
+        ],
+        &["ordered", "metrics"],
+    ) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+        Err(e) => return usage_error(USAGE, &e),
     };
-    let parsed = (|| -> Result<(usize, usize, usize, usize, u64), String> {
+    let flags = (|| -> Result<_, String> {
+        if let Some(arg) = args.positional.first() {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+        let wal_policy = args
+            .value("wal-fsync")
+            .unwrap_or("every-n:8")
+            .parse::<FsyncPolicy>()
+            .map_err(|e| format!("flag --wal-fsync: {e}"))?;
         Ok((
-            args.numeric("threads", 4)?,
-            args.numeric("shards", 8)?,
-            args.numeric("locs", 64)?,
-            args.numeric("max-inflight", 4)?,
-            args.numeric("watchdog-ms", 0u64)?,
+            Runtime::parse(&args)?,
+            args.positive::<usize>("locs", 64)?,
+            args.positive::<usize>("max-inflight", 4)?,
+            match args.one_of("mode", &["pipelined", "barrier"])? {
+                "barrier" => PipelineMode::Barrier,
+                _ => PipelineMode::Pipelined,
+            },
+            match args.one_of("detector", &["sequence", "write-set"])? {
+                "write-set" => Arc::new(WriteSetDetector::new()) as Arc<dyn ConflictDetector>,
+                _ => Arc::new(SequenceDetector::new()),
+            },
+            wal_policy,
         ))
     })();
-    let (threads, shards, locs, max_inflight, watchdog_ms) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    if threads == 0 || locs == 0 || max_inflight == 0 {
-        eprintln!("error: --threads, --locs and --max-inflight must be at least 1");
-        return usage();
-    }
-    if !(1..=64).contains(&shards) {
-        eprintln!("error: flag --shards: expected a count in 1..=64, got {shards}");
-        return usage();
-    }
-    let max_attempts = match args.value("max-attempts").map(str::parse::<u32>) {
-        None => None,
-        Some(Ok(n)) if n >= 1 => Some(n),
-        Some(_) => {
-            eprintln!("error: flag --max-attempts: expected a positive attempt budget");
-            return usage();
-        }
-    };
-    let mode = match args.value("mode").unwrap_or("pipelined") {
-        "pipelined" => PipelineMode::Pipelined,
-        "barrier" => PipelineMode::Barrier,
-        other => {
-            eprintln!("error: flag --mode: expected pipelined|barrier, got {other:?}");
-            return usage();
-        }
-    };
-    let detector: Arc<dyn ConflictDetector> = match args.value("detector").unwrap_or("sequence") {
-        "sequence" => Arc::new(SequenceDetector::new()),
-        "write-set" => Arc::new(WriteSetDetector::new()),
-        other => {
-            eprintln!("error: flag --detector: expected sequence|write-set, got {other:?}");
-            return usage();
-        }
-    };
-    let panic_policy = match args.value("panic-policy").unwrap_or("poison") {
-        "poison" => PanicPolicy::Poison,
-        "isolate" => PanicPolicy::Isolate,
-        other => {
-            eprintln!("error: flag --panic-policy: expected poison|isolate, got {other:?}");
-            return usage();
-        }
-    };
-    let fault_rate = match args.value("fault-rate").map(str::parse::<f64>) {
-        None => None,
-        Some(Ok(r)) if (0.0..=1.0).contains(&r) => Some(r),
-        Some(_) => {
-            eprintln!("error: flag --fault-rate: expected a rate in [0, 1]");
-            return usage();
-        }
-    };
-    let fault_seed = match args.numeric::<u64>("fault-seed", 0) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-
-    let wal_policy = match args
-        .value("wal-fsync")
-        .unwrap_or("every-n:8")
-        .parse::<FsyncPolicy>()
-    {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: flag --wal-fsync: {e}");
-            return usage();
-        }
+    let (rt, locs, max_inflight, mode, detector, wal_policy) = match flags {
+        Ok(flags) => flags,
+        Err(e) => return usage_error(USAGE, &e),
     };
 
     let mut store = Store::new();
@@ -520,25 +412,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut janus = Janus::new(detector)
-        .threads(threads)
-        .shards(shards)
-        .ordered(args.flag("ordered"))
-        .panic_policy(panic_policy);
-    if let Some(budget) = max_attempts {
-        janus = janus.max_attempts(budget);
-    }
-    if watchdog_ms > 0 {
-        janus = janus.watchdog(std::time::Duration::from_millis(watchdog_ms));
-    }
+    let mut janus = rt.apply(Janus::new(detector)).ordered(args.flag("ordered"));
     if let Some(wal) = &wal {
         janus = janus.commit_sink(wal.sink());
     }
-    if args.value("fault-seed").is_some() || fault_rate.is_some() {
-        janus = janus.faults(Arc::new(FaultPlan::seeded(
-            fault_seed,
-            fault_rate.unwrap_or(FaultPlan::DEFAULT_RATE),
-        )));
+    if rt.faults.is_some() {
         // Injected panics are expected (and block-scoped under either
         // policy); keep their backtraces out of the service log.
         silence_injected_panics();
@@ -552,8 +430,9 @@ fn main() -> ExitCode {
     let metrics = args.flag("metrics");
 
     eprintln!(
-        "janus-serve: {threads} threads, {shards} shards, {locs} accounts, mode={mode:?}, \
-         max-inflight={max_inflight}"
+        "janus-serve: {} threads, {} shards, {locs} accounts, mode={mode:?}, \
+         max-inflight={max_inflight}",
+        rt.threads, rt.shards
     );
 
     if let Some(addr) = args.value("listen") {

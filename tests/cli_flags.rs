@@ -42,6 +42,9 @@ fn serve_rejects_out_of_range_numbers() {
         &["--shards", "65"],
         &["--max-attempts", "4294967296"],
         &["--max-attempts", "0"],
+        // A value never starts with `--`: the next flag is not swallowed
+        // as an address.
+        &["--listen", "--metrics"],
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_janus-serve"), args, "quit\n");
     }
@@ -66,6 +69,14 @@ fn run_rejects_unknown_and_removed_policy_values() {
         &["--no-steal"],
         &["--degrade-threshold", "0.5"],
         &["--degrade-window", "4"],
+        &["--footprints", "shard"],
+        // The runtime flags `janus-serve` shares.
+        &["--shards", "0"],
+        &["--shards", "65"],
+        &["--max-attempts", "0"],
+        &["--fault-rate", "2"],
+        &["--panic-policy", "bogus"],
+        &["--watchdog-ms", "x"],
     ] {
         let argv: Vec<&str> = ["run", "pmd", "--scale", "8"]
             .into_iter()

@@ -60,7 +60,7 @@ fn identity_tasks(work: LocId, n: usize) -> Vec<Task> {
         .collect()
 }
 
-fn run_workload(n: usize, recorder: Option<&Arc<Recorder>>) -> u64 {
+fn run_tasks(n: usize, recorder: Option<&Arc<Recorder>>) -> u64 {
     let mut store = Store::new();
     let work = store.alloc("work", Value::int(0));
     let tasks = identity_tasks(work, n);
@@ -122,9 +122,9 @@ fn tracing_allocation_budget() {
     // check an untraced run's allocation count is stable and a traced run
     // of the same workload adds only a bounded constant (registration,
     // ring growth, teardown) — nothing proportional to its event count.
-    run_workload(TASKS, None);
-    let untraced_a = run_workload(TASKS, None);
-    let untraced_b = run_workload(TASKS, None);
+    run_tasks(TASKS, None);
+    let untraced_a = run_tasks(TASKS, None);
+    let untraced_b = run_tasks(TASKS, None);
     let untraced = untraced_a.max(untraced_b);
     let jitter = untraced_a.abs_diff(untraced_b);
     assert!(
@@ -133,7 +133,7 @@ fn tracing_allocation_budget() {
     );
 
     let rec = Recorder::new();
-    let traced = run_workload(TASKS, Some(&rec));
+    let traced = run_tasks(TASKS, Some(&rec));
     let trace = rec.finish();
     assert!(
         trace.len() >= 2 * TASKS,
