@@ -106,17 +106,14 @@ impl Content {
     pub fn apply(&self, op: &RelOp, schema: &Schema) -> Content {
         let all_cols: Vec<usize> = (0..schema.arity()).collect();
         match op {
-            RelOp::Insert(t) => {
-                let dom = schema.key_columns();
-                self.clone()
-                    .and(Content::tuple_eq(&dom, t).not())
-                    .or(Content::tuple_eq(&all_cols, t))
-            }
+            RelOp::Insert(t) => self
+                .clone()
+                .and(Content::tuple_eq(schema.key_columns(), t).not())
+                .or(Content::tuple_eq(&all_cols, t)),
             RelOp::Remove(t) => self.clone().and(Content::tuple_eq(&all_cols, t).not()),
             RelOp::RemoveKey(k) => {
-                let dom = schema.key_columns();
                 let mut key_eq = Content::True;
-                for (&c, v) in dom.iter().zip(k.components()) {
+                for (&c, v) in schema.key_columns().iter().zip(k.components()) {
                     key_eq = key_eq.and(Content::Atom(c, v.clone()));
                 }
                 self.clone().and(key_eq.not())

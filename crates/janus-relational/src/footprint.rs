@@ -9,26 +9,29 @@
 //! run with "no instrumentation overhead beyond that of the write-set
 //! approach" (§3).
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::Scalar;
 
 /// The valuation of a relation's key columns, identifying one "cell" of a
 /// relational object (e.g. the index of a bit in a `BitSet`, the key of a
-/// `Map` entry).
+/// `Map` entry). Like a [`crate::Tuple`], its components are shared, so
+/// cloning a key is O(1).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(Vec<Scalar>);
+pub struct Key(Arc<[Scalar]>);
 
 impl Key {
     /// Creates a key from its component scalars (in key-column order).
-    pub fn new(components: Vec<Scalar>) -> Self {
-        Key(components)
+    pub fn new(components: impl Into<Arc<[Scalar]>>) -> Self {
+        Key(components.into())
     }
 
     /// A single-component key.
     pub fn scalar(s: impl Into<Scalar>) -> Self {
-        Key(vec![s.into()])
+        Key(Arc::new([s.into()]))
     }
 
     /// The key's components.
@@ -50,6 +53,14 @@ impl fmt::Display for Key {
     }
 }
 
+/// A key compares, orders and hashes exactly like its components, so
+/// keyed maps can be probed with a borrowed valuation.
+impl Borrow<[Scalar]> for Key {
+    fn borrow(&self) -> &[Scalar] {
+        &self.0
+    }
+}
+
 impl From<Vec<Scalar>> for Key {
     fn from(components: Vec<Scalar>) -> Self {
         Key::new(components)
@@ -61,13 +72,17 @@ impl From<Vec<Scalar>> for Key {
 /// keys.
 ///
 /// `All` is the conservative top element; overlap checks treat it as
-/// intersecting everything.
+/// intersecting everything. The constructors keep one canonical form per
+/// set — no key is `Empty`, one key is `One`, more are `Keys` — so most
+/// per-op footprints, which touch a single cell, allocate no set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CellSet {
     /// No cells.
     #[default]
     Empty,
-    /// The cells identified by these keys.
+    /// The one cell identified by this key.
+    One(Key),
+    /// The cells identified by these keys (at least two).
     Keys(BTreeSet<Key>),
     /// Every cell of the object (including absent ones — covers phantom
     /// reads by unconstrained selects).
@@ -82,18 +97,16 @@ impl CellSet {
 
     /// A singleton cell set.
     pub fn key(k: Key) -> Self {
-        let mut s = BTreeSet::new();
-        s.insert(k);
-        CellSet::Keys(s)
+        CellSet::One(k)
     }
 
     /// A cell set from an iterator of keys.
     pub fn keys(keys: impl IntoIterator<Item = Key>) -> Self {
-        let s: BTreeSet<Key> = keys.into_iter().collect();
-        if s.is_empty() {
-            CellSet::Empty
-        } else {
-            CellSet::Keys(s)
+        let mut s: BTreeSet<Key> = keys.into_iter().collect();
+        match s.len() {
+            0 => CellSet::Empty,
+            1 => CellSet::One(s.pop_first().expect("one key")),
+            _ => CellSet::Keys(s),
         }
     }
 
@@ -102,7 +115,7 @@ impl CellSet {
         match self {
             CellSet::Empty => true,
             CellSet::Keys(s) => s.is_empty(),
-            CellSet::All => false,
+            CellSet::One(_) | CellSet::All => false,
         }
     }
 
@@ -112,6 +125,7 @@ impl CellSet {
         match (self, other) {
             (CellSet::Empty, _) | (_, CellSet::Empty) => false,
             (CellSet::All, _) | (_, CellSet::All) => true,
+            (CellSet::One(k), s) | (s, CellSet::One(k)) => s.covers(k),
             (CellSet::Keys(a), CellSet::Keys(b)) => {
                 // Iterate the smaller set.
                 let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -124,6 +138,7 @@ impl CellSet {
     pub fn covers(&self, key: &Key) -> bool {
         match self {
             CellSet::Empty => false,
+            CellSet::One(k) => k == key,
             CellSet::Keys(s) => s.contains(key),
             CellSet::All => true,
         }
@@ -135,7 +150,9 @@ impl CellSet {
             (CellSet::Empty, _) => true,
             (_, CellSet::All) => true,
             (CellSet::All, _) => false,
+            (CellSet::One(k), s) => s.covers(k),
             (CellSet::Keys(a), CellSet::Keys(b)) => a.is_subset(b),
+            (CellSet::Keys(a), CellSet::One(k)) => a.iter().all(|x| x == k),
             (CellSet::Keys(a), CellSet::Empty) => a.is_empty(),
         }
     }
@@ -145,7 +162,8 @@ impl CellSet {
         match (self, other) {
             (CellSet::All, _) | (_, CellSet::All) => CellSet::All,
             (CellSet::Empty, s) | (s, CellSet::Empty) => s.clone(),
-            (CellSet::Keys(a), CellSet::Keys(b)) => CellSet::Keys(a.union(b).cloned().collect()),
+            (CellSet::One(a), CellSet::One(b)) if a == b => CellSet::One(a.clone()),
+            _ => CellSet::Keys(self.iter().chain(other.iter()).cloned().collect()),
         }
     }
 
@@ -154,12 +172,14 @@ impl CellSet {
         *self = self.union(other);
     }
 
-    /// The finite keys, if this set is finite.
-    pub fn as_keys(&self) -> Option<&BTreeSet<Key>> {
-        match self {
-            CellSet::Keys(s) => Some(s),
-            _ => None,
-        }
+    /// The finite keys, in ascending order (none for `Empty` and `All`).
+    pub fn iter(&self) -> impl Iterator<Item = &Key> {
+        let (one, many) = match self {
+            CellSet::One(k) => (Some(k), None),
+            CellSet::Keys(s) => (None, Some(s.iter())),
+            CellSet::Empty | CellSet::All => (None, None),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
     }
 }
 
@@ -168,9 +188,9 @@ impl fmt::Display for CellSet {
         match self {
             CellSet::Empty => write!(f, "∅"),
             CellSet::All => write!(f, "⊤"),
-            CellSet::Keys(s) => {
+            CellSet::One(_) | CellSet::Keys(_) => {
                 write!(f, "{{")?;
-                for (i, k) in s.iter().enumerate() {
+                for (i, k) in self.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }

@@ -51,6 +51,8 @@ impl Fd {
 pub struct Schema {
     columns: Vec<String>,
     fd: Option<Fd>,
+    /// [`Schema::key_columns`], computed once.
+    key_columns: Vec<usize>,
 }
 
 impl Schema {
@@ -59,6 +61,7 @@ impl Schema {
         Arc::new(Schema {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             fd: None,
+            key_columns: (0..columns.len()).collect(),
         })
     }
 
@@ -81,6 +84,7 @@ impl Schema {
         );
         Arc::new(Schema {
             columns: columns.iter().map(|c| c.to_string()).collect(),
+            key_columns: fd.domain().to_vec(),
             fd: Some(fd),
         })
     }
@@ -107,11 +111,8 @@ impl Schema {
 
     /// The columns that identify a tuple for matching purposes: the FD
     /// domain when an FD is present, otherwise all columns.
-    pub fn key_columns(&self) -> Vec<usize> {
-        match &self.fd {
-            Some(fd) => fd.domain().to_vec(),
-            None => (0..self.columns.len()).collect(),
-        }
+    pub fn key_columns(&self) -> &[usize] {
+        &self.key_columns
     }
 }
 
@@ -132,7 +133,7 @@ mod tests {
     #[test]
     fn fd_partition_is_validated() {
         let s = Schema::with_fd(&["k", "v"], Fd::new(&[0], &[1]));
-        assert_eq!(s.key_columns(), vec![0]);
+        assert_eq!(s.key_columns(), &[0]);
         assert_eq!(s.column_index("v"), Some(1));
         assert_eq!(s.column_index("missing"), None);
     }
@@ -152,14 +153,14 @@ mod tests {
     #[test]
     fn no_fd_keys_are_all_columns() {
         let s = Schema::new(&["a", "b"]);
-        assert_eq!(s.key_columns(), vec![0, 1]);
+        assert_eq!(s.key_columns(), &[0, 1]);
         assert!(s.fd().is_none());
     }
 
     #[test]
     fn multi_column_fd() {
         let s = Schema::with_fd(&["x", "y", "color"], Fd::new(&[0, 1], &[2]));
-        assert_eq!(s.key_columns(), vec![0, 1]);
+        assert_eq!(s.key_columns(), &[0, 1]);
         assert_eq!(s.arity(), 3);
     }
 }

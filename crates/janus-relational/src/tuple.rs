@@ -1,21 +1,23 @@
 //! Tuples: mappings from columns to scalar values.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::Scalar;
+use crate::{Key, Scalar};
 
 /// A tuple `t = (c1 : v1, ..., ck : vk)` over the columns of a
 /// [`crate::Schema`], stored positionally.
 ///
 /// Column names live in the schema; the tuple stores only the valuation.
-/// `t.get(c)` is the paper's `t_c`.
+/// `t.get(c)` is the paper's `t_c`. The valuation is shared, so cloning a
+/// tuple — into a relation, a log entry or a select result — is O(1).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tuple(Vec<Scalar>);
+pub struct Tuple(Arc<[Scalar]>);
 
 impl Tuple {
     /// Creates a tuple from a column valuation.
-    pub fn new(values: Vec<Scalar>) -> Self {
-        Tuple(values)
+    pub fn new(values: impl Into<Arc<[Scalar]>>) -> Self {
+        Tuple(values.into())
     }
 
     /// The number of columns.
@@ -44,6 +46,26 @@ impl Tuple {
     /// Panics if any column index is out of bounds.
     pub fn project(&self, columns: &[usize]) -> Vec<Scalar> {
         columns.iter().map(|&c| self.0[c].clone()).collect()
+    }
+
+    /// The projection onto the given columns as a [`Key`]. Projecting
+    /// onto every column in order shares the tuple's valuation instead of
+    /// copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any column index is out of bounds.
+    pub fn key(&self, columns: &[usize]) -> Key {
+        if columns.len() == self.0.len() && columns.iter().enumerate().all(|(i, &c)| i == c) {
+            Key::new(Arc::clone(&self.0))
+        } else {
+            Key::new(
+                columns
+                    .iter()
+                    .map(|&c| self.0[c].clone())
+                    .collect::<Arc<[_]>>(),
+            )
+        }
     }
 
     /// Whether two tuples agree on all the given columns.

@@ -115,17 +115,4 @@ proptest! {
             );
         }
     }
-
-    /// Lattice laws on relations.
-    #[test]
-    fn lattice_laws(a in initial_strategy(), b in initial_strategy()) {
-        prop_assert_eq!(a.union(&b).len(), b.union(&a).len());
-        prop_assert_eq!(a.intersection(&b).len(), b.intersection(&a).len());
-        prop_assert_eq!(
-            a.subtract(&b).len() + a.intersection(&b).len(),
-            a.len()
-        );
-        // Absorption: a ∪ (a ∩ b) = a.
-        prop_assert_eq!(a.union(&a.intersection(&b)), a.clone());
-    }
 }

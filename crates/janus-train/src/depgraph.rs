@@ -58,8 +58,8 @@ impl DependenceGraph {
                         .or_default()
                         .push(*node);
                 }
-                CellSet::Keys(keys) => {
-                    for k in keys {
+                CellSet::One(_) | CellSet::Keys(_) => {
+                    for k in accessed.iter() {
                         graph
                             .paths
                             .entry((op.loc, CellKey::Key(k.clone())))
