@@ -345,7 +345,7 @@ struct Attempt<'c> {
 /// What an executed attempt will publish, resolved outside the locks.
 struct CommitPlan {
     /// The attempt's log, decomposed exactly once for every validation
-    /// extension and (single-shard commits) the published segment.
+    /// pass and every published segment.
     log: Arc<CommittedLog>,
     /// The shards the log touches, ascending — the commit's lock order.
     touched: Vec<usize>,
@@ -367,8 +367,8 @@ impl CommitPlan {
         let mut touched: Vec<usize> = log.index().locs.keys().map(|l| l.shard(n)).collect();
         touched.sort_unstable();
         touched.dedup();
-        // The whole log when one shard holds the entire footprint (the
-        // common case under class affinity), else a per-shard split —
+        // The whole log when one shard holds the entire footprint, else
+        // a per-shard view sharing its ops and index entries —
         // publishing the full log to several shards would make
         // multi-shard validators see each operation once per shard.
         let publish = if touched.len() <= 1 {
@@ -376,15 +376,7 @@ impl CommitPlan {
         } else {
             touched
                 .iter()
-                .map(|&s| {
-                    let ops: Vec<Op> = log
-                        .ops()
-                        .iter()
-                        .filter(|op| op.loc.shard(n) == s)
-                        .cloned()
-                        .collect();
-                    Arc::new(CommittedLog::new(ops))
-                })
+                .map(|&s| Arc::new(log.restrict(|loc| loc.shard(n) == s)))
                 .collect()
         };
         CommitPlan {
@@ -402,13 +394,6 @@ struct Validation<'a> {
     session: Box<dyn ValidationSession + 'a>,
     validated: Vec<u64>,
     served_nonempty: bool,
-}
-
-/// How a `commit` stage ended: published, or handed back because a
-/// touched shard moved past what was validated.
-enum Commit<'c> {
-    Done,
-    Stale(Attempt<'c>),
 }
 
 /// The one wait in `RUNTASK`: parks `worker` in the ordered-wait phase
@@ -510,9 +495,9 @@ pub struct RunStats {
     /// Operations handed to per-cell conflict checks during this run —
     /// the cost driver incremental validation exists to bound.
     pub detect_ops_scanned: u64,
-    /// Validation attempts that, after the commit clock advanced
-    /// mid-validation, re-detected only the delta window instead of the
-    /// full window.
+    /// Residual passes: attempts whose touched shards moved between
+    /// the open validation and the commit locks, and that re-detected
+    /// only the moved entries under those locks. At most one per attempt.
     pub delta_revalidations: u64,
     /// History segments dismissed by the footprint-fingerprint prefilter
     /// without decomposition-index inspection (disjoint in O(1)).
@@ -1106,14 +1091,14 @@ impl Janus {
     /// `RUNTASK`, retried until it commits (or, under
     /// [`PanicPolicy::Isolate`], until its body panics and the task is
     /// recorded as failed): `begin` → `execute` → ordered turn →
-    /// `CommitPlan::new` → `validate` → `await_commit` → `commit`. A
-    /// conflict restarts from `begin`; a stale commit goes back to
-    /// `validate` for just the delta.
+    /// `CommitPlan::new` → `validate` → `await_commit` → `commit`, whose
+    /// residual pass under the locks validates whatever landed since
+    /// `validate`. A conflict in either pass restarts from `begin`.
     fn run_task(&self, task: &Task, mut t: TaskCtx<'_>) {
         let (tid, worker, ctx, obs) = (t.tid, t.worker, t.ctx, t.obs);
-        'restart: loop {
+        loop {
             let _token = self.serial_token(t);
-            let mut txn = self.begin(t);
+            let txn = self.begin(t);
             let ops = match self.execute(task, t, &txn) {
                 Ok(ops) => ops,
                 Err(payload) => return self.isolate_failure(t, txn, payload),
@@ -1136,21 +1121,14 @@ impl Janus {
                 validated: plan.touched.iter().map(|&s| txn.begin_pos[s]).collect(),
                 served_nonempty: false,
             };
-            loop {
-                if self.validate(t, &mut v, &plan) {
-                    self.abort(t, txn);
-                    t.attempt += 1;
-                    continue 'restart; // abort: rerun from scratch
-                }
-                if !self.await_commit(t, &plan) {
-                    return record_poisoned(obs, tid);
-                }
-                match self.commit(t, txn, &plan, &v.validated) {
-                    Commit::Done => break 'restart,
-                    // A shard evolved under us: re-validate the delta.
-                    Commit::Stale(back) => txn = back,
-                }
+            if self.validate(t, &mut v, &plan) {
+                self.abort(t, txn);
+            } else if !self.await_commit(t, &plan) {
+                return record_poisoned(obs, tid);
+            } else if self.commit(t, txn, &plan, &mut v) {
+                break;
             }
+            t.attempt += 1; // abort: rerun from scratch
         }
         if self.ordered {
             // Release pairs with successors' Acquire turn loads: taking
@@ -1248,13 +1226,12 @@ impl Janus {
     }
 
     /// `GETCOMMITTEDHISTORY` and the conflict check, per touched shard:
-    /// each read lock only clones `Arc`s to that shard's new committed
-    /// segments; detection runs with no lock held and no operation
-    /// copied. The first pass opens the window at the begin positions;
-    /// after a lost commit race only each shard's delta is fetched and
-    /// re-validated. Cross-shard concatenation order is irrelevant: the
-    /// detector checks per-location subsequences and every location
-    /// lives in exactly one shard. Returns whether the attempt conflicts.
+    /// each read lock only clones `Arc`s to that shard's committed
+    /// segments since the begin position; detection runs with no lock
+    /// held and no operation copied. Cross-shard concatenation order is
+    /// irrelevant: the detector checks per-location subsequences and
+    /// every location lives in exactly one shard. Returns whether the
+    /// attempt conflicts.
     fn validate(&self, t: TaskCtx<'_>, v: &mut Validation<'_>, plan: &CommitPlan) -> bool {
         let ctx = t.ctx;
         ctx.phases.set(t.worker, phase::VALIDATING, t.tid);
@@ -1264,21 +1241,29 @@ impl Janus {
         let mut delta: Vec<Arc<CommittedLog>> = Vec::new();
         for (k, &s) in plan.touched.iter().enumerate() {
             let g = ctx.shards()[s].data.read();
-            let head = g.head();
-            if head > v.validated[k] {
-                g.collect_from(v.validated[k], &mut delta);
-                v.validated[k] = head;
-            }
+            g.collect_from(v.validated[k], &mut delta);
+            v.validated[k] = g.head();
         }
+        // A forced conflict flips a clean verdict so the full genuine
+        // abort path (counters, events, backoff) runs; a
+        // real conflict is never masked.
+        self.extend(t, v, &delta)
+            || self
+                .faults
+                .as_ref()
+                .is_some_and(|plan| plan.should_inject(FaultKind::ForcedConflict, t.tid, t.attempt))
+    }
+
+    /// Feeds one pass's delta into the session, counting a non-empty
+    /// window: the first one opens the validation, a later one (the
+    /// residual pass) is a delta re-validation.
+    fn extend(&self, t: TaskCtx<'_>, v: &mut Validation<'_>, delta: &[Arc<CommittedLog>]) -> bool {
         if !delta.is_empty() {
+            let counters = &t.ctx.counters;
             let window_segments = delta.len() as u64;
-            ctx.counters
-                .zero_copy_windows
-                .fetch_add(1, Ordering::Relaxed);
+            counters.zero_copy_windows.fetch_add(1, Ordering::Relaxed);
             if v.served_nonempty {
-                ctx.counters
-                    .delta_revalidations
-                    .fetch_add(1, Ordering::Relaxed);
+                counters.delta_revalidations.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = t.obs {
                     o.record(EventKind::DeltaRevalidate { window_segments });
                 }
@@ -1287,14 +1272,7 @@ impl Janus {
             }
             v.served_nonempty = true;
         }
-        // A forced conflict flips a clean verdict so the full genuine
-        // abort path (counters, events, backoff) runs; a
-        // real conflict is never masked.
-        v.session.extend(&HistoryWindow::new(&delta))
-            || self
-                .faults
-                .as_ref()
-                .is_some_and(|plan| plan.should_inject(FaultKind::ForcedConflict, t.tid, t.attempt))
+        v.session.extend(&HistoryWindow::new(delta))
     }
 
     /// Closes a conflicting attempt: its registration is released first
@@ -1334,7 +1312,7 @@ impl Janus {
     /// sensitive point (validated, not yet committed). Then the
     /// cross-batch gate: a transaction whose footprint may intersect the
     /// predecessor batch parks until that batch is done; staleness
-    /// accrued meanwhile is caught by the commit's head check.
+    /// accrued meanwhile is caught by the commit's residual pass.
     fn await_commit(&self, t: TaskCtx<'_>, plan: &CommitPlan) -> bool {
         if let Some(faults) = &self.faults {
             if faults.should_inject(FaultKind::CommitStall, t.tid, t.attempt) {
@@ -1354,17 +1332,19 @@ impl Janus {
 
     /// `COMMIT`: write-lock exactly the touched shards, in ascending
     /// shard order (the global lock-ordering invariant that makes
-    /// per-shard commits deadlock-free), check no shard moved past what
-    /// was validated, then draw the ticket, replay, publish, report to
-    /// the sink and reclaim — all under the locks. A moved shard hands
-    /// the attempt back as [`Commit::Stale`].
-    fn commit<'c>(
+    /// per-shard commits deadlock-free). If a shard moved past what was
+    /// validated, the residual pass validates the moved entries from the
+    /// held guards — nothing can land meanwhile, so one pass is the last.
+    /// Then draw the ticket, replay, publish, report to the sink and
+    /// reclaim, all under the locks. Returns whether the attempt
+    /// committed; a residual conflict releases the locks and aborts it.
+    fn commit(
         &self,
-        t: TaskCtx<'c>,
-        txn: Attempt<'c>,
+        t: TaskCtx<'_>,
+        txn: Attempt<'_>,
         plan: &CommitPlan,
-        validated: &[u64],
-    ) -> Commit<'c> {
+        v: &mut Validation<'_>,
+    ) -> bool {
         let ctx = t.ctx;
         ctx.phases.set(t.worker, phase::COMMITTING, t.tid);
         let mut guards = Vec::with_capacity(plan.touched.len());
@@ -1373,8 +1353,15 @@ impl Janus {
             guards.push(ctx.shards()[s].data.write());
             ctx.shards()[s].stats.lock_wait(t0.elapsed());
         }
-        if guards.iter().zip(validated).any(|(g, &v)| g.head() != v) {
-            return Commit::Stale(txn);
+        let mut residual: Vec<Arc<CommittedLog>> = Vec::new();
+        for (g, validated) in guards.iter().zip(&mut v.validated) {
+            g.collect_from(*validated, &mut residual);
+            *validated = g.head();
+        }
+        if !residual.is_empty() && self.extend(t, v, &residual) {
+            drop(guards);
+            self.abort(t, txn);
+            return false;
         }
         // Draw the commit ticket while all touched shard locks are held:
         // two committers sharing a shard are fully ordered by that
@@ -1436,7 +1423,7 @@ impl Janus {
                 o.record(EventKind::GcReclaim { reclaimed });
             }
         }
-        Commit::Done
+        true
     }
 
     /// Closes a panicking attempt under [`PanicPolicy::Isolate`]: the
@@ -2040,6 +2027,53 @@ mod tests {
         assert_eq!(outcome.stats.commits, 8);
         assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
         assert!(sites.stats().injected_of(FaultKind::CommitStall) >= 8);
+    }
+
+    #[test]
+    fn commit_stalls_cost_at_most_one_residual_pass_per_attempt() {
+        // Every first attempt stalls between validation and the locks,
+        // so committers keep moving each other's heads: each attempt
+        // still validates at most twice (open + residual), and the
+        // write-set run's residual conflicts abort cleanly.
+        for det in [
+            Arc::new(SequenceDetector::new()) as Arc<dyn ConflictDetector>,
+            Arc::new(WriteSetDetector::new()),
+        ] {
+            let mut store = Store::new();
+            let work = store.alloc("work", Value::int(0));
+            let started = Arc::new(AtomicU64::new(0));
+            let tasks: Vec<Task> = (0..12)
+                .map(|_| {
+                    let started = Arc::clone(&started);
+                    Task::new(move |tx: &mut TxView| {
+                        tx.add(work, 1);
+                        started.fetch_add(1, Ordering::SeqCst);
+                        while started.load(Ordering::SeqCst) < 4 {
+                            std::thread::yield_now();
+                        }
+                        tx.add(work, -1);
+                    })
+                })
+                .collect();
+            let sites = (1..=12u64)
+                .map(|t| janus_fault::FaultSite {
+                    kind: FaultKind::CommitStall,
+                    subject: t,
+                    attempt: 0,
+                })
+                .collect();
+            let outcome = Janus::new(det)
+                .threads(4)
+                .faults(Arc::new(FaultPlan::from_sites(sites)))
+                .run(store, tasks);
+            let s = &outcome.stats;
+            assert_eq!(s.commits, 12);
+            assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
+            assert!(
+                s.delta_revalidations <= s.commits + s.retries,
+                "more than one residual pass in some attempt: {s:?}"
+            );
+        }
     }
 
     #[test]

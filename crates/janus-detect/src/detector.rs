@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use janus_log::{CellKey, ClassId, CommittedLog, HistoryWindow, LocId, Op};
+use janus_log::{CellKey, ClassId, CommittedLog, DecomposedLoc, HistoryWindow, LocId, Op};
 use janus_obs::{CheckReason, EventKind, RingHandle, Verdict};
 use janus_relational::{Key, Value};
 
@@ -393,56 +393,106 @@ impl<D: CellJudge + ?Sized> Session<'_, D> {
     /// accumulated committed subsequence for that location. Sound because
     /// a cell's verdict is a function of the two subsequences alone; the
     /// caller only invokes this for locations a new delta touched.
+    ///
+    /// The committed side is joined to the transaction's keys, never
+    /// folded whole: a first pass picks the segments that index the
+    /// location (no decomposition happens here — every segment was
+    /// decomposed once, at commit time), and on the keyed path only the
+    /// keys both sides index are resolved, so the cost follows the cells
+    /// the two sides share rather than everything the window touched.
     fn check_loc(&self, loc: LocId) -> bool {
         let ht = self.txn.loc(loc).expect("dirty location is txn-touched");
-        // Fold the accumulated committed subsequence for this location
-        // out of the per-segment indices (no decomposition happens here —
-        // every segment was decomposed once, at commit time).
         let mut c_has_whole = false;
-        let mut c_ops: Vec<&Op> = Vec::new();
-        let mut c_per_key: BTreeMap<&Key, Vec<&Op>> = BTreeMap::new();
-        for seg in &self.segments {
-            let Some(dc) = seg.loc(loc) else { continue };
-            c_has_whole |= dc.has_whole;
-            seg.resolve(&dc.ops, &mut c_ops);
-            for (k, idxs) in &dc.per_key {
-                seg.resolve(idxs, c_per_key.entry(k).or_default());
-            }
-        }
-        if c_ops.is_empty() {
+        let hits: Vec<(&CommittedLog, &DecomposedLoc)> = self
+            .segments
+            .iter()
+            .filter_map(|seg| {
+                let dc = seg.loc(loc)?;
+                c_has_whole |= dc.has_whole;
+                Some((&**seg, dc))
+            })
+            .collect();
+        if hits.is_empty() {
             return false;
         }
-        let entry_value = self.entry.value_of(loc);
         if ht.has_whole || c_has_whole {
             let mut t_ops: Vec<&Op> = Vec::with_capacity(ht.ops.len());
             self.txn.resolve(&ht.ops, &mut t_ops);
-            self.judge_cell(
+            let mut c_ops: Vec<&Op> = Vec::new();
+            for (seg, dc) in &hits {
+                seg.resolve(&dc.ops, &mut c_ops);
+            }
+            let entry_value = self.entry.value_of(loc);
+            return self.judge_cell(
                 loc,
                 &ht.class,
                 entry_value.as_ref(),
                 &CellKey::Whole,
                 &t_ops,
                 &c_ops,
-            )
-        } else {
-            for (key, t_idxs) in &ht.per_key {
-                let Some(c_key_ops) = c_per_key.get(key) else {
-                    continue;
-                };
-                let mut t_ops: Vec<&Op> = Vec::with_capacity(t_idxs.len());
-                self.txn.resolve(t_idxs, &mut t_ops);
-                let cell = CellKey::Key(key.clone());
-                // The subsequences of a per-key cell only touch that key,
-                // so sequence evaluation may run against a relation pruned
-                // to the key — avoiding whole-object clones per replay.
-                let pruned = entry_value.as_ref().map(|v| prune_to_key(v, key));
-                if self.judge_cell(loc, &ht.class, pruned.as_ref(), &cell, &t_ops, c_key_ops) {
-                    return true;
+            );
+        }
+        let shared = shared_keys(&ht.per_key, &hits);
+        if shared.is_empty() {
+            return false;
+        }
+        let entry_value = self.entry.value_of(loc);
+        let (mut t_ops, mut c_ops): (Vec<&Op>, Vec<&Op>) = (Vec::new(), Vec::new());
+        for key in shared {
+            t_ops.clear();
+            self.txn.resolve(&ht.per_key[key], &mut t_ops);
+            c_ops.clear();
+            for (seg, dc) in &hits {
+                if let Some(idxs) = dc.per_key.get(key) {
+                    seg.resolve(idxs, &mut c_ops);
                 }
             }
-            false
+            let cell = CellKey::Key(key.clone());
+            // The subsequences of a per-key cell only touch that key,
+            // so sequence evaluation may run against a relation pruned
+            // to the key — avoiding whole-object clones per replay.
+            let pruned = entry_value.as_ref().map(|v| prune_to_key(v, key));
+            if self.judge_cell(loc, &ht.class, pruned.as_ref(), &cell, &t_ops, &c_ops) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The keys the transaction's per-key index shares with at least one
+/// committed segment's, in key order (the order the transaction's index
+/// iterates them). Each segment is joined by walking both sorted indices
+/// in step: one comparison per key of either side, and no lookups.
+fn shared_keys<'k>(
+    txn: &'k BTreeMap<Key, Vec<u32>>,
+    hits: &[(&CommittedLog, &DecomposedLoc)],
+) -> Vec<&'k Key> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let mut shared: Vec<&'k Key> = Vec::new();
+    for (_, dc) in hits {
+        let (mut t, mut c) = (txn.keys().peekable(), dc.per_key.keys().peekable());
+        while let (Some(tk), Some(ck)) = (t.peek(), c.peek()) {
+            match tk.cmp(ck) {
+                Less => {
+                    t.next();
+                }
+                Greater => {
+                    c.next();
+                }
+                Equal => {
+                    shared.push(tk);
+                    t.next();
+                    c.next();
+                }
+            }
         }
     }
+    if hits.len() > 1 {
+        shared.sort_unstable();
+        shared.dedup();
+    }
+    shared
 }
 
 impl<D: CellJudge + ?Sized> ValidationSession for Session<'_, D> {
@@ -867,7 +917,7 @@ impl<O: SequenceOracle> ConflictDetector for CachedSequenceDetector<O> {
 mod tests {
     use super::*;
     use janus_log::{OpKind, ScalarOp};
-    use janus_relational::Scalar;
+    use janus_relational::{tuple, Fd, Formula, RelOp, Relation, Scalar, Schema};
 
     fn mk_ops(loc: u64, class: &str, kinds: Vec<OpKind>, entry: &mut MapState) -> Vec<Op> {
         let v = entry.0.entry(LocId(loc)).or_insert_with(|| Value::int(0));
@@ -1172,6 +1222,104 @@ mod tests {
         assert_eq!(by_class[0].1, 2);
         ws.stats().reset();
         assert!(ws.stats().conflicts_by_class().is_empty());
+    }
+
+    /// Keyed inserts of `keys` into a fresh `k → v` relation at `loc`.
+    fn keyed_inserts(loc: u64, class: &str, keys: &[i64], extra: Vec<RelOp>) -> Vec<Op> {
+        let schema = Schema::with_fd(&["k", "v"], Fd::new(&[0], &[1]));
+        let mut v = Value::Rel(Relation::empty(schema));
+        keys.iter()
+            .map(|&k| RelOp::insert(tuple![k, k * 10]))
+            .chain(extra)
+            .map(|op| Op::execute(LocId(loc), ClassId::new(class), OpKind::Rel(op), &mut v).0)
+            .collect()
+    }
+
+    /// The fold-every-key reference the join replaces: folds every
+    /// committed key of `loc` into one map, then counts the cells and
+    /// ops a check would judge, without judging.
+    fn fold_every_key(txn: &CommittedLog, window: &[Arc<CommittedLog>], loc: LocId) -> (u64, u64) {
+        let ht = txn.loc(loc).expect("txn touches loc");
+        let mut c_per_key: BTreeMap<&Key, Vec<&Op>> = BTreeMap::new();
+        for seg in window {
+            if let Some(dc) = seg.loc(loc) {
+                for (k, idxs) in &dc.per_key {
+                    seg.resolve(idxs, c_per_key.entry(k).or_default());
+                }
+            }
+        }
+        let (mut cells, mut ops) = (0, 0);
+        for (key, t_idxs) in &ht.per_key {
+            if let Some(c) = c_per_key.get(key) {
+                cells += 1;
+                ops += (t_idxs.len() + c.len()) as u64;
+            }
+        }
+        (cells, ops)
+    }
+
+    #[test]
+    fn key_join_judges_exactly_the_shared_keys() {
+        let state = MapState::default();
+        // The oracle passes every "known" cell, so no check stops early.
+        let txn_keys: Vec<i64> = (0..60).map(|i| i * 3).collect();
+        let txn = CommittedLog::new(keyed_inserts(
+            0,
+            "known",
+            &txn_keys,
+            vec![RelOp::select(Formula::eq(0, 3i64))],
+        ));
+        let seg_keys: [Vec<i64>; 3] = [
+            (0..200).map(|i| i * 2).collect(),
+            (0..5).map(|i| i * 7 + 1).collect(),
+            vec![1000, 1001],
+        ];
+        let window: Vec<Arc<CommittedLog>> = seg_keys
+            .iter()
+            .map(|keys| Arc::new(CommittedLog::new(keyed_inserts(0, "known", keys, vec![]))))
+            .collect();
+        let txn_set: BTreeSet<i64> = txn_keys.iter().copied().collect();
+        let window_set: BTreeSet<i64> = seg_keys.iter().flatten().copied().collect();
+        let shared = txn_set.intersection(&window_set).count() as u64;
+        assert!(shared > 0 && shared < txn_set.len() as u64);
+        let (ref_cells, ref_ops) = fold_every_key(&txn, &window, LocId(0));
+        assert_eq!(ref_cells, shared);
+        // One-shot, and incrementally segment by segment: either way
+        // each shared cell is judged once per extension that touches it.
+        let det = CachedSequenceDetector::new(TestOracle);
+        assert!(!det.detect(&state, &txn, HistoryWindow::new(&window)));
+        assert_eq!(det.stats().cells_checked(), shared);
+        assert_eq!(det.stats().ops_scanned(), ref_ops);
+        det.stats().reset();
+        let mut session = det.begin_validation(&state, &txn);
+        let (mut cells, mut ops) = (0, 0);
+        for i in 0..window.len() {
+            assert!(!session.extend(&HistoryWindow::new(&window[i..=i])));
+            let (c, o) = fold_every_key(&txn, &window[..=i], LocId(0));
+            if window[i].loc(LocId(0)).is_some() {
+                cells += c;
+                ops += o;
+            }
+        }
+        assert_eq!(det.stats().cells_checked(), cells);
+        assert_eq!(det.stats().ops_scanned(), ops);
+
+        // A whole-object access on either side makes the location one
+        // cell, judged once over every op of both sides.
+        let scan = Arc::new(CommittedLog::new(keyed_inserts(
+            0,
+            "known",
+            &[3],
+            vec![RelOp::select(Formula::eq(1, 30i64))],
+        )));
+        assert!(scan.loc(LocId(0)).expect("indexed").has_whole);
+        let mut with_scan = window.clone();
+        with_scan.push(scan);
+        det.stats().reset();
+        assert!(!det.detect(&state, &txn, HistoryWindow::new(&with_scan)));
+        assert_eq!(det.stats().cells_checked(), 1);
+        let all_ops: usize = with_scan.iter().map(|s| s.len()).sum::<usize>() + txn.len();
+        assert_eq!(det.stats().ops_scanned(), all_ops as u64);
     }
 
     #[test]

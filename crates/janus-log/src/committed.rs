@@ -137,24 +137,28 @@ pub struct DecomposedLoc {
 
 /// The per-location index of one committed log: which locations it
 /// touches, and the index subsequence for each (the `DECOMPOSE` of
-/// Figure 8, computed once instead of per conflict query).
+/// Figure 8, computed once instead of per conflict query). Entries are
+/// `Arc`'d so a [`CommittedLog::restrict`]ed view shares them.
 #[derive(Debug, Clone, Default)]
 pub struct DecomposedLog {
     /// Per-location index entries.
-    pub locs: BTreeMap<LocId, DecomposedLoc>,
+    pub locs: BTreeMap<LocId, Arc<DecomposedLoc>>,
 }
 
 impl DecomposedLog {
     fn build(ops: &[Op]) -> Self {
-        let mut locs: BTreeMap<LocId, DecomposedLoc> = BTreeMap::new();
+        let mut locs: BTreeMap<LocId, Arc<DecomposedLoc>> = BTreeMap::new();
         for (i, op) in ops.iter().enumerate() {
             let i = u32::try_from(i).expect("committed log longer than u32::MAX ops");
-            let entry = locs.entry(op.loc).or_insert_with(|| DecomposedLoc {
-                class: op.class.clone(),
-                ops: Vec::new(),
-                has_whole: false,
-                per_key: BTreeMap::new(),
+            let entry = locs.entry(op.loc).or_insert_with(|| {
+                Arc::new(DecomposedLoc {
+                    class: op.class.clone(),
+                    ops: Vec::new(),
+                    has_whole: false,
+                    per_key: BTreeMap::new(),
+                })
             });
+            let entry = Arc::get_mut(entry).expect("entries are unshared while building");
             entry.ops.push(i);
             let accessed = op.footprint.accessed();
             match accessed {
@@ -169,34 +173,67 @@ impl DecomposedLog {
         }
         DecomposedLog { locs }
     }
+
+    /// The footprint fingerprint of the indexed locations — one insert
+    /// per distinct location, not per operation.
+    fn fingerprint(&self) -> Fingerprint {
+        let mut fingerprint = Fingerprint::empty();
+        for (loc, dl) in &self.locs {
+            fingerprint.insert(*loc, &dl.class);
+        }
+        fingerprint
+    }
 }
 
 /// One committed transaction log together with its per-location index.
 ///
 /// The index is computed exactly once, in [`CommittedLog::new`]; every
 /// later conflict query against this log — from any concurrent
-/// transaction, at any clock — reuses it.
+/// transaction, at any clock — reuses it, and so does every per-shard
+/// view cut from it by [`CommittedLog::restrict`].
 #[derive(Debug, Clone)]
 pub struct CommittedLog {
-    ops: Vec<Op>,
+    /// The whole log's operations, shared by every view of it.
+    ops: Arc<[Op]>,
     index: DecomposedLog,
     fingerprint: Fingerprint,
+    /// Operations the index names (all of `ops` unless this is a view).
+    len: usize,
 }
 
 impl CommittedLog {
     /// Wraps a log, decomposing it once. The footprint fingerprint is
-    /// derived from the finished index — one insert per distinct
-    /// location, not per operation.
+    /// derived from the finished index.
     pub fn new(ops: Vec<Op>) -> Self {
         let index = DecomposedLog::build(&ops);
-        let mut fingerprint = Fingerprint::empty();
-        for (loc, dl) in &index.locs {
-            fingerprint.insert(*loc, &dl.class);
-        }
+        let fingerprint = index.fingerprint();
         CommittedLog {
-            ops,
+            len: ops.len(),
+            ops: ops.into(),
             index,
             fingerprint,
+        }
+    }
+
+    /// The view of this log restricted to the locations `keep` accepts:
+    /// it shares the operations and the kept index entries, so nothing
+    /// is cloned or decomposed again. Its fingerprint, `len` and
+    /// [`own_ops`](CommittedLog::own_ops) cover the kept locations only.
+    pub fn restrict(&self, mut keep: impl FnMut(LocId) -> bool) -> Self {
+        let index = DecomposedLog {
+            locs: self
+                .index
+                .locs
+                .iter()
+                .filter(|(loc, _)| keep(**loc))
+                .map(|(loc, dl)| (*loc, Arc::clone(dl)))
+                .collect(),
+        };
+        CommittedLog {
+            ops: Arc::clone(&self.ops),
+            len: index.locs.values().map(|dl| dl.ops.len()).sum(),
+            fingerprint: index.fingerprint(),
+            index,
         }
     }
 
@@ -205,9 +242,19 @@ impl CommittedLog {
         &self.fingerprint
     }
 
-    /// The operations, in log order.
+    /// The operations of the whole log, in log order. A
+    /// [`restrict`](CommittedLog::restrict)ed view shares its parent's
+    /// slice; its own operations are the ones its index names.
     pub fn ops(&self) -> &[Op] {
         &self.ops
+    }
+
+    /// This log's (or view's) own operations, in log order.
+    pub fn own_ops(&self) -> impl Iterator<Item = &Op> {
+        let whole = self.len == self.ops.len();
+        self.ops
+            .iter()
+            .filter(move |op| whole || self.index.locs.contains_key(&op.loc))
     }
 
     /// The per-location index.
@@ -217,17 +264,17 @@ impl CommittedLog {
 
     /// The index entry for one location, if the log touches it.
     pub fn loc(&self, loc: LocId) -> Option<&DecomposedLoc> {
-        self.index.locs.get(&loc)
+        self.index.locs.get(&loc).map(|dl| &**dl)
     }
 
-    /// Number of operations.
+    /// Number of own operations.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
-    /// Whether the log is empty.
+    /// Whether the log has no own operations.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
     }
 
     /// Resolves an index subsequence to operation references.
@@ -279,7 +326,7 @@ impl<'a> HistoryWindow<'a> {
     /// Every operation in the window, in commit order (test/debug aid —
     /// the detectors consume the per-location indices instead).
     pub fn iter_ops(&self) -> impl Iterator<Item = &'a Op> {
-        self.segments.iter().flat_map(|s| s.ops().iter())
+        self.segments.iter().flat_map(|s| s.own_ops())
     }
 }
 
@@ -347,6 +394,76 @@ mod tests {
         assert!(!dl.has_whole);
         assert_eq!(dl.per_key.len(), 2);
         assert_eq!(dl.per_key[&Key::scalar(1i64)], vec![0, 2]);
+    }
+
+    /// A log over three scalar locations and one keyed relation,
+    /// interleaved so every location's ops are scattered through it.
+    fn mixed_log() -> Vec<Op> {
+        let schema = Schema::with_fd(&["k", "v"], Fd::new(&[0], &[1]));
+        let mut rel = Value::Rel(Relation::empty(schema));
+        let mut scalars = [Value::int(0), Value::int(0), Value::int(0)];
+        let map = ClassId::new("map");
+        let mut ops = Vec::new();
+        for i in 0..12i64 {
+            let s = (i % 3) as usize;
+            ops.push(scalar_op(s as u64, ScalarOp::Add(i), &mut scalars[s]));
+            let kind = match i % 4 {
+                0 | 1 => RelOp::insert(tuple![i % 5, i]),
+                2 => RelOp::remove(tuple![i % 5, i - 1]),
+                _ => RelOp::select(Formula::eq(0, i % 5)),
+            };
+            ops.push(Op::execute(LocId(9), map.clone(), OpKind::Rel(kind), &mut rel).0);
+        }
+        ops
+    }
+
+    #[test]
+    fn restrict_is_a_view_equal_to_decomposing_the_filtered_ops() {
+        let ops = mixed_log();
+        let log = CommittedLog::new(ops.clone());
+        for keep in [
+            &(|l: LocId| l.0 == 9) as &dyn Fn(LocId) -> bool,
+            &|l: LocId| l.0.is_multiple_of(2),
+            &|l: LocId| l.0 != 1,
+            &|_| true,
+            &|_| false,
+        ] {
+            let view = log.restrict(keep);
+            let filtered: Vec<Op> = ops.iter().filter(|op| keep(op.loc)).cloned().collect();
+            let fresh = CommittedLog::new(filtered.clone());
+            assert!(Arc::ptr_eq(&view.ops, &log.ops), "the view shares the ops");
+            assert_eq!(view.fingerprint(), fresh.fingerprint());
+            assert_eq!(view.len(), filtered.len());
+            assert_eq!(view.is_empty(), filtered.is_empty());
+            assert_eq!(view.own_ops().cloned().collect::<Vec<_>>(), filtered);
+            assert_eq!(
+                view.index().locs.keys().collect::<Vec<_>>(),
+                fresh.index().locs.keys().collect::<Vec<_>>()
+            );
+            for (loc, dl) in &fresh.index().locs {
+                let vl = view.loc(*loc).expect("kept location indexed");
+                assert!(Arc::ptr_eq(&view.index().locs[loc], &log.index().locs[loc]));
+                assert_eq!((vl.has_whole, &vl.class), (dl.has_whole, &dl.class));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                view.resolve(&vl.ops, &mut got);
+                fresh.resolve(&dl.ops, &mut want);
+                assert_eq!(got, want, "{loc:?}: same ops in the same order");
+                assert_eq!(
+                    vl.per_key.keys().collect::<Vec<_>>(),
+                    dl.per_key.keys().collect::<Vec<_>>()
+                );
+                for (key, idxs) in &dl.per_key {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    view.resolve(&vl.per_key[key], &mut got);
+                    fresh.resolve(idxs, &mut want);
+                    assert_eq!(got, want, "{loc:?}/{key:?}");
+                }
+            }
+        }
+        // A view of a view still shares the original slice.
+        let inner = log.restrict(|l| l.0 != 0).restrict(|l| l.0 != 9);
+        assert!(Arc::ptr_eq(&inner.ops, &log.ops));
+        assert_eq!(inner.len(), 8);
     }
 
     #[test]

@@ -99,10 +99,11 @@ pub enum EventKind {
         /// Committed segments in the window `[begin, now)`.
         window_segments: u64,
     },
-    /// The commit clock advanced mid-validation; only the delta window
-    /// is re-checked.
+    /// A touched shard moved between the open validation and the commit
+    /// locks; the residual pass re-checks only the delta, under the
+    /// locks.
     DeltaRevalidate {
-        /// Committed segments in the delta `[validated_to, now)`.
+        /// Committed segments in the delta `[validated_to, head)`.
         window_segments: u64,
     },
     /// One per-cell conflict check ran.

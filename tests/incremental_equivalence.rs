@@ -8,7 +8,10 @@
 //! * the one-shot zero-copy verdict over the full window, and
 //! * the legacy flat verdict over the concatenated operation slice,
 //!
-//! for the write-set, online-sequence and cached-sequence detectors.
+//! for the write-set, online-sequence and cached-sequence detectors —
+//! on scalar locations (one whole-object cell each) and on a keyed
+//! relation, whose inserts, removes and key-pinned selects are judged
+//! per key.
 //! This is the safety net behind the zero-copy commit pipeline: segments
 //! are decomposed once, windows share them, and mid-validation clock
 //! advances re-validate only deltas — none of which may change what is
@@ -20,7 +23,7 @@ use janus::detect::{
     CachedSequenceDetector, ConflictDetector, MapState, SequenceDetector, WriteSetDetector,
 };
 use janus::log::{ClassId, CommittedLog, HistoryWindow, LocId, Op, OpKind, ScalarOp};
-use janus::relational::{Scalar, Value};
+use janus::relational::{tuple, Fd, Formula, RelOp, Relation, Scalar, Schema, Value};
 use janus::train::{train, TrainConfig, TrainingRun};
 use proptest::prelude::*;
 
@@ -30,7 +33,14 @@ enum K {
     Add(i64),
     Write(i64),
     Max(i64),
+    /// Keyed relational ops on the `k → v` relation at [`REL`].
+    Insert(i64, i64),
+    Remove(i64, i64),
+    SelectKey(i64),
 }
+
+/// The keyed relation's location; `0..REL` are scalar locations.
+const REL: u64 = 3;
 
 fn kind(k: K) -> OpKind {
     match k {
@@ -38,20 +48,32 @@ fn kind(k: K) -> OpKind {
         K::Add(d) => OpKind::Scalar(ScalarOp::Add(d)),
         K::Write(v) => OpKind::Scalar(ScalarOp::Write(Scalar::Int(v))),
         K::Max(v) => OpKind::Scalar(ScalarOp::Max(v)),
+        K::Insert(k, v) => OpKind::Rel(RelOp::insert(tuple![k, v])),
+        K::Remove(k, v) => OpKind::Rel(RelOp::remove(tuple![k, v])),
+        K::SelectKey(k) => OpKind::Rel(RelOp::select(Formula::eq(0, k))),
     }
 }
 
-/// One random logged access: a location choice plus an operation kind.
+/// One random logged access: a location choice plus an operation kind
+/// that fits it.
 fn access_strategy() -> impl Strategy<Value = (u64, K)> {
-    (
-        0u64..3,
+    prop_oneof![
+        (
+            0u64..REL,
+            prop_oneof![
+                Just(K::Read),
+                (-2i64..3).prop_map(K::Add),
+                (0i64..3).prop_map(K::Write),
+                (0i64..3).prop_map(K::Max),
+            ],
+        ),
         prop_oneof![
-            Just(K::Read),
-            (-2i64..3).prop_map(K::Add),
-            (0i64..3).prop_map(K::Write),
-            (0i64..3).prop_map(K::Max),
-        ],
-    )
+            (0i64..4, 0i64..2).prop_map(|(k, v)| K::Insert(k, v)),
+            (0i64..4, 0i64..2).prop_map(|(k, v)| K::Remove(k, v)),
+            (0i64..4).prop_map(K::SelectKey),
+        ]
+        .prop_map(|k| (REL, k)),
+    ]
 }
 
 /// Executes a sequence of accesses against an evolving per-location
@@ -64,16 +86,20 @@ fn mk_log(accesses: &[(u64, K)], state: &mut MapState) -> Vec<Op> {
                 .0
                 .get_mut(&LocId(loc))
                 .expect("all locations preallocated");
-            Op::execute(LocId(loc), ClassId::new("x"), kind(k), v).0
+            let class = if loc == REL { "rel" } else { "x" };
+            Op::execute(LocId(loc), ClassId::new(class), kind(k), v).0
         })
         .collect()
 }
 
 fn initial_state() -> MapState {
     let mut s = MapState::default();
-    for loc in 0..3 {
+    for loc in 0..REL {
         s.0.insert(LocId(loc), Value::int(0));
     }
+    let schema = Schema::with_fd(&["k", "v"], Fd::new(&[0], &[1]));
+    let rel = Relation::from_tuples(schema, [tuple![0, 0], tuple![1, 1]]);
+    s.0.insert(LocId(REL), Value::Rel(rel));
     s
 }
 
@@ -128,6 +154,9 @@ fn trained_cached_detector() -> CachedSequenceDetector<janus::train::FrozenCache
         mk(&[(1, K::Write(2)), (1, K::Read)]),
         mk(&[(2, K::Max(1)), (2, K::Max(2))]),
         mk(&[(0, K::Read), (1, K::Add(1))]),
+        mk(&[(REL, K::Insert(2, 1)), (REL, K::SelectKey(2))]),
+        mk(&[(REL, K::Remove(0, 0)), (REL, K::Insert(0, 0))]),
+        mk(&[(REL, K::Insert(3, 0)), (REL, K::Insert(1, 1))]),
     ];
     let run = TrainingRun {
         initial: initial_state(),

@@ -3,8 +3,8 @@
 //! A hand-rolled DFS explores *every* interleaving of an abstract model
 //! of the protocol — transactions stepping through begin → register →
 //! per-shard snapshot → window collect → ascending lock acquisition →
-//! ticket → publish → prune → unlock → unregister — and checks the
-//! properties the real runtime's correctness rests on:
+//! residual collect → ticket → publish → prune → unlock → unregister —
+//! and checks the properties the real runtime's correctness rests on:
 //!
 //! * **deadlock freedom**: canonical ascending lock order admits no
 //!   cyclic wait (and the checker is not vacuous: a descending-order
@@ -17,7 +17,11 @@
 //!   beneath a snapshotted transaction's begin position (the real
 //!   `collect_from` would panic) — and the register-*before*-snapshot
 //!   order is load-bearing: a mutant that registers after snapshotting
-//!   is caught by this very check.
+//!   is caught by this very check;
+//! * **validation coverage**: no transaction publishes into a shard that
+//!   holds an entry it has not validated — the residual collect under
+//!   the write locks closes the gap the open pass leaves, and a mutant
+//!   that skips it is caught.
 //!
 //! The model is small (two shards, three transactions) but the
 //! exploration is exhaustive, so every race the abstraction can express
@@ -35,6 +39,9 @@ struct TxnSpec {
     /// Model mutant: register with the active set only *after* the
     /// per-shard snapshots (the real protocol registers first).
     register_late: bool,
+    /// Model mutant: publish straight after locking, without the
+    /// residual collect of entries that landed since the open pass.
+    skip_residual: bool,
 }
 
 impl TxnSpec {
@@ -44,6 +51,7 @@ impl TxnSpec {
         TxnSpec {
             lock_order,
             register_late: false,
+            skip_residual: false,
         }
     }
 }
@@ -58,6 +66,7 @@ enum Pc {
     Snap(usize),
     Collect(usize),
     Lock(usize),
+    Residual(usize),
     Ticket,
     Publish(usize),
     Prune,
@@ -71,6 +80,8 @@ struct TxnState {
     pc: Pc,
     begin: u64,
     begin_pos: Vec<u64>,
+    /// Per touched shard, the head position validated up to.
+    validated: Vec<u64>,
     registered: bool,
     snapped: Vec<bool>,
     seq: u64,
@@ -108,6 +119,7 @@ struct Verdict {
     monotonicity_violations: usize,
     watermark_violations: usize,
     prune_violations: usize,
+    unvalidated_publishes: usize,
 }
 
 struct Explorer<'a> {
@@ -141,6 +153,7 @@ impl<'a> Explorer<'a> {
                     pc: Pc::Begin,
                     begin: 0,
                     begin_pos: vec![0; s.lock_order.len()],
+                    validated: vec![0; s.lock_order.len()],
                     registered: false,
                     snapped: vec![false; s.lock_order.len()],
                     seq: 0,
@@ -230,6 +243,7 @@ impl<'a> Explorer<'a> {
                 if m.txns[i].begin_pos[k] < m.shards[s].start {
                     self.verdict.prune_violations += 1;
                 }
+                m.txns[i].validated[k] = m.shards[s].head();
                 m.txns[i].pc = if k + 1 < n {
                     Pc::Collect(k + 1)
                 } else {
@@ -242,6 +256,20 @@ impl<'a> Explorer<'a> {
                 m.shards[s].owner = i;
                 m.txns[i].pc = if k + 1 < spec.lock_order.len() {
                     Pc::Lock(k + 1)
+                } else if spec.skip_residual {
+                    Pc::Ticket
+                } else {
+                    Pc::Residual(0)
+                };
+            }
+            Pc::Residual(k) => {
+                // The residual pass reads each held shard from its own
+                // write guard: whatever landed since the open pass.
+                let s = touched[k];
+                debug_assert_eq!(m.shards[s].owner, i, "residual runs under the lock");
+                m.txns[i].validated[k] = m.shards[s].head();
+                m.txns[i].pc = if k + 1 < n {
+                    Pc::Residual(k + 1)
                 } else {
                     Pc::Ticket
                 };
@@ -256,6 +284,9 @@ impl<'a> Explorer<'a> {
                 let seq = m.txns[i].seq;
                 if m.shards[s].entries.last().is_some_and(|&last| last >= seq) {
                     self.verdict.monotonicity_violations += 1;
+                }
+                if m.shards[s].head() != m.txns[i].validated[k] {
+                    self.verdict.unvalidated_publishes += 1;
                 }
                 m.shards[s].entries.push(seq);
                 m.txns[i].pc = if k + 1 < n {
@@ -351,6 +382,7 @@ fn ascending_lock_order_has_no_deadlock_and_prunes_safely() {
     assert_eq!(v.monotonicity_violations, 0, "{v:?}");
     assert_eq!(v.watermark_violations, 0, "{v:?}");
     assert_eq!(v.prune_violations, 0, "{v:?}");
+    assert_eq!(v.unvalidated_publishes, 0, "{v:?}");
 }
 
 #[test]
@@ -360,6 +392,7 @@ fn two_cross_shard_transactions_stay_deadlock_free() {
     assert_eq!(v.deadlocks, 0, "{v:?}");
     assert_eq!(v.prune_violations, 0, "{v:?}");
     assert_eq!(v.monotonicity_violations, 0, "{v:?}");
+    assert_eq!(v.unvalidated_publishes, 0, "{v:?}");
 }
 
 #[test]
@@ -367,13 +400,10 @@ fn descending_lock_order_mutant_deadlocks() {
     // The checker is not vacuous: opposite acquisition orders across two
     // shards must expose the classic cyclic wait.
     let specs = vec![
-        TxnSpec {
-            lock_order: vec![0, 1],
-            register_late: false,
-        },
+        TxnSpec::ascending(&[0, 1]),
         TxnSpec {
             lock_order: vec![1, 0],
-            register_late: false,
+            ..TxnSpec::ascending(&[0, 1])
         },
     ];
     let v = Explorer::new(&specs).run();
@@ -387,8 +417,8 @@ fn late_registration_mutant_is_caught_by_the_prune_check() {
     // protocol's register-before-snapshot order forbids this.
     let specs = vec![
         TxnSpec {
-            lock_order: vec![0],
             register_late: true,
+            ..TxnSpec::ascending(&[0])
         },
         TxnSpec::ascending(&[0]),
         TxnSpec::ascending(&[0]),
@@ -408,4 +438,29 @@ fn late_registration_mutant_is_caught_by_the_prune_check() {
     let v = Explorer::new(&clean).run();
     assert_eq!(v.prune_violations, 0, "{v:?}");
     assert_eq!(v.deadlocks, 0, "{v:?}");
+}
+
+#[test]
+fn skipping_the_residual_pass_is_caught() {
+    // Without the residual collect, a committer that lost the race
+    // between its open pass and its locks publishes over an entry it
+    // never validated — single-shard and cross-shard alike.
+    for shape in [vec![vec![0], vec![0]], vec![vec![0, 1], vec![1], vec![0]]] {
+        let mutant: Vec<TxnSpec> = shape
+            .iter()
+            .map(|s| TxnSpec {
+                skip_residual: true,
+                ..TxnSpec::ascending(s)
+            })
+            .collect();
+        let v = Explorer::new(&mutant).run();
+        assert!(
+            v.unvalidated_publishes > 0,
+            "a skipped residual pass must be caught: {v:?}"
+        );
+        let real: Vec<TxnSpec> = shape.iter().map(|s| TxnSpec::ascending(s)).collect();
+        let v = Explorer::new(&real).run();
+        assert_eq!(v.unvalidated_publishes, 0, "{v:?}");
+        assert_eq!(v.deadlocks, 0, "{v:?}");
+    }
 }
