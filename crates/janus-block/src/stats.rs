@@ -58,11 +58,6 @@ impl BlockStats {
         registry.merge_histogram("batch.latency_us", &self.latency_us.lock());
         registry.merge_histogram("batch.size", &self.block_size.lock());
     }
-
-    /// The per-block latency histogram (microseconds), cloned.
-    pub fn latency_histogram(&self) -> Histogram {
-        self.latency_us.lock().clone()
-    }
 }
 
 /// `busy/wall` expressed as overlap: 0 when the stream ran serially

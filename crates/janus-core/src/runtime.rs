@@ -574,7 +574,7 @@ pub struct Outcome {
     pub store: Store,
     /// Run statistics.
     pub stats: RunStats,
-    /// Scheduling statistics (dispatch, backoff, affinity).
+    /// Scheduling statistics (dispatch, backoff).
     pub sched: SchedStats,
     /// Tasks isolated after a body panic under [`PanicPolicy::Isolate`],
     /// sorted by task id. Empty under [`PanicPolicy::Poison`] (the panic
@@ -707,9 +707,10 @@ impl Janus {
 
     /// Sets the scheduling policy. The default, [`janus_sched::Fifo`],
     /// preserves the original dispatch bit for bit: one shared atomic
-    /// counter, immediate retry on abort. [`janus_sched::Affinity`]
-    /// places predicted-conflicting tasks on one worker's sealed lane,
-    /// for loops whose conflicts the detector cannot dismiss.
+    /// counter, immediate retry on abort. Another policy can wrap or
+    /// replace it through the [`janus_sched::TaskSource`] seam; a
+    /// non-zero [`janus_sched::BackoffHint`] from its `on_abort` makes
+    /// the aborted worker wait before re-executing.
     pub fn schedule(mut self, policy: Arc<dyn SchedulePolicy>) -> Self {
         self.schedule = policy;
         self
@@ -757,13 +758,6 @@ impl Janus {
     /// The detector in use.
     pub fn detector(&self) -> &Arc<dyn ConflictDetector> {
         &self.detector
-    }
-
-    /// The configured worker-thread count. A batch runs this many worker
-    /// jobs (plus one watchdog job when armed): the first on the calling
-    /// thread, the rest on the process-wide pool.
-    pub fn thread_count(&self) -> usize {
-        self.threads
     }
 
     /// Whether commits are ordered (`runInOrder`).
@@ -1533,6 +1527,7 @@ mod tests {
     use super::*;
     use janus_detect::{SequenceDetector, WriteSetDetector};
     use janus_relational::Value;
+    use janus_sched::{BackoffHint, Dispatch};
 
     fn identity_tasks(work: janus_log::LocId, n: i64) -> Vec<Task> {
         (1..=n)
@@ -1810,54 +1805,76 @@ mod tests {
             .collect()
     }
 
+    /// FIFO dispatch with a fixed non-zero backoff on every abort.
+    #[derive(Debug)]
+    struct FixedBackoff;
+
+    const FIXED_STEPS: u64 = 3;
+
+    impl SchedulePolicy for FixedBackoff {
+        fn name(&self) -> &'static str {
+            "fixed-backoff"
+        }
+
+        fn bind(&self, tasks: usize, workers: usize) -> Box<dyn TaskSource> {
+            Box::new(FixedBackoffSource(Fifo.bind(tasks, workers)))
+        }
+    }
+
+    struct FixedBackoffSource(Box<dyn TaskSource>);
+
+    impl TaskSource for FixedBackoffSource {
+        fn next_task(&self, worker: usize) -> Option<Dispatch> {
+            self.0.next_task(worker)
+        }
+
+        fn on_abort(&self, _worker: usize, _task: usize, _attempt: u32) -> BackoffHint {
+            BackoffHint { steps: FIXED_STEPS }
+        }
+
+        fn stats(&self) -> SchedStats {
+            self.0.stats()
+        }
+    }
+
     #[test]
-    fn sealed_lanes_back_off_every_conflict_abort() {
-        // No footprint signal: tasks go round-robin onto four sealed
-        // lanes, so the hot read-modify-writes still race each other.
+    fn a_non_zero_hint_backs_off_every_conflict_abort() {
         let mut store = Store::new();
         let hot = store.alloc("hot", Value::int(0));
+        // One forced conflict guarantees the branch runs even when the
+        // hot read-modify-writes happen not to overlap.
+        let forced = janus_fault::FaultSite {
+            kind: FaultKind::ForcedConflict,
+            subject: 1,
+            attempt: 0,
+        };
+        let recorder = Recorder::new();
         let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
             .threads(4)
-            .schedule(Arc::new(janus_sched::Affinity::new(Arc::new(
-                janus_sched::ExactFootprints::default(),
-            ))))
+            .schedule(Arc::new(FixedBackoff))
+            .faults(Arc::new(FaultPlan::from_sites(vec![forced])))
+            .recorder(Arc::clone(&recorder))
             .run(store, hot_rmw_tasks(hot, 16));
         assert_eq!(outcome.stats.commits, 16);
         assert_eq!(outcome.store.value(hot), Some(&Value::int((1..=16).sum())));
         assert_eq!(outcome.sched.dispatched, 16);
+        let trace = recorder.finish();
+        let conflicts = trace.aborts_with_reason(AbortReason::Conflict);
+        assert!(conflicts >= 1);
+        assert_eq!(conflicts, outcome.stats.retries);
+        let backoffs: Vec<u64> = trace
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::SchedBackoff { steps, .. } => Some(steps),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            outcome.sched.backoff_waits, outcome.stats.retries,
+            backoffs.len() as u64,
+            conflicts,
             "every conflict abort backs off exactly once"
         );
-    }
-
-    #[test]
-    fn affinity_policy_commits_all_tasks() {
-        let mut store = Store::new();
-        let hot = store.alloc("hot", Value::int(0));
-        let cold = store.alloc("cold", Value::int(0));
-        let mut tasks = hot_rmw_tasks(hot, 8);
-        tasks.extend((1..=8).map(|d| Task::new(move |tx: &mut TxView| tx.add(cold, d))));
-        // Exact footprints: the hot RMW chain shares hot.0, the adds
-        // share cold.0.
-        let fps: Vec<Vec<u64>> = (0..8)
-            .map(|_| vec![hot.0])
-            .chain((0..8).map(|_| vec![cold.0]))
-            .collect();
-        let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-            .threads(4)
-            .schedule(Arc::new(janus_sched::Affinity::new(Arc::new(
-                janus_sched::ExactFootprints(fps),
-            ))))
-            .run(store, tasks);
-        assert_eq!(outcome.stats.commits, 16);
-        assert_eq!(outcome.store.value(hot), Some(&Value::int((1..=8).sum())));
-        assert_eq!(outcome.store.value(cold), Some(&Value::int((1..=8).sum())));
-        assert_eq!(outcome.sched.dispatched, 16);
-        assert_eq!(
-            outcome.sched.affinity_routed, 14,
-            "each chain's tail joined its head's worker"
-        );
+        assert!(backoffs.iter().all(|&s| s == FIXED_STEPS), "{backoffs:?}");
     }
 
     #[test]

@@ -272,31 +272,6 @@ impl<K: Ord + Clone, V: Clone> PersistentMap<K, V> {
         Iter { stack }
     }
 
-    /// Iterates over entries with keys `>= lower`, in ascending order.
-    /// O(log n) to position, then O(1) amortized per step.
-    pub fn iter_from<Q>(&self, lower: &Q) -> Iter<'_, K, V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let mut stack = Vec::new();
-        let mut link = &self.root;
-        while let Some(node) = link {
-            match lower.cmp(node.key.borrow()) {
-                std::cmp::Ordering::Less => {
-                    stack.push(node.as_ref());
-                    link = &node.left;
-                }
-                std::cmp::Ordering::Equal => {
-                    stack.push(node.as_ref());
-                    break;
-                }
-                std::cmp::Ordering::Greater => link = &node.right,
-            }
-        }
-        Iter { stack }
-    }
-
     /// The keys, in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
@@ -553,26 +528,6 @@ mod tests {
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         let values: Vec<i32> = m.values().copied().collect();
         assert_eq!(values, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn iter_from_starts_at_lower_bound() {
-        let m: PersistentMap<i32, i32> = (0..100).step_by(2).map(|i| (i, i)).collect();
-        // Exact hit.
-        let keys: Vec<i32> = m.iter_from(&10).map(|(k, _)| *k).collect();
-        assert_eq!(keys.first(), Some(&10));
-        assert_eq!(keys.len(), 45);
-        // Between keys.
-        let keys: Vec<i32> = m.iter_from(&11).map(|(k, _)| *k).collect();
-        assert_eq!(keys.first(), Some(&12));
-        // Before everything / after everything.
-        assert_eq!(m.iter_from(&-5).count(), 50);
-        assert_eq!(m.iter_from(&99).count(), 0);
-        // Order is preserved.
-        let keys: Vec<i32> = m.iter_from(&40).map(|(k, _)| *k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
     }
 
     #[test]

@@ -26,19 +26,6 @@ fn op_strategy() -> impl Strategy<Value = MapOp> {
 }
 
 proptest! {
-    /// `iter_from` agrees with the model's `range(lower..)`.
-    #[test]
-    fn iter_from_matches_btreemap_range(
-        entries in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..120),
-        lower in any::<u8>(),
-    ) {
-        let subject: PersistentMap<u8, i32> = entries.iter().copied().collect();
-        let model: BTreeMap<u8, i32> = entries.iter().copied().collect();
-        let got: Vec<(u8, i32)> = subject.iter_from(&lower).map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(u8, i32)> = model.range(lower..).map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
-    }
-
     #[test]
     fn behaves_like_btreemap(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         let mut subject: PersistentMap<u8, i32> = PersistentMap::new();

@@ -132,14 +132,6 @@ impl Value {
             Value::Scalar(_) => None,
         }
     }
-
-    /// Returns a mutable reference to the relation payload, if relational.
-    pub fn as_rel_mut(&mut self) -> Option<&mut Relation> {
-        match self {
-            Value::Rel(r) => Some(r),
-            Value::Scalar(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

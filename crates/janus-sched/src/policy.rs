@@ -10,7 +10,7 @@ use crate::stats::SchedStats;
 /// obtain the shared mutable state ([`TaskSource`]) its workers
 /// dispatch through, so one `Janus` instance can be reused across runs.
 pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
-    /// The policy's stable label ("fifo", "affinity").
+    /// The policy's stable label ("fifo").
     fn name(&self) -> &'static str;
 
     /// Binds the policy to one run over `tasks` tasks executed by
@@ -37,6 +37,14 @@ pub trait TaskSource: Send + Sync {
     /// The next task for worker `worker`, or `None` once no task is left
     /// for that worker. Every task is dispatched exactly once, provided
     /// each of the bound `workers` keeps asking until it sees `None`.
+    ///
+    /// Ordered runs commit in task order, and a worker holding a task
+    /// waits for that task's turn before asking for another. A source
+    /// must therefore never leave the smallest uncommitted task
+    /// undispatched while every worker waits on a turn: that task's turn
+    /// would never come. Handing tasks out in ascending order meets this,
+    /// as [`Fifo`]'s counter does — the smallest uncommitted task is
+    /// always either running or the next one handed out.
     fn next_task(&self, worker: usize) -> Option<Dispatch>;
 
     /// Reports that `worker`'s attempt of `task` aborted for the

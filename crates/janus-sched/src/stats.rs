@@ -11,9 +11,6 @@ pub struct SchedStats {
     /// Total backoff steps waited across all retries (one step is one
     /// spin/yield/park unit of [`backoff::wait`](crate::backoff::wait)).
     pub backoff_steps: u64,
-    /// Tasks the affinity partitioner placed by footprint overlap (the
-    /// rest were placed by load balance alone).
-    pub affinity_routed: u64,
 }
 
 impl janus_obs::Snapshot for SchedStats {
@@ -26,7 +23,6 @@ impl janus_obs::Snapshot for SchedStats {
             ("dispatched".to_string(), self.dispatched),
             ("backoff_waits".to_string(), self.backoff_waits),
             ("backoff_steps".to_string(), self.backoff_steps),
-            ("affinity_routed".to_string(), self.affinity_routed),
         ]
     }
 }
@@ -45,7 +41,7 @@ mod tests {
         };
         assert_eq!(stats.source(), "sched");
         let counters = stats.counters();
-        assert_eq!(counters.len(), 4);
+        assert_eq!(counters.len(), 3);
         assert!(counters.contains(&("dispatched".to_string(), 3)));
         assert!(counters.contains(&("backoff_waits".to_string(), 2)));
     }

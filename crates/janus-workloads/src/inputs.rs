@@ -124,11 +124,6 @@ impl Graph {
     pub fn edge_count(&self) -> usize {
         self.neighbors.iter().map(Vec::len).sum::<usize>() / 2
     }
-
-    /// The maximum degree.
-    pub fn max_degree(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// A synthetic Java source file for PMD: a stream of token codes.

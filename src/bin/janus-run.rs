@@ -6,7 +6,6 @@
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
 //!                            [--cache <file>]
-//!                            [--schedule fifo|affinity]
 //!                            [--panic-policy poison|isolate] [--max-attempts N]
 //!                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
 //!                            [--trace <file>] [--metrics]
@@ -30,11 +29,9 @@
 //! history and lock-wait statistics land in the metrics registry under
 //! `shard.*`.
 //!
-//! `--schedule` picks the dispatch policy: `fifo` (the default; one
-//! shared counter, immediate retry) or `affinity` (tasks routed by
-//! footprint overlap onto sealed per-worker lanes; an abort backs off
-//! on a deterministic curve). Affinity mines each task's footprint —
-//! its hindsight read/write set — from a sequential pre-run.
+//! Tasks are dispatched as the paper's `DOPARALLEL` does: from one
+//! shared counter in submission order, with an aborted attempt retried
+//! at once; `--max-attempts` is the starvation bound.
 //!
 //! The robustness flags drive the failure model: `--panic-policy
 //! isolate` survives task-body panics (the failed tasks are listed and
@@ -52,7 +49,6 @@ use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, 
 use janus::fault::silence_injected_panics;
 use janus::obs::{chrome_trace_json, text_report, MetricsRegistry, Recorder, Snapshot};
 use janus::sat::global_solver_stats;
-use janus::sched::{Affinity, SchedulePolicy, TrainedFootprints};
 use janus::train::{train, CommutativityCache, FrozenCache, OnlineLearningCache, TrainConfig};
 use janus::workloads::{all_workloads, training_runs, workload_by_name, InputSpec, Workload};
 
@@ -65,7 +61,6 @@ const USAGE: &str = "usage:
   janus-run train <workload> [--no-abstraction] [--cache FILE]
   janus-run run <workload> [--detector write-set|sequence|cached|online-learning]
                            [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]
-                           [--schedule fifo|affinity]
                            [--panic-policy poison|isolate] [--max-attempts N]
                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
                            [--trace FILE] [--metrics]";
@@ -173,10 +168,9 @@ fn cmd_run(args: &Args) -> ExitCode {
                 "detector",
                 &["sequence", "write-set", "cached", "online-learning"],
             )?,
-            args.one_of("schedule", &["fifo", "affinity"])?,
         ))
     })();
-    let (rt, scale, seed, detector_name, schedule_name) = match flags {
+    let (rt, scale, seed, detector_name) = match flags {
         Ok(flags) => flags,
         Err(e) => return usage_error(USAGE, &e),
     };
@@ -236,22 +230,9 @@ fn cmd_run(args: &Args) -> ExitCode {
     let want_metrics = args.flag("metrics");
     let recorder = (trace_path.is_some() || want_metrics).then(Recorder::new);
     let scenario = w.build(&input);
-    let schedule: Arc<dyn SchedulePolicy> = if schedule_name == "affinity" {
-        // Hindsight profiling: mine each production task's exact
-        // footprint from a sequential pre-run on a cloned store, then
-        // route overlapping tasks to the same worker.
-        eprintln!("mining footprints from a sequential pre-run...");
-        let (_, training) = Janus::run_sequential(scenario.store.clone(), &scenario.tasks);
-        Arc::new(Affinity::new(Arc::new(
-            TrainedFootprints::from_training_run(&training),
-        )))
-    } else {
-        Arc::new(janus::sched::Fifo)
-    };
     let mut janus = rt
         .apply(Janus::new(Arc::clone(&detector)))
-        .ordered(w.ordered())
-        .schedule(schedule);
+        .ordered(w.ordered());
     if let Some(rec) = &recorder {
         janus = janus.recorder(Arc::clone(rec));
     }
@@ -314,16 +295,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         "fast path: {} segments skipped by fingerprint  {} segments scanned",
         outcome.stats.fastpath_segments_skipped, outcome.stats.fastpath_segments_scanned,
     );
-    if schedule_name != "fifo" {
-        println!(
-            "schedule ({schedule_name}): {} dispatched  {} routed by footprint  \
-             {} backoff waits ({} steps)",
-            outcome.sched.dispatched,
-            outcome.sched.affinity_routed,
-            outcome.sched.backoff_waits,
-            outcome.sched.backoff_steps,
-        );
-    }
     let by_class = detector.stats().conflicts_by_class();
     if !by_class.is_empty() {
         println!("conflicting classes:");
@@ -381,7 +352,7 @@ fn cmd_run(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = match Args::parse(
-        &["detector", "scale", "seed", "cache", "trace", "schedule"],
+        &["detector", "scale", "seed", "cache", "trace"],
         &["no-abstraction", "metrics"],
     ) {
         Ok(args) => args,

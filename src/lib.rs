@@ -24,7 +24,7 @@
 //! | [`sat`] | `janus-sat` | the SAT solver behind symbolic equivalence checks |
 //! | [`persist`] | `janus-persist` | the persistent map behind O(1) snapshots |
 //! | [`obs`] | `janus-obs` | lifecycle tracing, abort attribution, the unified metrics registry |
-//! | [`sched`] | `janus-sched` | task dispatch: FIFO and sealed conflict-affinity lanes |
+//! | [`sched`] | `janus-sched` | task dispatch: the `SchedulePolicy`/`TaskSource` seam and FIFO |
 //! | [`fault`] | `janus-fault` | deterministic fault-injection plans for chaos testing |
 //! | [`block`] | `janus-block` | the pipelined block-executor service: warm worker pool, cross-batch commit gating, admission control |
 //! | [`wal`] | `janus-wal` | the durable commit journal: segmented write-ahead log, snapshots, crash recovery |
@@ -111,7 +111,7 @@ pub mod obs {
     pub use janus_obs::*;
 }
 
-/// Task dispatch policies: FIFO and sealed conflict-affinity lanes
+/// Task dispatch: the `SchedulePolicy`/`TaskSource` seam and FIFO
 /// (re-export of `janus-sched`).
 pub mod sched {
     pub use janus_sched::*;

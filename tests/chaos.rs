@@ -1,14 +1,13 @@
 //! Chaos harness: randomized fault injection against the full runtime.
 //!
-//! For any random task mix, thread count, schedule policy, fault seed
-//! and fault rate, a run under `PanicPolicy::Isolate` must (1) never
-//! hang, (2) keep its lifecycle trace well-formed, and (3) leave the
-//! committed state equal to a *sequential* execution of exactly the
-//! tasks that did not fail — injected panics take tasks out, but never
-//! corrupt what the survivors committed. Unordered cases use add-only
-//! (commutative) tasks so the surviving-subset replay is
-//! order-independent; ordered cases use order-dependent
-//! read-modify-writes and rely on commit order.
+//! For any random task mix, thread count, fault seed and fault rate, a
+//! run under `PanicPolicy::Isolate` must (1) never hang, (2) keep its
+//! lifecycle trace well-formed, and (3) leave the committed state equal
+//! to a *sequential* execution of exactly the tasks that did not fail —
+//! injected panics take tasks out, but never corrupt what the survivors
+//! committed. Unordered cases use add-only (commutative) tasks so the
+//! surviving-subset replay is order-independent; ordered cases use
+//! order-dependent read-modify-writes and rely on commit order.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -18,7 +17,6 @@ use janus::detect::SequenceDetector;
 use janus::fault::{silence_injected_panics, FaultKind, FaultPlan};
 use janus::obs::Recorder;
 use janus::relational::Value;
-use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 const LOCS: usize = 3;
@@ -32,28 +30,6 @@ fn alloc_locs(store: &mut Store) -> Vec<janus::log::LocId> {
     (0..LOCS)
         .map(|i| store.alloc(format!("l{i}").as_str(), Value::int(0)))
         .collect()
-}
-
-/// Per-task exact footprints for the affinity policy.
-fn footprints(specs: &[Spec], locs: &[janus::log::LocId]) -> Vec<Vec<u64>> {
-    specs
-        .iter()
-        .map(|accesses| {
-            let mut fp: Vec<u64> = accesses.iter().map(|&(i, _)| locs[i].0).collect();
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect()
-}
-
-fn policy(index: usize, fps: Vec<Vec<u64>>) -> Arc<dyn SchedulePolicy> {
-    match index {
-        0 => Arc::new(Fifo),
-        // Round-robin sealed lanes: no footprint signal.
-        1 => Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
-        _ => Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
-    }
 }
 
 /// Add-only tasks: commutative, so any committed subset reaches the
@@ -94,12 +70,10 @@ fn rmw_tasks(specs: &[Spec], locs: &[janus::log::LocId]) -> Vec<Task> {
 /// Runs the chaos configuration and checks trace shape, task
 /// accounting, and surviving-subset equivalence against a sequential
 /// replay of the non-failed tasks.
-#[allow(clippy::too_many_arguments)]
 fn check_chaos(
     specs: &[Spec],
     ordered: bool,
     threads: usize,
-    policy_idx: usize,
     fault_seed: u64,
     rate_pct: u32,
     budget: u32,
@@ -112,7 +86,6 @@ fn check_chaos(
     let mut janus = Janus::new(Arc::new(SequenceDetector::new()))
         .threads(threads)
         .ordered(ordered)
-        .schedule(policy(policy_idx, footprints(specs, &locs)))
         .panic_policy(PanicPolicy::Isolate)
         .faults(Arc::new(FaultPlan::seeded(
             fault_seed,
@@ -163,8 +136,7 @@ fn check_chaos(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Unordered chaos: commutative tasks, all three schedule policies,
-    /// retry budgets armed.
+    /// Unordered chaos: commutative tasks, retry budgets armed.
     #[test]
     fn unordered_chaos_equals_sequential_surviving_subset(
         specs in proptest::collection::vec(
@@ -172,13 +144,12 @@ proptest! {
             0..8,
         ),
         threads in 1usize..=4,
-        policy_idx in 0usize..3,
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
         budget in 1u32..=3,
     ) {
         check_chaos(
-            &specs, false, threads, policy_idx, fault_seed, rate_pct, budget, add_tasks,
+            &specs, false, threads, fault_seed, rate_pct, budget, add_tasks,
         );
     }
 
@@ -192,12 +163,11 @@ proptest! {
             0..8,
         ),
         threads in 1usize..=4,
-        policy_idx in 0usize..3,
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
     ) {
         check_chaos(
-            &specs, true, threads, policy_idx, fault_seed, rate_pct, 1, rmw_tasks,
+            &specs, true, threads, fault_seed, rate_pct, 1, rmw_tasks,
         );
     }
 }

@@ -66,6 +66,8 @@ fn run_rejects_unknown_and_removed_policy_values() {
         &["--detector", "bogus"],
         &["--schedule", "steal"],
         &["--schedule", "backoff"],
+        &["--schedule", "affinity"],
+        &["--schedule", "fifo"],
         &["--no-steal"],
         &["--degrade-threshold", "0.5"],
         &["--degrade-window", "4"],

@@ -13,22 +13,11 @@ use janus::core::{Janus, PanicPolicy, Store, Task, TxView};
 use janus::detect::SequenceDetector;
 use janus::fault::{FaultKind, FaultPlan, FaultSite};
 use janus::relational::Value;
-use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
+use janus::sched::{Fifo, SchedulePolicy};
 
-/// The three policies: fifo, round-robin sealed lanes (no footprint
-/// signal), and sealed lanes routed by footprint.
-fn policies(fps: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
-    vec![
-        ("fifo", Arc::new(Fifo)),
-        (
-            "sealed",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
-        ),
-        (
-            "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
-        ),
-    ]
+/// Every policy the runtime can be configured with.
+fn policies() -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
+    vec![("fifo", Arc::new(Fifo))]
 }
 
 #[test]
@@ -56,8 +45,7 @@ fn ordered_isolate_middle_panic_commits_every_successor() {
     let (seq_store, _) = Janus::run_sequential(seq_store, &surviving);
     let expected = seq_store.value(x_seq).cloned();
 
-    let fps: Vec<Vec<u64>> = (0..n).map(|_| vec![0]).collect();
-    for (name, policy) in policies(fps) {
+    for (name, policy) in policies() {
         let (store, x) = mk_store();
         let tasks: Vec<Task> = (1..=n)
             .map(|i| {
@@ -107,8 +95,7 @@ fn retry_budget_escalation_terminates_a_conflicting_pair_under_every_policy() {
             })
         })
         .collect();
-    let fps = vec![vec![0u64], vec![0u64]];
-    for (name, policy) in policies(fps) {
+    for (name, policy) in policies() {
         let mut store = Store::new();
         let hot = store.alloc("hot", Value::int(0));
         let tasks: Vec<Task> = (1..=2i64)

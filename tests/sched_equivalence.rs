@@ -5,15 +5,14 @@
 //!   and lands on exactly the sequential final store, for random thread
 //!   counts and hotspot skews.
 //! * Order-sensitive tasks under `ordered(true)`: every policy equals
-//!   the sequential outcome bit for bit, including a chain sealed onto
-//!   one lane.
+//!   the sequential outcome bit for bit.
 
 use std::sync::Arc;
 
 use janus::core::{Janus, Store, Task, TxView};
 use janus::detect::WriteSetDetector;
 use janus::relational::Value;
-use janus::sched::{Affinity, ExactFootprints, Fifo, SchedulePolicy};
+use janus::sched::{Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 /// One add-only task: bump location `loc` by `delta`. Addition commutes,
@@ -33,22 +32,9 @@ fn add_task_strategy(cold: usize) -> impl Strategy<Value = AddTask> {
     })
 }
 
-/// Every policy the runtime can be configured with, rebuilt per task set
-/// so affinity gets the matching footprints.
-fn policies(footprints: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
-    vec![
-        ("fifo", Arc::new(Fifo)),
-        (
-            "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints)))),
-        ),
-        // No footprint signal: placement round-robins by load, so hot
-        // tasks land on every lane and still race each other.
-        (
-            "affinity-round-robin",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints::default()))),
-        ),
-    ]
+/// Every policy the runtime can be configured with.
+fn policies() -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
+    vec![("fifo", Arc::new(Fifo))]
 }
 
 fn run_policy(
@@ -100,8 +86,7 @@ proptest! {
         for t in &tasks {
             expected[t.loc] += t.delta;
         }
-        let footprints: Vec<Vec<u64>> = tasks.iter().map(|t| vec![t.loc as u64]).collect();
-        for (label, policy) in policies(footprints) {
+        for (label, policy) in policies() {
             let (commits, finals) = run_policy(&tasks, n_locs, threads, policy);
             prop_assert_eq!(commits, tasks.len() as u64, "{}: all tasks commit", label);
             prop_assert_eq!(&finals, &expected, "{} @ {} threads", label, threads);
@@ -131,8 +116,7 @@ proptest! {
         };
         let (seq_store, _) = Janus::run_sequential(store.clone(), &build(&deltas));
         let expected = seq_store.value(x).and_then(Value::as_int).expect("int");
-        let footprints: Vec<Vec<u64>> = deltas.iter().map(|_| vec![x.0]).collect();
-        for (label, policy) in policies(footprints) {
+        for (label, policy) in policies() {
             let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
                 .threads(threads)
                 .ordered(true)
@@ -142,44 +126,5 @@ proptest! {
             let got = outcome.store.value(x).and_then(Value::as_int).expect("int");
             prop_assert_eq!(got, expected, "{} @ {} threads", label, threads);
         }
-    }
-}
-
-#[test]
-fn ordered_hot_lane_on_sealed_lanes_matches_sequential_exactly() {
-    // An order-sensitive chain whose shared footprint routes every task
-    // onto one sealed lane: the other workers find their lanes empty and
-    // leave at once, and the lone owner commits the chain in submission
-    // order.
-    let n = 24usize;
-    let mut store = Store::new();
-    let x = store.alloc("x", Value::int(1));
-    let build = || -> Vec<Task> {
-        (1..=n as i64)
-            .map(|d| {
-                Task::new(move |tx: &mut TxView| {
-                    let v = tx.read_int(x);
-                    tx.write(x, v.wrapping_mul(3).wrapping_add(d));
-                })
-            })
-            .collect()
-    };
-    let (seq_store, _) = Janus::run_sequential(store.clone(), &build());
-    let expected = seq_store.value(x).and_then(Value::as_int).expect("int");
-    let footprints = vec![vec![x.0]; n];
-    for threads in [2usize, 4] {
-        let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-            .threads(threads)
-            .ordered(true)
-            .schedule(Arc::new(Affinity::new(Arc::new(ExactFootprints(
-                footprints.clone(),
-            )))))
-            .run(store.clone(), build());
-        assert_eq!(outcome.stats.commits, n as u64);
-        assert_eq!(outcome.stats.retries, 0, "one lane never races itself");
-        assert_eq!(outcome.sched.dispatched, n as u64);
-        assert_eq!(outcome.sched.affinity_routed, n as u64 - 1);
-        let got = outcome.store.value(x).and_then(Value::as_int).expect("int");
-        assert_eq!(got, expected, "ordered sealed-lane run @ {threads} threads");
     }
 }
