@@ -356,6 +356,8 @@ fn main() {
             "run 1: {tasks_n} transfers journaled under every-n:4; the process dies mid-write \
              of ticket {crash_at}'s record"
         );
+        // The barrier lets the journal thread reach the crash point.
+        wal.flush().expect("a crashed journal's barrier is a no-op");
         drop(wal);
 
         // Run 2: recover from the journal, then shut down cleanly

@@ -159,10 +159,12 @@ pub trait CommitGate: Send + Sync {
 /// sink must reorder internally (the WAL buffers by ticket and drains
 /// the contiguous prefix).
 ///
-/// Implementations must be fast and must never take a shard lock —
-/// they run under all of the committer's shard locks, and anything
-/// heavier than an append-to-buffer lengthens every conflicting
-/// commit's critical section.
+/// Implementations must not block and must do no I/O, and must never
+/// take a shard lock: they run under all of the committer's shard
+/// locks, and anything heavier than an append to a queue lengthens
+/// every conflicting commit's critical section. The WAL's sink only
+/// frames the record onto its journal thread's queue; the write and the
+/// fsync happen on that thread, outside every shard lock.
 pub trait CommitSink: Send + Sync {
     /// One committed transaction: its commit ticket, the bitmask of
     /// store shards it touched, and its full operation log (reads

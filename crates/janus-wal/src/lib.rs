@@ -4,13 +4,15 @@
 //! The runtime already produces the one artifact durability needs: a
 //! totally-ordered committed schedule, ticketed by the session oracle.
 //! This crate persists it. A [`Wal`] hangs off the runtime's
-//! [`janus_core::CommitSink`] seam and appends one record per ticket —
-//! the commit's mutating effects in `janus-log` wire encoding, or a
-//! tombstone for a released ordered turn — framed as
-//! `u32 len | payload | u64 fnv1a(payload)` in segment files. Records
-//! buffer in userspace until the configured [`FsyncPolicy`] flushes and
-//! fsyncs them in one batch: the group-commit window is exactly the
-//! suffix a crash can lose.
+//! [`janus_core::CommitSink`] seam, which only frames one record per
+//! ticket — the commit's mutating effects in `janus-log` wire encoding,
+//! or a tombstone for a released ordered turn — as
+//! `u32 len | payload | u64 fnv1a(payload)` onto a queue. One journal
+//! thread per [`Wal`] takes the whole queue each turn, appends it in
+//! ticket order to a userspace buffer and applies the configured
+//! [`FsyncPolicy`] once: the group-commit window is exactly the suffix
+//! a crash can lose. [`Wal::flush`] is the barrier that waits until
+//! everything submitted before it is written and fsynced.
 //!
 //! [`Wal::snapshot_and_truncate`] serializes the store and its commit
 //! watermark at a quiescent point, then drops every segment below the

@@ -19,6 +19,8 @@ pub struct WalStats {
     pub(crate) io_errors: AtomicU64,
     pub(crate) torn_truncations: AtomicU64,
     pub(crate) recovery_replays: AtomicU64,
+    turns: AtomicU64,
+    turn_records_max: AtomicU64,
 }
 
 impl WalStats {
@@ -41,6 +43,22 @@ impl WalStats {
     /// every record buffered since the previous flush.
     pub fn fsync_batches(&self) -> u64 {
         self.fsync_batches.load(Ordering::Relaxed)
+    }
+
+    /// Journal-thread turns: each took every record queued since the
+    /// previous one and applied the fsync policy once.
+    pub fn turns(&self) -> u64 {
+        self.turns.load(Ordering::Relaxed)
+    }
+
+    /// The most records one turn took: the deepest the queue got.
+    pub fn turn_records_max(&self) -> u64 {
+        self.turn_records_max.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_turn(&self, records: u64) {
+        self.turns.fetch_add(1, Ordering::Relaxed);
+        self.turn_records_max.fetch_max(records, Ordering::Relaxed);
     }
 
     /// Store snapshots written (each truncates the segments below it).
@@ -92,6 +110,8 @@ impl janus_obs::Snapshot for WalStats {
             ("skips".to_string(), self.skips()),
             ("bytes".to_string(), self.bytes()),
             ("fsync_batches".to_string(), self.fsync_batches()),
+            ("turns".to_string(), self.turns()),
+            ("turn_records_max".to_string(), self.turn_records_max()),
             ("snapshots".to_string(), self.snapshots()),
             ("crash_points".to_string(), self.crash_points()),
             ("io_errors".to_string(), self.io_errors()),

@@ -4,6 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use janus_core::{CommitSink as _, Janus, Store, Task, TxView};
 use janus_detect::SequenceDetector;
@@ -26,6 +27,19 @@ fn base_store() -> (Store, LocId, LocId) {
     let a = store.alloc("acct", Value::int(0));
     let b = store.alloc("acct", Value::int(100));
     (store, a, b)
+}
+
+/// Waits until the journal thread has published ticket `seq` as
+/// buffered, or died: the next record then starts a turn of its own.
+fn settle(wal: &Wal, seq: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while wal.buffered_seq() < seq && !wal.is_dead() {
+        assert!(
+            Instant::now() < deadline,
+            "journal thread never took ticket {seq}"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 /// Harvests a task body's op log against the store's current state.
@@ -78,9 +92,11 @@ fn group_commit_buffers_until_the_batch_fills() {
     let wal = Wal::open(&dir, FsyncPolicy::EveryN(2), 0).expect("open");
     let sink = wal.sink();
     sink.committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
+    settle(&wal, 1);
     assert_eq!(wal.buffered_seq(), 1);
     assert_eq!(wal.synced_seq(), 0, "one record sits in the batch window");
     sink.committed(2, 1, &ops_for(&store, |tx| tx.add(a, 2)));
+    settle(&wal, 2);
     assert_eq!(wal.synced_seq(), 2, "the second record closes the batch");
     assert_eq!(wal.stats().fsync_batches(), 1);
     wal.mark_clean().expect("clean");
@@ -103,11 +119,11 @@ fn interval_policy_flushes_from_the_background_thread() {
     while wal.synced_seq() < 1 {
         assert!(
             std::time::Instant::now() < deadline,
-            "flusher thread never synced the record"
+            "the journal thread never synced the record"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    drop(wal); // joins the flusher
+    drop(wal); // joins the journal thread
     let rec = recover(&dir, base_store().0).expect("recover");
     assert_eq!(rec.store.value(a), Some(&Value::int(4)));
 }
@@ -115,8 +131,8 @@ fn interval_policy_flushes_from_the_background_thread() {
 #[test]
 fn crash_sites_lose_exactly_the_undurable_suffix() {
     // One crash point per durability boundary, always killing ticket 2
-    // under `always` fsync: the recovered prefix is exactly what the
-    // site semantics promise.
+    // under `always` fsync, one record per journal turn: the recovered
+    // prefix is exactly what the site semantics promise.
     for (site, expect_seq) in [
         (CrashSite::PreAppend, 1),          // record 2 never existed
         (CrashSite::PostAppendPreFsync, 1), // record 2 torn, truncated
@@ -132,7 +148,9 @@ fn crash_sites_lose_exactly_the_undurable_suffix() {
         let wal = Wal::open_with_faults(&dir, FsyncPolicy::Always, 0, Some(plan)).expect("open");
         let sink = wal.sink();
         sink.committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
+        settle(&wal, 1);
         sink.committed(2, 1, &ops_for(&store, |tx| tx.add(a, 2)));
+        settle(&wal, 2);
         assert!(wal.is_dead(), "site {} kills the journal", site.label());
         // Post-crash traffic must vanish, like writes of a dead process.
         sink.committed(3, 1, &ops_for(&store, |tx| tx.add(a, 4)));
@@ -246,6 +264,7 @@ fn corrupt_mid_log_record_fails_loudly_with_both_hashes() {
     for seq in 1..=3 {
         sink.committed(seq, 1, &ops_for(&store, |tx| tx.add(a, 1)));
     }
+    wal.flush().expect("flush");
     drop(wal);
 
     // Flip one payload byte in the *first* record: damage ahead of the
@@ -328,6 +347,7 @@ fn reopen_continues_the_global_sequence() {
         let sink = wal.sink();
         sink.committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
         sink.committed(2, 1, &ops_for(&store, |tx| tx.add(a, 2)));
+        wal.flush().expect("flush");
     }
     let rec = recover(&dir, base_store().0).expect("mid recover");
     assert_eq!(rec.commit_seq, 2);
@@ -336,6 +356,7 @@ fn reopen_continues_the_global_sequence() {
         // Session-local ticket 1 lands at global 3.
         wal.sink()
             .committed(1, 1, &ops_for(&store, |tx| tx.add(a, 4)));
+        settle(&wal, 3);
         assert_eq!(wal.synced_seq(), 3);
     }
     let rec = recover(&dir, base_store().0).expect("final recover");
@@ -385,4 +406,111 @@ fn runtime_seam_journals_a_real_session() {
         total += got.and_then(Value::as_int).unwrap();
     }
     assert_eq!(total, 0, "transfers conserve the balance through replay");
+}
+
+#[test]
+fn concurrent_submitters_and_barriers_recover_the_sequential_replay() {
+    // Four threads hand tickets 1..=N to the sink out of order while a
+    // fifth loops on the barrier: the journal reorders across turns, and
+    // the final barrier makes the whole dense sequence durable.
+    const N: u64 = 400;
+    let dir = scratch("concurrent");
+    let (store, a, b) = base_store();
+    let logs: Vec<Vec<Op>> = (1..=N as i64)
+        .map(|s| {
+            ops_for(&store, |tx| {
+                tx.add(a, s);
+                tx.add(b, -s);
+            })
+        })
+        .collect();
+    let committed = |s: u64| !s.is_multiple_of(3);
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(8), 0).expect("open");
+    let submitting = std::sync::atomic::AtomicBool::new(true);
+    // All five threads start together, so barriers land mid-stream.
+    let start = std::sync::Barrier::new(5);
+    std::thread::scope(|scope| {
+        let (wal, logs, submitting, start) = (&wal, &logs, &submitting, &start);
+        let flusher = scope.spawn(move || {
+            start.wait();
+            loop {
+                wal.flush().expect("flush");
+                if !submitting.load(std::sync::atomic::Ordering::Acquire) {
+                    break;
+                }
+            }
+        });
+        let submitters: Vec<_> = (0..4u64)
+            .map(|t| {
+                let sink = wal.sink();
+                scope.spawn(move || {
+                    // Thread t owns tickets t+1, t+5, …, and hands them
+                    // over in descending runs of four.
+                    let mine: Vec<u64> = (1..=N).filter(|s| (s - 1) % 4 == t).collect();
+                    start.wait();
+                    for run in mine.chunks(4) {
+                        for &s in run.iter().rev() {
+                            if committed(s) {
+                                sink.committed(s, 0b11, &logs[s as usize - 1]);
+                            } else {
+                                sink.skipped(s);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().expect("submitter");
+        }
+        submitting.store(false, std::sync::atomic::Ordering::Release);
+        flusher.join().expect("flusher");
+    });
+    wal.flush().expect("final flush");
+    assert_eq!(wal.synced_seq(), N);
+    drop(wal);
+
+    let rec = recover(&dir, base_store().0).expect("recover");
+    assert_eq!(rec.commit_seq, N);
+    let mut expect = base_store().0;
+    for s in (1..=N).filter(|&s| committed(s)) {
+        expect.apply_log(&logs[s as usize - 1]);
+    }
+    assert_eq!(
+        rec.commits_replayed,
+        (1..=N).filter(|&s| committed(s)).count() as u64
+    );
+    assert_eq!(rec.skips_replayed, N / 3);
+    assert_eq!(rec.store.value(a), expect.value(a));
+    assert_eq!(rec.store.value(b), expect.value(b));
+}
+
+#[test]
+fn a_burst_under_group_commit_fsyncs_at_most_once_per_n_records() {
+    // However the burst splits into turns, a turn fsyncs only once eight
+    // records are unsynced, and the barrier adds at most one more.
+    const N: u64 = 1000;
+    let dir = scratch("burst");
+    let (store, a, _b) = base_store();
+    let ops = ops_for(&store, |tx| tx.add(a, 1));
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(8), 0).expect("open");
+    let sink = wal.sink();
+    for s in 1..=N {
+        sink.committed(s, 1, &ops);
+    }
+    wal.flush().expect("flush");
+    let stats = wal.stats();
+    assert!(
+        stats.fsync_batches() <= N / 8 + 1,
+        "{} fsyncs for {N} records",
+        stats.fsync_batches()
+    );
+    assert!(stats.turns() >= 1);
+    assert!((1..=N).contains(&stats.turn_records_max()));
+    assert_eq!(wal.synced_seq(), N);
+    drop(wal);
+
+    let rec = recover(&dir, base_store().0).expect("recover");
+    assert_eq!(rec.commit_seq, N);
+    assert_eq!(rec.store.value(a), Some(&Value::int(N as i64)));
 }

@@ -46,13 +46,23 @@
 //! # Durability
 //!
 //! With `--wal-dir DIR` every committed transaction is journaled to a
-//! write-ahead log (fsync cadence per `--wal-fsync`, default
-//! `every-n:8` group commit). On boot the service replays any existing
-//! journal into the freshly provisioned store before serving, reporting
-//! `recovered commit_seq=<n>` on stderr, and continues the global
-//! commit sequence from there — exactly once, deduped by commit ticket.
-//! `drained commit_seq=<n>` is only printed after the journal is
-//! flushed and fsynced up to `n`.
+//! write-ahead log. The commit path only queues the framed record; one
+//! `janus-wal` journal thread takes everything queued in a turn, writes
+//! it in ticket order and fsyncs per `--wal-fsync`:
+//!
+//! * `always` — at the end of every turn that took a record;
+//! * `every-n:N` (the default, `every-n:8`) — at the end of a turn once
+//!   at least N records are unsynced (group commit);
+//! * `interval-ms:N` — once the oldest unsynced record has waited N ms.
+//!
+//! On boot the service replays any existing journal into the freshly
+//! provisioned store before serving, reporting `recovered
+//! commit_seq=<n>` on stderr, and continues the global commit sequence
+//! from there — exactly once, deduped by commit ticket. `drained
+//! commit_seq=<n>` waits on the journal thread: it is only printed once
+//! every record through `n` is written and fsynced. If an I/O error
+//! killed the journal, `drain` answers `error wal flush failed: ...`
+//! in its place.
 //!
 //! Shutdown: `quit` (or EOF) drains the pipeline, flushes + fsyncs the
 //! journal, snapshots the store (truncating journaled segments below
@@ -149,9 +159,9 @@ fn done_line(id: &str, outcome: &BlockOutcome) -> String {
 
 /// The pipeline consumer: owns the executor, drains the admission
 /// queue, writes `done`/`value`/`stats` lines. With a journal attached,
-/// `drained commit_seq=<n>` is only printed once the journal is fsynced
-/// through `n`, and the final exit path snapshots the store and leaves
-/// a clean-shutdown marker.
+/// `drained commit_seq=<n>` is only printed once the journal thread has
+/// fsynced through `n`, and the final exit path snapshots the store and
+/// leaves a clean-shutdown marker.
 fn consume(
     mut exec: BlockExecutor,
     queue: Arc<AdmissionQueue<Item>>,
@@ -210,13 +220,12 @@ fn consume(
             Item::Drain => {
                 report(exec.drain(), &mut pending);
                 // The drained line is a durability promise: everything
-                // at or below this sequence survives a kill.
-                if let Some(wal) = &wal {
-                    if let Err(e) = wal.flush() {
-                        say(format!("error wal flush failed: {e}"));
-                    }
+                // at or below this sequence survives a kill. A journal
+                // that cannot keep it answers with the error instead.
+                match wal.as_ref().map_or(Ok(()), |wal| wal.flush()) {
+                    Ok(()) => say(format!("drained commit_seq={}", exec.commit_seq())),
+                    Err(e) => say(format!("error wal flush failed: {e}")),
                 }
-                say(format!("drained commit_seq={}", exec.commit_seq()));
             }
             Item::Quit => break,
         }

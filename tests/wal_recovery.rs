@@ -18,6 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use janus::core::{CommitSink as _, Store, TxView};
 use janus::fault::{CrashSite, FaultKind, FaultPlan, FaultSite};
@@ -60,9 +61,23 @@ fn ops_for(store: &Store, locs: &[LocId], accesses: &[(usize, i64)]) -> Vec<Op> 
     tx.into_log()
 }
 
+/// Waits until the journal thread has taken ticket `seq` (or died), so
+/// the next record starts a turn of its own and the fsync policy sees
+/// one record at a time.
+fn settle(wal: &Wal, seq: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while wal.buffered_seq() < seq && !wal.is_dead() {
+        assert!(
+            Instant::now() < deadline,
+            "journal thread never took ticket {seq}"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
 /// What the crash-site semantics promise recovery will see: the durable
 /// watermark and whether the tail is torn. `k` is the crashed global
-/// sequence, fed strictly in order.
+/// sequence, fed strictly in order, one record per journal turn.
 fn durable_prefix(policy: FsyncPolicy, site: CrashSite, k: u64) -> (u64, u64) {
     match site {
         // The record never exists; the whole unsynced window is lost.
@@ -99,8 +114,9 @@ fn check_recovery(actions: &[Action], policy: FsyncPolicy, crash: Option<(u64, C
     let wal = Wal::open_with_faults(&dir, policy, 0, plan).expect("open");
     let sink = wal.sink();
 
-    // Feed strictly in ticket order, evolving a shadow store so each
-    // op log is harvested against the state it would really see.
+    // Feed strictly in ticket order, one record per journal turn, evolving
+    // a shadow store so each op log is harvested against the state it
+    // would really see.
     let mut shadow = store.clone();
     let mut logs: Vec<Option<Vec<Op>>> = Vec::new();
     for action in actions {
@@ -117,6 +133,7 @@ fn check_recovery(actions: &[Action], policy: FsyncPolicy, crash: Option<(u64, C
                 logs.push(None);
             }
         }
+        settle(&wal, seq);
     }
     let (want_seq, want_torn) = match crash {
         Some((k, site)) => {
