@@ -267,11 +267,8 @@ fn main() {
             );
             if stats.faults_injected > 0 || stats.tasks_failed > 0 {
                 println!(
-                    "robustness: {} faults injected, {} tasks failed, {} budget escalations, {} watchdog fires",
-                    stats.faults_injected,
-                    stats.tasks_failed,
-                    stats.retry_budget_escalations,
-                    stats.watchdog_fires,
+                    "robustness: {} faults injected, {} tasks failed, {} watchdog fires",
+                    stats.faults_injected, stats.tasks_failed, stats.watchdog_fires,
                 );
             }
             println!("{}", text_report(&trace, 5));
@@ -393,10 +390,7 @@ fn main() {
         println!(
             "run 3: clean={} snapshot={:?} commit_seq={} records_replayed={} — the snapshot \
              absorbed the history\n",
-            again.clean,
-            again.snapshot_seq,
-            again.commit_seq,
-            again.commits_replayed + again.skips_replayed,
+            again.clean, again.snapshot_seq, again.commit_seq, again.commits_replayed,
         );
     }
 }

@@ -31,8 +31,8 @@ pub enum PanicPolicy {
     /// Fault isolation: the panicking task's transaction is discarded,
     /// the task is recorded in [`Outcome::failed`] (payload message and
     /// attempt count), and the remaining tasks run to completion. In
-    /// ordered runs the failed task's commit turn is released with a
-    /// tombstone so successors never hang.
+    /// ordered runs the failed task's commit turn is released so
+    /// successors never hang.
     Isolate,
 }
 
@@ -68,8 +68,7 @@ mod phase {
     pub const VALIDATING: u64 = 3;
     pub const COMMITTING: u64 = 4;
     pub const BACKOFF: u64 = 5;
-    pub const SERIAL_WAIT: u64 = 6;
-    pub const DONE: u64 = 7;
+    pub const DONE: u64 = 6;
 
     pub fn label(p: u64) -> &'static str {
         match p {
@@ -79,7 +78,6 @@ mod phase {
             VALIDATING => "validating",
             COMMITTING => "committing",
             BACKOFF => "backoff",
-            SERIAL_WAIT => "serial-wait",
             DONE => "done",
             _ => "unknown",
         }
@@ -87,7 +85,7 @@ mod phase {
 
     /// Phases in which the worker is parked waiting for someone else.
     pub fn is_parked(p: u64) -> bool {
-        matches!(p, ORDERED_WAIT | BACKOFF | SERIAL_WAIT)
+        matches!(p, ORDERED_WAIT | BACKOFF)
     }
 }
 
@@ -151,13 +149,12 @@ pub trait CommitGate: Send + Sync {
 /// [`CommitSink::committed`] is invoked inside the commit critical
 /// section, with every touched shard's write lock still held,
 /// immediately after the ticket draw and the shard publishes. That
-/// placement is the durability contract: every ticket the oracle ever
-/// issues reaches the sink exactly once — as a commit, or (for a failed
-/// ordered task's released turn) as a skip — so a sink can reconstruct
-/// the dense commit sequence. Commits touching disjoint shards run
-/// concurrently, so *calls arrive out of ticket order*; an ordering
-/// sink must reorder internally (the WAL buffers by ticket and drains
-/// the contiguous prefix).
+/// placement is the durability contract: the oracle draws tickets only
+/// for commits, and every ticket reaches the sink exactly once, so a
+/// sink can reconstruct the dense commit sequence. Commits touching
+/// disjoint shards run concurrently, so *calls arrive out of ticket
+/// order*; an ordering sink must reorder internally (the WAL buffers by
+/// ticket and drains the contiguous prefix).
 ///
 /// Implementations must not block and must do no I/O, and must never
 /// take a shard lock: they run under all of the committer's shard
@@ -172,9 +169,9 @@ pub trait CommitSink: Send + Sync {
     /// [`Op::is_write`]).
     fn committed(&self, seq: u64, shard_mask: u64, ops: &[Op]);
 
-    /// One consumed-but-unpublished ticket: a failed ordered task's
-    /// commit turn, released with a tombstone.
-    fn skipped(&self, seq: u64);
+    /// Never called: the oracle draws no ticket for a failed task. Kept
+    /// with an empty body so existing implementations still compile.
+    fn skipped(&self, _seq: u64) {}
 }
 
 /// The state that outlives one batch: the commit-sequence oracle, the
@@ -229,8 +226,7 @@ impl Session {
         report(&self.core.shards)
     }
 
-    /// Commit tickets issued so far (commits + tombstones across all
-    /// batches).
+    /// Commit tickets issued so far: the commits of every batch.
     pub fn commit_seq(&self) -> u64 {
         self.core.oracle.now() - 1
     }
@@ -276,8 +272,6 @@ struct BatchCtx {
     poisoned: AtomicBool,
     phases: WorkerPhases,
     failed: parking_lot::Mutex<Vec<TaskFailure>>,
-    /// Retries past the retry budget serialize on this batch-level token.
-    escalation: parking_lot::Mutex<()>,
     panic_payload: parking_lot::Mutex<Option<Box<dyn std::any::Any + Send>>>,
     dumps: parking_lot::Mutex<Vec<String>>,
     /// Workers still running (the watchdog's exit condition).
@@ -302,7 +296,7 @@ type ShardMap = janus_persist::PersistentMap<janus_log::LocId, crate::store::Slo
 
 /// What every `RUNTASK` stage shares: the task's global id, its worker,
 /// the attempt number (consecutive conflict aborts so far — it drives
-/// backoff, the retry budget and fault sites), the batch and the ring.
+/// backoff and fault sites), the batch and the ring.
 #[derive(Clone, Copy)]
 struct TaskCtx<'c> {
     tid: u64,
@@ -391,7 +385,7 @@ impl CommitPlan {
 
 /// An open validation: the detector session and, per touched shard, the
 /// absolute history position validated up to (positional, not
-/// ticket-indexed — pruned prefixes and skipped turns leave no holes).
+/// ticket-indexed — pruned prefixes leave no holes).
 struct Validation<'a> {
     session: Box<dyn ValidationSession + 'a>,
     validated: Vec<u64>,
@@ -449,9 +443,6 @@ pub struct BatchOutcome {
     /// (a watchdog fire under [`PanicPolicy::Isolate`]): some tasks may
     /// not have run. Always `false` when the batch drained normally.
     pub poisoned: bool,
-    /// Ordered-mode commit turns released with a tombstone (failed
-    /// tasks). `commits + tombstones` tickets were drawn by this batch.
-    pub tombstones: u64,
 }
 
 /// One unit of work: a program plus its initial data values (`o ↦ ν`),
@@ -515,9 +506,6 @@ pub struct RunStats {
     pub faults_injected: u64,
     /// Tasks isolated after a body panic ([`PanicPolicy::Isolate`]).
     pub tasks_failed: u64,
-    /// Tasks whose conflict-abort count crossed the retry budget and
-    /// whose further retries were serialized on the escalation token.
-    pub retry_budget_escalations: u64,
     /// Times the commit-clock watchdog observed no progress for a full
     /// interval and emitted a diagnostic dump.
     pub watchdog_fires: u64,
@@ -559,7 +547,6 @@ impl janus_obs::Snapshot for RunStats {
             ("zero_copy_windows", self.zero_copy_windows),
             ("faults_injected", self.faults_injected),
             ("tasks_failed", self.tasks_failed),
-            ("retry_budget_escalations", self.retry_budget_escalations),
             ("watchdog_fires", self.watchdog_fires),
             ("commit_gate_waits", self.commit_gate_waits),
         ]
@@ -600,13 +587,8 @@ struct RunCounters {
     delta_revalidations: AtomicU64,
     zero_copy_windows: AtomicU64,
     tasks_failed: AtomicU64,
-    escalations: AtomicU64,
     watchdog_fires: AtomicU64,
     gate_waits: AtomicU64,
-    /// Commit turns of failed ordered tasks, released by consuming one
-    /// oracle ticket without publishing any history entry. The oracle
-    /// mirrors `commits + tombstones`.
-    tombstones: AtomicU64,
 }
 
 /// The JANUS runtime: a conflict detector plus execution policy. Mirrors
@@ -624,7 +606,6 @@ pub struct Janus {
     recorder: Option<Arc<Recorder>>,
     schedule: Arc<dyn SchedulePolicy>,
     panic_policy: PanicPolicy,
-    max_attempts: Option<u32>,
     watchdog: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
     commit_sink: Option<Arc<dyn CommitSink>>,
@@ -644,7 +625,6 @@ impl Janus {
             recorder: None,
             schedule: Arc::new(Fifo),
             panic_policy: PanicPolicy::default(),
-            max_attempts: None,
             watchdog: None,
             faults: None,
             commit_sink: None,
@@ -657,18 +637,6 @@ impl Janus {
     /// [`Outcome::failed`].
     pub fn panic_policy(mut self, policy: PanicPolicy) -> Self {
         self.panic_policy = policy;
-        self
-    }
-
-    /// Sets the per-task retry budget: after `budget` conflict aborts, a
-    /// task's further retries take a batch-level serial token, so it can
-    /// no longer be starved by the contenders that aborted it. Ignored in
-    /// ordered runs, which have an inherent progress guarantee: the task
-    /// at the clock's turn validates against a window that drains.
-    /// Default: unbounded.
-    pub fn max_attempts(mut self, budget: u32) -> Self {
-        assert!(budget >= 1, "the retry budget must allow one attempt");
-        self.max_attempts = Some(budget);
         self
     }
 
@@ -788,12 +756,11 @@ impl Janus {
         let session = self.open_session(store);
         let batch = self.run_batch(&session, tasks, None);
         // Commits come from the dedicated counter; the oracle mirrors
-        // commits + tombstones (released turns of failed ordered tasks)
-        // but is an implementation detail of sequencing, not a
+        // it but is an implementation detail of sequencing, not a
         // statistic. Poisoned runs stop drawing tickets mid-flight, so
         // the identity only holds for runs that drained normally.
         if !batch.poisoned {
-            debug_assert_eq!(batch.stats.commits + batch.tombstones, session.commit_seq());
+            debug_assert_eq!(batch.stats.commits, session.commit_seq());
         }
         let (final_store, shard_stats) = session.finish();
         Outcome {
@@ -856,7 +823,6 @@ impl Janus {
             poisoned: AtomicBool::new(false),
             phases: WorkerPhases::new(workers),
             failed: parking_lot::Mutex::new(Vec::new()),
-            escalation: parking_lot::Mutex::new(()),
             panic_payload: parking_lot::Mutex::new(None),
             dumps: parking_lot::Mutex::new(Vec::new()),
             live: AtomicU64::new(workers as u64),
@@ -892,7 +858,6 @@ impl Janus {
             watchdog_dumps,
             first_tid,
             poisoned: ctx.poisoned.load(Ordering::Acquire),
-            tombstones: counters.tombstones.load(Ordering::Relaxed),
             stats: RunStats {
                 commits: counters.commits.load(Ordering::Relaxed),
                 retries: counters.retries.load(Ordering::Relaxed),
@@ -905,7 +870,6 @@ impl Janus {
                 zero_copy_windows: counters.zero_copy_windows.load(Ordering::Relaxed),
                 faults_injected,
                 tasks_failed: counters.tasks_failed.load(Ordering::Relaxed),
-                retry_budget_escalations: counters.escalations.load(Ordering::Relaxed),
                 watchdog_fires: counters.watchdog_fires.load(Ordering::Relaxed),
                 commit_gate_waits: counters.gate_waits.load(Ordering::Relaxed),
             },
@@ -1032,7 +996,7 @@ impl Janus {
     }
 
     /// Everything whose movement counts as progress to the watchdog.
-    fn progress_vector(&self, ctx: &BatchCtx) -> [u64; 7] {
+    fn progress_vector(&self, ctx: &BatchCtx) -> [u64; 6] {
         [
             ctx.oracle().now(),
             // Relaxed: diagnostic sampling only — any observed movement
@@ -1041,7 +1005,6 @@ impl Janus {
             ctx.counters.commits.load(Ordering::Relaxed),
             ctx.counters.retries.load(Ordering::Relaxed),
             ctx.counters.tasks_failed.load(Ordering::Relaxed),
-            ctx.counters.tombstones.load(Ordering::Relaxed),
             self.faults.as_ref().map_or(0, |f| f.stats().injected()),
         ]
     }
@@ -1093,7 +1056,6 @@ impl Janus {
     fn run_task(&self, task: &Task, mut t: TaskCtx<'_>) {
         let (tid, worker, ctx, obs) = (t.tid, t.worker, t.ctx, t.obs);
         loop {
-            let _token = self.serial_token(t);
             let txn = self.begin(t);
             let ops = match self.execute(task, t, &txn) {
                 Ok(ops) => ops,
@@ -1134,23 +1096,6 @@ impl Janus {
         // Scheduler bookkeeping happens after the shard locks are
         // released: none of it is on the commit critical path.
         ctx.source.on_commit(worker, (tid - ctx.first_tid) as usize);
-    }
-
-    /// The escalation token this attempt runs under, if any. A task past
-    /// its retry budget takes it, so the contenders that keep aborting it
-    /// cannot starve it (unordered runs only: commit order already
-    /// bounds livelock, and a token held across an ordered wait could
-    /// deadlock a predecessor's retry).
-    fn serial_token<'c>(&self, t: TaskCtx<'c>) -> Option<parking_lot::MutexGuard<'c, ()>> {
-        let escalated = !self.ordered && matches!(self.max_attempts, Some(n) if t.attempt >= n);
-        if !escalated {
-            return None;
-        }
-        if Some(t.attempt) == self.max_attempts {
-            t.ctx.counters.escalations.fetch_add(1, Ordering::Relaxed);
-        }
-        t.ctx.phases.set(t.worker, phase::SERIAL_WAIT, t.tid);
-        Some(t.ctx.escalation.lock())
     }
 
     /// `CREATETRANSACTION`: draw the begin timestamp from the oracle, pin
@@ -1428,18 +1373,17 @@ impl Janus {
     ///
     /// In ordered runs the failed task still owns a commit turn: every
     /// successor waits for `turn == tid + 1`, so it waits for its own
-    /// turn and releases it with a tombstone. The tombstone consumes one
-    /// oracle ticket — keeping the `commits + tombstones = seq - 1`
-    /// identity — but publishes no history entry: shard windows are
-    /// positional, so a skipped turn leaves no hole for successors to
-    /// validate against.
+    /// turn and releases it. It draws no ticket and publishes nothing:
+    /// shard windows are positional, so a released turn leaves no hole
+    /// for successors to validate against, and the journal sees only
+    /// commits.
     fn isolate_failure(
         &self,
         t: TaskCtx<'_>,
         txn: Attempt<'_>,
         payload: Box<dyn std::any::Any + Send>,
     ) {
-        // Unpin before the tombstone turn wait below.
+        // Unpin before the turn wait below.
         drop(txn);
         let ctx = t.ctx;
         // The gate must not wait forever on a task that will never
@@ -1463,21 +1407,13 @@ impl Janus {
         // batch is already failing wholesale; successors bail on the
         // poison flag, not the turn.
         let tid = t.tid;
-        if !self.ordered
-            || !park_until(ctx, t.worker, tid, || {
+        if self.ordered
+            && park_until(ctx, t.worker, tid, || {
                 ctx.turn.load(Ordering::Acquire) == tid
             })
         {
-            return;
+            ctx.turn.store(tid + 1, Ordering::Release);
         }
-        let seq = ctx.oracle().ticket();
-        // The consumed ticket must still reach the sink: journals keep
-        // the seq stream dense by recording an explicit skip.
-        if let Some(sink) = &self.commit_sink {
-            sink.skipped(seq);
-        }
-        ctx.counters.tombstones.fetch_add(1, Ordering::Relaxed);
-        ctx.turn.store(tid + 1, Ordering::Release);
     }
 
     /// Executes the tasks sequentially (single-threaded,
@@ -1954,23 +1890,26 @@ mod tests {
     }
 
     #[test]
-    fn ordered_isolation_tombstones_the_failed_turn() {
-        // The failed task owns turn 2; without the tombstone, tasks 3..=6
-        // would wait on `clock == tid` forever.
+    fn ordered_isolation_releases_the_failed_turn() {
+        // The failed task owns turn 2; unless it releases the turn, tasks
+        // 3..=6 would wait on `turn == tid` forever. Releasing it draws
+        // no ticket: the oracle counts only the five commits.
         let mut store = Store::new();
         let work = store.alloc("work", Value::int(0));
         let mut tasks = identity_tasks(work, 6);
         tasks[1] = Task::new(|_tx: &mut TxView| panic!("ordered boom"));
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
+        let janus = Janus::new(Arc::new(SequenceDetector::new()))
             .threads(3)
             .ordered(true)
-            .panic_policy(PanicPolicy::Isolate)
-            .run(store, tasks);
-        assert_eq!(outcome.stats.commits, 5, "every survivor commits");
-        assert_eq!(outcome.stats.tasks_failed, 1);
-        assert_eq!(outcome.failed.len(), 1);
-        assert_eq!(outcome.failed[0].task, 2);
-        assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
+            .panic_policy(PanicPolicy::Isolate);
+        let session = janus.open_session(store);
+        let b = janus.run_batch(&session, tasks, None);
+        assert_eq!(b.stats.commits, 5, "every survivor commits");
+        assert_eq!(session.commit_seq(), 5, "the released turn drew no ticket");
+        assert_eq!(b.stats.tasks_failed, 1);
+        assert_eq!(b.failed.len(), 1);
+        assert_eq!(b.failed[0].task, 2);
+        assert_eq!(session.value(work), Some(Value::int(0)));
     }
 
     #[test]
@@ -1996,10 +1935,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_conflicts_exhaust_the_budget_and_escalate() {
+    fn forced_conflicts_retry_until_the_plan_stops_injecting() {
         // Explicit sites: every task's attempts 0..3 are forced to
-        // conflict, so each task commits on attempt 3 after crossing the
-        // budget of 2 — the schedule of aborts is fully deterministic.
+        // conflict, so each task commits on attempt 3 — the schedule of
+        // aborts is fully deterministic.
         let mut store = Store::new();
         let work = store.alloc("work", Value::int(0));
         let sites: Vec<janus_fault::FaultSite> = (1..=8u64)
@@ -2013,16 +1952,11 @@ mod tests {
             .collect();
         let outcome = Janus::new(Arc::new(SequenceDetector::new()))
             .threads(4)
-            .max_attempts(2)
             .faults(Arc::new(FaultPlan::from_sites(sites)))
             .run(store, identity_tasks(work, 8));
         assert_eq!(outcome.stats.commits, 8);
         assert_eq!(outcome.stats.retries, 24, "three forced aborts per task");
         assert_eq!(outcome.stats.faults_injected, 24);
-        assert_eq!(
-            outcome.stats.retry_budget_escalations, 8,
-            "each task crosses the budget exactly once"
-        );
         assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
     }
 
@@ -2273,7 +2207,7 @@ mod tests {
     fn every_exit_path_releases_its_begin_ticket() {
         // One ordered batch whose tasks leave RUNTASK through every exit:
         // task 1 is forced to conflict once and then commits, task 2
-        // panics and is isolated (tombstoning its turn), task 3 parks at
+        // panics and is isolated (releasing its turn), task 3 parks at
         // a gate that never opens, and tasks 4..=6 wait for a turn that
         // never comes. The watchdog poisons the stalled batch, so the
         // gate-parked committer and the ordered waiters all bail out.
@@ -2307,7 +2241,7 @@ mod tests {
         assert_eq!(b.stats.watchdog_fires, 1);
         assert_eq!((b.stats.commits, b.stats.retries), (1, 1));
         assert_eq!(b.failed.iter().map(|f| f.task).collect::<Vec<_>>(), [2]);
-        assert_eq!(b.tombstones, 1);
+        assert_eq!(session.commit_seq(), 1, "only the commit drew a ticket");
         assert_eq!(b.stats.commit_gate_waits, 1);
         let trace = recorder.finish();
         trace.check_well_formed().expect("every attempt is closed");

@@ -1,11 +1,12 @@
 //! Deterministic fault injection for the JANUS runtime.
 //!
 //! Robustness claims ("a panicking task cannot take the run down",
-//! "retry budgets guarantee progress", "ordered successors never hang
-//! behind a failed predecessor") are only trustworthy if the failure
-//! paths can be exercised *deterministically*: the same fault plan must
-//! inject the same faults at the same sites on every run, regardless of
-//! thread interleaving. This crate provides that plan:
+//! "forced conflicts cannot stop a task from committing", "ordered
+//! successors never hang behind a failed predecessor") are only
+//! trustworthy if the failure paths can be exercised
+//! *deterministically*: the same fault plan must inject the same faults
+//! at the same sites on every run, regardless of thread interleaving.
+//! This crate provides that plan:
 //!
 //! * [`FaultPlan`] — either a *seeded* plan (`seed × rate`, every
 //!   injection decision a pure function of `(seed, kind, subject,
@@ -42,8 +43,8 @@ pub enum FaultKind {
     /// the 1-based task id.
     TaskPanic,
     /// Force the validation verdict to "conflict" even though the
-    /// detector passed the attempt (exercises retry budgets and
-    /// escalation). Subject: the 1-based task id.
+    /// detector passed the attempt (exercises the abort-and-retry
+    /// path). Subject: the 1-based task id.
     ForcedConflict,
     /// Delay the attempt just before it takes the commit write lock
     /// (exercises the commit-clock watchdog and ordered waiters).

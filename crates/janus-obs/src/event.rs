@@ -91,7 +91,7 @@ pub enum EventKind {
     /// `CREATETRANSACTION`: an attempt of task `task` begins (the clock
     /// stamp is the attempt's begin time).
     Begin {
-        /// The 1-based task id (= its commit position in ordered runs).
+        /// The 1-based task id.
         task: u64,
     },
     /// The first validation of an attempt fetched its conflict window.

@@ -5,8 +5,10 @@
 //! right policy when conflicts are rare — the regime sequence-based
 //! detection creates — and it is the only policy here. Two wall-clock
 //! grids over the five paper loops (`BENCH_wall_contention.json`,
-//! `BENCH_wall_route.json`) found no placement worth keeping beside it;
-//! the runtime's retry budget is the starvation bound.
+//! `BENCH_wall_route.json`) found no placement worth keeping beside it.
+//! Immediate retry cannot starve a task: an attempt aborts only on a
+//! conflict with a commit made since it began, so every abort is paid
+//! for by another task's progress.
 //!
 //! * [`SchedulePolicy`] — a strategy, bound per run to a [`TaskSource`]
 //!   the workers dispatch through. `TaskSource` is the seam: a source

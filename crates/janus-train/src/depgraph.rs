@@ -7,6 +7,8 @@
 //! unique maximal dependence path is the chronological sequence of
 //! operations touching it; partitioning that path at task boundaries
 //! yields the dependent subsequences that seed commutativity training.
+//! The graph is kept as those paths alone: its edges are the
+//! consecutive nodes of each path, and training never walks them.
 
 use std::collections::BTreeMap;
 
@@ -25,8 +27,6 @@ pub struct OpNode {
 /// The dependence graph over a training run's sequential trace.
 #[derive(Debug, Default)]
 pub struct DependenceGraph {
-    /// Edges `(from, to, loc)` with `from` later in the trace than `to`.
-    edges: Vec<(OpNode, OpNode, LocId)>,
     /// Per-cell maximal dependence paths, in chronological order.
     paths: BTreeMap<(LocId, CellKey), Vec<OpNode>>,
 }
@@ -70,22 +70,7 @@ impl DependenceGraph {
                 CellSet::Empty => {}
             }
         }
-
-        // Dependence edges: consecutive operations on each cell (the
-        // transitive reduction of Equation 1's dependencies within a
-        // cell — every pair on a cell is dependent since read/read
-        // dependencies are subsumed).
-        for ((loc, _cell), nodes) in &graph.paths {
-            for w in nodes.windows(2) {
-                graph.edges.push((w[1], w[0], *loc));
-            }
-        }
         graph
-    }
-
-    /// The dependence edges `(later, earlier, loc)`.
-    pub fn edges(&self) -> &[(OpNode, OpNode, LocId)] {
-        &self.edges
     }
 
     /// The maximal dependence path for each accessed cell, chronological.
@@ -136,7 +121,6 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert_eq!(path[0], OpNode { task: 0, idx: 0 });
         assert_eq!(path[1], OpNode { task: 1, idx: 0 });
-        assert_eq!(g.edges().len(), 1);
     }
 
     #[test]
@@ -171,8 +155,7 @@ mod tests {
             task_log(1, vec![OpKind::Scalar(ScalarOp::Add(1))], &mut b),
         ];
         let g = DependenceGraph::build(&logs);
-        assert_eq!(g.paths().len(), 2);
-        assert!(g.edges().is_empty(), "no cross-location dependencies");
+        assert_eq!(g.paths().len(), 2, "no cross-location dependencies");
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub const CLEAN_MARKER: &str = "CLEAN";
 
 /// Record type: a committed transaction's effects.
 pub(crate) const REC_COMMIT: u8 = 1;
-/// Record type: a consumed-but-unpublished ticket (ordered tombstone).
-pub(crate) const REC_SKIP: u8 = 2;
 
 /// The segment file name for a first ticket (`seg-<16hex>.jwal`).
 pub fn segment_name(first_seq: u64) -> String {
@@ -197,11 +195,9 @@ impl Shared {
 /// prefix to a userspace buffer and applies the [`FsyncPolicy`] once.
 /// [`Wal::flush`] is the barrier that waits for all of it.
 ///
-/// Record frame: `u32 len | payload | u64 fnv1a(payload)`. Commit
-/// payloads carry the ticket, the touched-shard bitmask and the
-/// transaction's mutating effects in `janus-log` wire encoding;
-/// tombstone payloads carry just the ticket, keeping the journaled
-/// ticket stream dense.
+/// Record frame: `u32 len | payload | u64 fnv1a(payload)`. The payload
+/// carries the commit ticket, the touched-shard bitmask and the
+/// transaction's mutating effects in `janus-log` wire encoding.
 pub struct Wal {
     dir: PathBuf,
     base_seq: u64,
@@ -570,11 +566,7 @@ impl Journal {
             // the whole unsynced window — is lost to recovery.
             return Err(shared.crashed());
         }
-        if frame[4] == REC_COMMIT {
-            shared.stats.appends.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.stats.skips.fetch_add(1, Ordering::Relaxed);
-        }
+        shared.stats.appends.fetch_add(1, Ordering::Relaxed);
         shared
             .stats
             .bytes
@@ -649,33 +641,24 @@ pub struct WalSink {
     wal: Arc<Wal>,
 }
 
-impl WalSink {
-    /// Encodes one frame onto the queue and wakes the journal thread if
+impl WalSink {}
+
+impl CommitSink for WalSink {
+    /// Encodes the frame onto the queue and wakes the journal thread if
     /// it is parked. Traffic to a dead journal vanishes.
-    fn enqueue(&self, encode: impl FnOnce(&mut Vec<u8>)) {
+    fn committed(&self, seq: u64, shard_mask: u64, ops: &[Op]) {
+        let global = self.wal.base_seq + seq;
         let shared = &self.wal.shared;
         let mut q = shared.queue();
         if q.death.is_some() {
             return;
         }
-        encode(&mut q.frames);
+        put_commit_frame(&mut q.frames, global, shard_mask, ops);
         let wake = std::mem::take(&mut q.idle);
         drop(q);
         if wake {
             shared.wake.notify_one();
         }
-    }
-}
-
-impl CommitSink for WalSink {
-    fn committed(&self, seq: u64, shard_mask: u64, ops: &[Op]) {
-        let global = self.wal.base_seq + seq;
-        self.enqueue(|out| put_commit_frame(out, global, shard_mask, ops));
-    }
-
-    fn skipped(&self, seq: u64) {
-        let global = self.wal.base_seq + seq;
-        self.enqueue(|out| put_skip_frame(out, global));
     }
 }
 
@@ -729,14 +712,6 @@ fn put_commit_frame(out: &mut Vec<u8>, seq: u64, shard_mask: u64, ops: &[Op]) {
     });
 }
 
-/// Appends one tombstone record: just the consumed ticket.
-fn put_skip_frame(out: &mut Vec<u8>, seq: u64) {
-    put_frame(out, |payload| {
-        payload.push(REC_SKIP);
-        wire::put_u64(payload, seq);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,11 +753,11 @@ mod tests {
     #[test]
     fn frames_checksum_their_payload() {
         let mut f = Vec::new();
-        put_skip_frame(&mut f, 7);
+        put_commit_frame(&mut f, 7, 1, &[]);
         let len = u32::from_le_bytes(f[..4].try_into().unwrap()) as usize;
-        assert_eq!(len, 9);
+        assert_eq!(len, 21, "type, ticket, shard mask, effect count");
         assert_eq!(f.len(), 4 + len + 8);
-        assert_eq!(f[4], REC_SKIP);
+        assert_eq!(f[4], REC_COMMIT);
         let payload = &f[4..4 + len];
         let stored = u64::from_le_bytes(f[4 + len..].try_into().unwrap());
         assert_eq!(stored, wire::checksum(payload));
@@ -797,7 +772,7 @@ mod tests {
         // next `write_all` fails on every platform.
         let segment = File::open(dir.join(segment_name(1))).expect("reopen read-only");
         wal.shared.journal().file = segment;
-        wal.sink().skipped(1);
+        wal.sink().committed(1, 1, &[]);
         assert!(wal.flush().is_err(), "the failed write reaches the barrier");
         assert_eq!(wal.stats().io_errors(), 1);
         assert!(wal.is_dead());

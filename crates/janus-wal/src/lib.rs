@@ -5,9 +5,8 @@
 //! totally-ordered committed schedule, ticketed by the session oracle.
 //! This crate persists it. A [`Wal`] hangs off the runtime's
 //! [`janus_core::CommitSink`] seam, which only frames one record per
-//! ticket — the commit's mutating effects in `janus-log` wire encoding,
-//! or a tombstone for a released ordered turn — as
-//! `u32 len | payload | u64 fnv1a(payload)` onto a queue. One journal
+//! commit ticket — the commit's mutating effects in `janus-log` wire
+//! encoding — as `u32 len | payload | u64 fnv1a(payload)` onto a queue. One journal
 //! thread per [`Wal`] takes the whole queue each turn, appends it in
 //! ticket order to a userspace buffer and applies the configured
 //! [`FsyncPolicy`] once: the group-commit window is exactly the suffix

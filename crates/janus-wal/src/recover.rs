@@ -9,7 +9,7 @@ use janus_core::Store;
 use janus_log::{wire, ClassId, LocId, OpKind};
 
 use crate::journal::{
-    parse_seq_name, CLEAN_MAGIC, CLEAN_MARKER, REC_COMMIT, REC_SKIP, SEGMENT_MAGIC, SNAPSHOT_MAGIC,
+    parse_seq_name, CLEAN_MAGIC, CLEAN_MARKER, REC_COMMIT, SEGMENT_MAGIC, SNAPSHOT_MAGIC,
 };
 
 /// Why a recovery refused to proceed. Everything here is loud on
@@ -153,14 +153,12 @@ pub struct Recovered {
     /// The reconstructed store: snapshot state plus every replayed
     /// journal record, in ticket order, exactly once.
     pub store: Store,
-    /// The last ticket the journal accounts for (commits + tombstones);
-    /// the base the next [`crate::Wal::open`] must use.
+    /// The last commit ticket the journal accounts for; the base the
+    /// next [`crate::Wal::open`] must use.
     pub commit_seq: u64,
     /// Commit records replayed from segments (snapshot state excluded,
     /// duplicates excluded).
     pub commits_replayed: u64,
-    /// Tombstone records replayed from segments.
-    pub skips_replayed: u64,
     /// Records skipped because the snapshot already covered their
     /// ticket — the exactly-once dedupe at work.
     pub duplicates_skipped: u64,
@@ -205,7 +203,6 @@ pub fn recover(dir: impl AsRef<Path>, base: Store) -> Result<Recovered, WalError
         store: base,
         commit_seq: 0,
         commits_replayed: 0,
-        skips_replayed: 0,
         duplicates_skipped: 0,
         torn_tail_truncations: 0,
         snapshot_seq: None,
@@ -412,6 +409,12 @@ fn apply_record(
     };
     let mut c = wire::Cursor::new(payload);
     let rec_type = c.take_u8().map_err(wire_err)?;
+    if rec_type != REC_COMMIT {
+        return Err(wire_err(wire::WireError {
+            offset: 0,
+            message: format!("unknown record type {rec_type}"),
+        }));
+    }
     let seq = c.take_u64().map_err(wire_err)?;
     let duplicate = seq <= *applied;
     if !duplicate && seq != *applied + 1 {
@@ -421,37 +424,20 @@ fn apply_record(
             found: seq,
         });
     }
-    match rec_type {
-        REC_COMMIT => {
-            let _shard_mask = c.take_u64().map_err(wire_err)?;
-            let n = c.take_u32().map_err(wire_err)?;
-            let mut effects: Vec<(LocId, OpKind)> = Vec::with_capacity((n as usize).min(1 << 16));
-            for _ in 0..n {
-                effects.push(wire::decode_effect(&mut c).map_err(wire_err)?);
-            }
-            if duplicate {
-                out.duplicates_skipped += 1;
-                return Ok(());
-            }
-            out.store
-                .apply_effects(&effects)
-                .map_err(|loc| WalError::UnknownLoc { seq, loc })?;
-            out.commits_replayed += 1;
-        }
-        REC_SKIP => {
-            if duplicate {
-                out.duplicates_skipped += 1;
-                return Ok(());
-            }
-            out.skips_replayed += 1;
-        }
-        t => {
-            return Err(wire_err(wire::WireError {
-                offset: 0,
-                message: format!("unknown record type {t}"),
-            }));
-        }
+    let _shard_mask = c.take_u64().map_err(wire_err)?;
+    let n = c.take_u32().map_err(wire_err)?;
+    let mut effects: Vec<(LocId, OpKind)> = Vec::with_capacity((n as usize).min(1 << 16));
+    for _ in 0..n {
+        effects.push(wire::decode_effect(&mut c).map_err(wire_err)?);
     }
+    if duplicate {
+        out.duplicates_skipped += 1;
+        return Ok(());
+    }
+    out.store
+        .apply_effects(&effects)
+        .map_err(|loc| WalError::UnknownLoc { seq, loc })?;
+    out.commits_replayed += 1;
     *applied = seq;
     Ok(())
 }

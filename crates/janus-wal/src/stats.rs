@@ -11,7 +11,6 @@ use crate::recover::Recovered;
 #[derive(Debug, Default)]
 pub struct WalStats {
     pub(crate) appends: AtomicU64,
-    pub(crate) skips: AtomicU64,
     pub(crate) bytes: AtomicU64,
     pub(crate) fsync_batches: AtomicU64,
     pub(crate) snapshots: AtomicU64,
@@ -27,11 +26,6 @@ impl WalStats {
     /// Commit records drained into the journal buffer.
     pub fn appends(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
-    }
-
-    /// Tombstone (skip) records drained into the journal buffer.
-    pub fn skips(&self) -> u64 {
-        self.skips.load(Ordering::Relaxed)
     }
 
     /// Framed bytes buffered (record frames, headers excluded).
@@ -90,10 +84,8 @@ impl WalStats {
     /// recovered on boot reports the replay work alongside its live
     /// journal traffic.
     pub fn note_recovery(&self, recovered: &Recovered) {
-        self.recovery_replays.fetch_add(
-            recovered.commits_replayed + recovered.skips_replayed,
-            Ordering::Relaxed,
-        );
+        self.recovery_replays
+            .fetch_add(recovered.commits_replayed, Ordering::Relaxed);
         self.torn_truncations
             .fetch_add(recovered.torn_tail_truncations, Ordering::Relaxed);
     }
@@ -107,7 +99,6 @@ impl janus_obs::Snapshot for WalStats {
     fn counters(&self) -> Vec<(String, u64)> {
         vec![
             ("appends".to_string(), self.appends()),
-            ("skips".to_string(), self.skips()),
             ("bytes".to_string(), self.bytes()),
             ("fsync_batches".to_string(), self.fsync_batches()),
             ("turns".to_string(), self.turns()),

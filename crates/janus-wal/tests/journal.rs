@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use janus_core::{CommitSink as _, Janus, Store, Task, TxView};
 use janus_detect::SequenceDetector;
 use janus_fault::{CrashSite, FaultKind, FaultPlan, FaultSite};
-use janus_log::{LocId, Op};
+use janus_log::{wire, LocId, Op};
 use janus_relational::Value;
 use janus_wal::{recover, FsyncPolicy, Wal, WalError, CLEAN_MARKER};
 
@@ -63,24 +63,21 @@ fn out_of_order_appends_recover_in_ticket_order() {
     sink.committed(2, 1 << b.shard(64), &ops2);
     assert_eq!(wal.buffered_seq(), 0, "ticket 2 parks until 1 arrives");
     sink.committed(1, 1 << a.shard(64), &ops1);
-    sink.skipped(3);
     wal.flush().expect("flush");
-    assert_eq!(wal.synced_seq(), 3);
+    assert_eq!(wal.synced_seq(), 2);
     assert_eq!(wal.stats().appends(), 2);
-    assert_eq!(wal.stats().skips(), 1);
     assert!(wal.stats().bytes() > 0);
     drop(wal);
 
     let rec = recover(&dir, base_store().0).expect("recover");
-    assert_eq!(rec.commit_seq, 3);
+    assert_eq!(rec.commit_seq, 2);
     assert_eq!(rec.commits_replayed, 2);
-    assert_eq!(rec.skips_replayed, 1);
     assert_eq!(rec.store.value(a), Some(&Value::int(7)));
     assert_eq!(rec.store.value(b), Some(&Value::int(70)));
 
     // Double recovery is idempotent.
     let again = recover(&dir, base_store().0).expect("recover twice");
-    assert_eq!(again.commit_seq, 3);
+    assert_eq!(again.commit_seq, 2);
     assert_eq!(again.store.value(a), Some(&Value::int(7)));
     assert_eq!(again.store.value(b), Some(&Value::int(70)));
 }
@@ -327,6 +324,33 @@ fn a_clean_marker_makes_tail_damage_fatal() {
 }
 
 #[test]
+fn a_record_of_unknown_type_fails_recovery() {
+    // Journals write only commit records (type 1). A valid frame of any
+    // other type — such as type 2, which older journals wrote for a
+    // failed ordered task's turn — is refused, not replayed.
+    let dir = scratch("unknown-type");
+    let (store, a, _b) = base_store();
+    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    wal.sink()
+        .committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
+    wal.flush().expect("flush");
+    drop(wal);
+
+    let mut payload = vec![2u8];
+    wire::put_u64(&mut payload, 2);
+    let seg = dir.join(janus_wal::segment_name(1));
+    let mut bytes = fs::read(&seg).unwrap();
+    wire::put_u32(&mut bytes, payload.len() as u32);
+    bytes.extend_from_slice(&payload);
+    wire::put_u64(&mut bytes, wire::checksum(&payload));
+    fs::write(&seg, &bytes).unwrap();
+
+    let err = recover(&dir, base_store().0).expect_err("an unknown record type is fatal");
+    assert!(matches!(err, WalError::Wire { .. }), "got {err:?}");
+    assert!(err.to_string().contains("unknown record type 2"), "{err}");
+}
+
+#[test]
 fn missing_dir_is_a_fresh_start() {
     let dir = scratch("fresh");
     let (store, a, _b) = base_store();
@@ -424,7 +448,6 @@ fn concurrent_submitters_and_barriers_recover_the_sequential_replay() {
             })
         })
         .collect();
-    let committed = |s: u64| !s.is_multiple_of(3);
     let wal = Wal::open(&dir, FsyncPolicy::EveryN(8), 0).expect("open");
     let submitting = std::sync::atomic::AtomicBool::new(true);
     // All five threads start together, so barriers land mid-stream.
@@ -450,11 +473,7 @@ fn concurrent_submitters_and_barriers_recover_the_sequential_replay() {
                     start.wait();
                     for run in mine.chunks(4) {
                         for &s in run.iter().rev() {
-                            if committed(s) {
-                                sink.committed(s, 0b11, &logs[s as usize - 1]);
-                            } else {
-                                sink.skipped(s);
-                            }
+                            sink.committed(s, 0b11, &logs[s as usize - 1]);
                         }
                     }
                 })
@@ -473,14 +492,10 @@ fn concurrent_submitters_and_barriers_recover_the_sequential_replay() {
     let rec = recover(&dir, base_store().0).expect("recover");
     assert_eq!(rec.commit_seq, N);
     let mut expect = base_store().0;
-    for s in (1..=N).filter(|&s| committed(s)) {
-        expect.apply_log(&logs[s as usize - 1]);
+    for ops in &logs {
+        expect.apply_log(ops);
     }
-    assert_eq!(
-        rec.commits_replayed,
-        (1..=N).filter(|&s| committed(s)).count() as u64
-    );
-    assert_eq!(rec.skips_replayed, N / 3);
+    assert_eq!(rec.commits_replayed, N);
     assert_eq!(rec.store.value(a), expect.value(a));
     assert_eq!(rec.store.value(b), expect.value(b));
 }

@@ -22,7 +22,6 @@ const RUNTIME_FLAGS: &[&str] = &[
     "threads",
     "shards",
     "panic-policy",
-    "max-attempts",
     "watchdog-ms",
     "fault-seed",
     "fault-rate",
@@ -119,13 +118,12 @@ impl Args {
 }
 
 /// The runtime flags both binaries hand to [`Janus`]: `--threads`,
-/// `--shards`, `--panic-policy`, `--max-attempts`, `--watchdog-ms` and
-/// the fault plan of `--fault-seed`/`--fault-rate`.
+/// `--shards`, `--panic-policy`, `--watchdog-ms` and the fault plan of
+/// `--fault-seed`/`--fault-rate`.
 pub struct Runtime {
     pub threads: usize,
     pub shards: usize,
     pub panic_policy: PanicPolicy,
-    pub max_attempts: Option<u32>,
     pub watchdog: Option<Duration>,
     /// Set when either fault flag is given; the other takes its default.
     pub faults: Option<Arc<FaultPlan>>,
@@ -140,10 +138,6 @@ impl Runtime {
                 "flag --shards: expected a count in 1..=64, got {shards}"
             ));
         }
-        let max_attempts = match args.value("max-attempts") {
-            None => None,
-            Some(_) => Some(args.positive::<u32>("max-attempts", 1)?),
-        };
         let watchdog_ms = args.numeric::<u64>("watchdog-ms", 0)?;
         let fault_seed = args.numeric::<u64>("fault-seed", 0)?;
         let fault_rate = args.numeric("fault-rate", FaultPlan::DEFAULT_RATE)?;
@@ -160,7 +154,6 @@ impl Runtime {
                 "isolate" => PanicPolicy::Isolate,
                 _ => PanicPolicy::Poison,
             },
-            max_attempts,
             watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
             faults: faulted.then(|| Arc::new(FaultPlan::seeded(fault_seed, fault_rate))),
         })
@@ -172,9 +165,6 @@ impl Runtime {
             .threads(self.threads)
             .shards(self.shards)
             .panic_policy(self.panic_policy);
-        if let Some(budget) = self.max_attempts {
-            janus = janus.max_attempts(budget);
-        }
         if let Some(interval) = self.watchdog {
             janus = janus.watchdog(interval);
         }

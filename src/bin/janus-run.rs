@@ -6,8 +6,8 @@
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
 //!                            [--cache <file>]
-//!                            [--panic-policy poison|isolate] [--max-attempts N]
-//!                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
+//!                            [--panic-policy poison|isolate] [--watchdog-ms N]
+//!                            [--fault-seed N] [--fault-rate R]
 //!                            [--trace <file>] [--metrics]
 //! ```
 //!
@@ -31,13 +31,14 @@
 //!
 //! Tasks are dispatched as the paper's `DOPARALLEL` does: from one
 //! shared counter in submission order, with an aborted attempt retried
-//! at once; `--max-attempts` is the starvation bound.
+//! at once. No retry budget is needed: an attempt aborts only on a
+//! conflict with a commit made since it began, so every abort is paid
+//! for by another task's progress.
 //!
 //! The robustness flags drive the failure model: `--panic-policy
 //! isolate` survives task-body panics (the failed tasks are listed and
-//! the state check is skipped), `--max-attempts N` escalates a task to
-//! serialized execution after N conflict aborts, `--watchdog-ms N` arms
-//! the commit-clock watchdog, and `--fault-seed`/`--fault-rate` inject
+//! the state check is skipped), `--watchdog-ms N` arms the
+//! commit-clock watchdog, and `--fault-seed`/`--fault-rate` inject
 //! deterministic, seeded faults (panics, forced conflicts, commit
 //! stalls, cache misses) for chaos testing.
 
@@ -61,8 +62,8 @@ const USAGE: &str = "usage:
   janus-run train <workload> [--no-abstraction] [--cache FILE]
   janus-run run <workload> [--detector write-set|sequence|cached|online-learning]
                            [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]
-                           [--panic-policy poison|isolate] [--max-attempts N]
-                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
+                           [--panic-policy poison|isolate] [--watchdog-ms N]
+                           [--fault-seed N] [--fault-rate R]
                            [--trace FILE] [--metrics]";
 
 fn usage() -> ExitCode {
@@ -261,18 +262,12 @@ fn cmd_run(args: &Args) -> ExitCode {
         outcome.stats.history_reclaimed,
         state,
     );
-    let robust = outcome.stats.faults_injected
-        + outcome.stats.tasks_failed
-        + outcome.stats.retry_budget_escalations
-        + outcome.stats.watchdog_fires;
+    let robust =
+        outcome.stats.faults_injected + outcome.stats.tasks_failed + outcome.stats.watchdog_fires;
     if rt.faults.is_some() || robust > 0 {
         println!(
-            "robustness: {} faults injected  {} tasks failed  {} budget escalations  \
-             {} watchdog fires",
-            outcome.stats.faults_injected,
-            outcome.stats.tasks_failed,
-            outcome.stats.retry_budget_escalations,
-            outcome.stats.watchdog_fires,
+            "robustness: {} faults injected  {} tasks failed  {} watchdog fires",
+            outcome.stats.faults_injected, outcome.stats.tasks_failed, outcome.stats.watchdog_fires,
         );
     }
     if !outcome.failed.is_empty() {

@@ -5,8 +5,8 @@
 //! janus-serve [--threads N] [--shards N] [--locs N]
 //!             [--mode pipelined|barrier] [--ordered]
 //!             [--max-inflight N] [--detector sequence|write-set]
-//!             [--panic-policy poison|isolate] [--max-attempts N]
-//!             [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
+//!             [--panic-policy poison|isolate] [--watchdog-ms N]
+//!             [--fault-seed N] [--fault-rate R]
 //!             [--metrics] [--listen ADDR]
 //!             [--wal-dir DIR] [--wal-fsync always|every-n:N|interval-ms:N]
 //! ```
@@ -95,7 +95,7 @@ use cli::{usage_error, Args, Runtime};
 const USAGE: &str = "usage:
   janus-serve [--threads N] [--shards N] [--locs N] [--mode pipelined|barrier]
               [--ordered] [--max-inflight N] [--detector sequence|write-set]
-              [--panic-policy poison|isolate] [--max-attempts N] [--watchdog-ms N]
+              [--panic-policy poison|isolate] [--watchdog-ms N]
               [--fault-seed N] [--fault-rate R] [--metrics] [--listen ADDR]
               [--wal-dir DIR] [--wal-fsync always|every-n:N|interval-ms:N]";
 
@@ -396,11 +396,10 @@ fn main() -> ExitCode {
                 }
             };
             eprintln!(
-                "janus-serve: recovered commit_seq={} (commits={} skips={} dupes={} \
+                "janus-serve: recovered commit_seq={} (commits={} dupes={} \
                  torn_truncated={} snapshot={:?} clean={})",
                 rec.commit_seq,
                 rec.commits_replayed,
-                rec.skips_replayed,
                 rec.duplicates_skipped,
                 rec.torn_tail_truncations,
                 rec.snapshot_seq,

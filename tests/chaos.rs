@@ -76,14 +76,13 @@ fn check_chaos(
     threads: usize,
     fault_seed: u64,
     rate_pct: u32,
-    budget: u32,
     mk: MkTasks,
 ) {
     silence_injected_panics();
     let mut store = Store::new();
     let locs = alloc_locs(&mut store);
     let recorder = Recorder::new();
-    let mut janus = Janus::new(Arc::new(SequenceDetector::new()))
+    let outcome = Janus::new(Arc::new(SequenceDetector::new()))
         .threads(threads)
         .ordered(ordered)
         .panic_policy(PanicPolicy::Isolate)
@@ -91,11 +90,8 @@ fn check_chaos(
             fault_seed,
             f64::from(rate_pct) / 100.0,
         )))
-        .recorder(Arc::clone(&recorder));
-    if !ordered {
-        janus = janus.max_attempts(budget);
-    }
-    let outcome = janus.run(store, mk(specs, &locs));
+        .recorder(Arc::clone(&recorder))
+        .run(store, mk(specs, &locs));
 
     let trace = recorder.finish();
     prop_assert!(
@@ -136,7 +132,7 @@ fn check_chaos(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Unordered chaos: commutative tasks, retry budgets armed.
+    /// Unordered chaos: commutative tasks.
     #[test]
     fn unordered_chaos_equals_sequential_surviving_subset(
         specs in proptest::collection::vec(
@@ -146,15 +142,12 @@ proptest! {
         threads in 1usize..=4,
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
-        budget in 1u32..=3,
     ) {
-        check_chaos(
-            &specs, false, threads, fault_seed, rate_pct, budget, add_tasks,
-        );
+        check_chaos(&specs, false, threads, fault_seed, rate_pct, add_tasks);
     }
 
     /// Ordered chaos: order-dependent tasks; failed turns must be
-    /// tombstoned so successors commit, and the survivors' commit order
+    /// released so successors commit, and the survivors' commit order
     /// must match task order.
     #[test]
     fn ordered_chaos_equals_sequential_surviving_subset(
@@ -166,9 +159,7 @@ proptest! {
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
     ) {
-        check_chaos(
-            &specs, true, threads, fault_seed, rate_pct, 1, rmw_tasks,
-        );
+        check_chaos(&specs, true, threads, fault_seed, rate_pct, rmw_tasks);
     }
 }
 
@@ -228,7 +219,7 @@ fn same_seed_fails_the_same_tasks() {
 
 /// Rate 1.0 is the saturation point: every task's first attempt panics.
 /// Both modes must isolate every task and terminate — in ordered mode
-/// that means six consecutive tombstoned turns.
+/// that means six consecutive released turns.
 #[test]
 fn saturated_fault_rate_still_terminates() {
     silence_injected_panics();

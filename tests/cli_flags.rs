@@ -40,8 +40,8 @@ fn serve_rejects_out_of_range_numbers() {
         &["--threads", "0"][..],
         &["--shards", "0"],
         &["--shards", "65"],
-        &["--max-attempts", "4294967296"],
-        &["--max-attempts", "0"],
+        // Removed: no retry budget exists.
+        &["--max-attempts", "3"],
         // A value never starts with `--`: the next flag is not swallowed
         // as an address.
         &["--listen", "--metrics"],
@@ -72,10 +72,10 @@ fn run_rejects_unknown_and_removed_policy_values() {
         &["--degrade-threshold", "0.5"],
         &["--degrade-window", "4"],
         &["--footprints", "shard"],
+        &["--max-attempts", "3"],
         // The runtime flags `janus-serve` shares.
         &["--shards", "0"],
         &["--shards", "65"],
-        &["--max-attempts", "0"],
         &["--fault-rate", "2"],
         &["--panic-policy", "bogus"],
         &["--watchdog-ms", "x"],

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use janus::core::Janus;
 use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, WriteSetDetector};
+use janus::log::{CommittedLog, HistoryWindow};
 use janus::train::{train, TrainConfig};
 use janus::workloads::{all_workloads, training_runs, InputSpec};
 
@@ -83,38 +84,72 @@ fn training_reports_are_consistent() {
     }
 }
 
-/// The cached detector with a trained cache produces no more retries than
-/// the write-set baseline on the same workload and inputs.
+/// The cached and online sequence detectors refine write-set detection
+/// on real workload histories: they report a conflict only where the
+/// write-set detector does, and the cache (whose misses fall back to
+/// the write-set test) never dismisses a conflict the online detector
+/// reports. Deterministic — no threads: each pair is task `i`
+/// re-executed on the state before a window of its one or two
+/// sequential predecessors, checked against those predecessors' logs.
 #[test]
-fn cached_detection_never_aborts_more_than_write_set() {
+fn cached_and_sequence_verdicts_are_contained_in_write_set() {
+    let input = InputSpec::new(14, 4, 99);
+    // Pairs the online detector flags, and write-set conflicts the
+    // cache dismissed: both must occur for the chain to be exercised.
+    let (mut sequence_flags, mut refined) = (0, 0);
     for workload in all_workloads() {
         let w = workload.as_ref();
-        let input = InputSpec::new(14, 4, 99);
-
-        let scenario = w.build(&input);
-        let ws = Janus::new(Arc::new(WriteSetDetector::new()))
-            .threads(4)
-            .ordered(w.ordered())
-            .run(scenario.store, scenario.tasks);
-
-        let runs = training_runs(w);
-        let scenario = w.build(&input);
-        let cached = Janus::new(Arc::new(CachedSequenceDetector::with_relaxations(
-            train(&runs, TrainConfig::default()).0.freeze(),
+        let write_set = WriteSetDetector::new();
+        let sequence = SequenceDetector::with_relaxations(w.relaxations());
+        let cached = CachedSequenceDetector::with_relaxations(
+            train(&training_runs(w), TrainConfig::default()).0.freeze(),
             w.relaxations(),
-        )))
-        .threads(4)
-        .ordered(w.ordered())
-        .run(scenario.store, scenario.tasks);
-
-        assert!(
-            cached.stats.retries <= ws.stats.retries,
-            "{}: cached {} > write-set {}",
-            w.name(),
-            cached.stats.retries,
-            ws.stats.retries
         );
+
+        // states[k] is the store before task k; logs[k] is its log.
+        let scenario = w.build(&input);
+        let mut states = vec![scenario.store];
+        let mut logs = Vec::new();
+        for task in &scenario.tasks {
+            let mut state = states.last().expect("a state").clone();
+            let mut tx = state.begin();
+            task.run(&mut tx);
+            let log = tx.into_log();
+            state.apply_log(&log);
+            states.push(state);
+            logs.push(Arc::new(CommittedLog::new(log)));
+        }
+
+        let mut pairs = 0;
+        for i in 1..scenario.tasks.len() {
+            for k in 1..=i.min(2) {
+                let before = &states[i - k];
+                let mut tx = before.begin();
+                scenario.tasks[i].run(&mut tx);
+                let txn = CommittedLog::new(tx.into_log());
+                let entry = before.snapshot_state();
+                let window = || HistoryWindow::new(&logs[i - k..i]);
+                let ws = write_set.detect(&entry, &txn, window());
+                let seq = sequence.detect(&entry, &txn, window());
+                let cache = cached.detect(&entry, &txn, window());
+                assert!(
+                    (!seq || cache) && (!cache || ws),
+                    "{}: task {} against its {k} predecessor(s): sequence {seq}, \
+                     cached {cache}, write-set {ws}",
+                    w.name(),
+                    i + 1,
+                );
+                sequence_flags += u32::from(seq);
+                refined += u32::from(ws && !cache);
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, 25, "{}", w.name());
     }
+    assert!(
+        sequence_flags > 0 && refined > 0,
+        "{sequence_flags} {refined}"
+    );
 }
 
 /// Unordered runs of commutative workloads still reach the same final

@@ -1,8 +1,8 @@
 //! Crash-recovery properties of the commit journal.
 //!
-//! For any random workload (commits interleaved with ordered-mode
-//! tombstones), any fsync policy and any crash point, recovery must
-//! rebuild exactly the durable prefix of the committed sequence:
+//! For any random stream of commits, any fsync policy and any crash
+//! point, recovery must rebuild exactly the durable prefix of the
+//! committed sequence:
 //!
 //! * the recovered `commit_seq` equals what the crash-site semantics
 //!   promise — everything fsynced survives, a mid-write kill tears only
@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use janus::core::{CommitSink as _, Store, TxView};
-use janus::fault::{CrashSite, FaultKind, FaultPlan, FaultSite};
+use janus::core::{CommitSink as _, Janus, PanicPolicy, Store, Task, TxView};
+use janus::detect::SequenceDetector;
+use janus::fault::{silence_injected_panics, CrashSite, FaultKind, FaultPlan, FaultSite};
 use janus::log::{LocId, Op};
 use janus::relational::Value;
 use janus::wal::{recover, FsyncPolicy, Wal};
@@ -29,9 +30,8 @@ use proptest::prelude::*;
 
 const LOCS: usize = 4;
 
-/// One journaled action: `Some(accesses)` is a committed transaction,
-/// `None` is an ordered-mode tombstone (skipped ticket).
-type Action = Option<Vec<(usize, i64)>>;
+/// One journaled commit: the `(location index, delta)` adds it made.
+type Action = Vec<(usize, i64)>;
 
 /// A fresh scratch directory per proptest case, inside the cargo target
 /// tree (the tests never write outside the repo checkout).
@@ -118,21 +118,13 @@ fn check_recovery(actions: &[Action], policy: FsyncPolicy, crash: Option<(u64, C
     // a shadow store so each op log is harvested against the state it
     // would really see.
     let mut shadow = store.clone();
-    let mut logs: Vec<Option<Vec<Op>>> = Vec::new();
-    for action in actions {
+    let mut logs: Vec<Vec<Op>> = Vec::new();
+    for accesses in actions {
         let seq = logs.len() as u64 + 1;
-        match action {
-            Some(accesses) => {
-                let ops = ops_for(&shadow, &locs, accesses);
-                shadow.apply_log(&ops);
-                sink.committed(seq, 1, &ops);
-                logs.push(Some(ops));
-            }
-            None => {
-                sink.skipped(seq);
-                logs.push(None);
-            }
-        }
+        let ops = ops_for(&shadow, &locs, accesses);
+        shadow.apply_log(&ops);
+        sink.committed(seq, 1, &ops);
+        logs.push(ops);
         settle(&wal, seq);
     }
     let (want_seq, want_torn) = match crash {
@@ -156,7 +148,7 @@ fn check_recovery(actions: &[Action], policy: FsyncPolicy, crash: Option<(u64, C
     // The recovered store is a sequential replay of exactly the commits
     // at or below the watermark — nothing resurrected, nothing lost.
     let (mut expect, expect_locs) = base_store();
-    for ops in logs.iter().take(want_seq as usize).flatten() {
+    for ops in logs.iter().take(want_seq as usize) {
         expect.apply_log(ops);
     }
     for (r, e) in locs.iter().zip(&expect_locs) {
@@ -172,6 +164,59 @@ fn check_recovery(actions: &[Action], policy: FsyncPolicy, crash: Option<(u64, C
     }
 }
 
+/// Order-dependent tasks, one per id: task `i` maps location
+/// `i % LOCS` from `v` to `2v + i`, so a missing, extra or reordered
+/// commit changes the final state.
+fn chain_tasks(locs: &[LocId], ids: impl IntoIterator<Item = u64>) -> Vec<Task> {
+    ids.into_iter()
+        .map(|i| {
+            let loc = locs[i as usize % LOCS];
+            Task::new(move |tx: &mut TxView| {
+                let v = tx.read_int(loc);
+                tx.write(loc, v * 2 + i as i64);
+            })
+        })
+        .collect()
+}
+
+/// A failed ordered task releases its turn without drawing a ticket, so
+/// the journal holds exactly the commits: its sequence equals
+/// `stats.commits`, recovery replays that many records, and the
+/// recovered store is the sequential run of the surviving tasks in task
+/// order.
+#[test]
+fn ordered_isolated_failures_journal_only_commits() {
+    silence_injected_panics();
+    const N: u64 = 32;
+    let dir = scratch();
+    let (store, locs) = base_store();
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(4), 0).expect("open");
+    let outcome = Janus::new(Arc::new(SequenceDetector::new()))
+        .threads(3)
+        .ordered(true)
+        .panic_policy(PanicPolicy::Isolate)
+        .faults(Arc::new(FaultPlan::seeded(7, 0.2)))
+        .commit_sink(wal.sink())
+        .run(store, chain_tasks(&locs, 1..=N));
+    assert!(!outcome.failed.is_empty(), "seed 7 fails some task");
+    assert_eq!(outcome.stats.commits + outcome.stats.tasks_failed, N);
+    wal.flush().expect("flush");
+    assert_eq!(wal.synced_seq(), outcome.stats.commits);
+    drop(wal);
+
+    let rec = recover(&dir, base_store().0).expect("recover");
+    assert_eq!(rec.commit_seq, outcome.stats.commits);
+    assert_eq!(rec.commits_replayed, outcome.stats.commits);
+    let failed: Vec<u64> = outcome.failed.iter().map(|f| f.task).collect();
+    let (seq_store, seq_locs) = base_store();
+    let survivors = chain_tasks(&seq_locs, (1..=N).filter(|i| !failed.contains(i)));
+    let (expect, _) = Janus::run_sequential(seq_store, &survivors);
+    for (r, e) in locs.iter().zip(&seq_locs) {
+        assert_eq!(rec.store.value(*r), expect.value(*e), "recovered state");
+        assert_eq!(outcome.store.value(*r), expect.value(*e), "live state");
+    }
+}
+
 fn policies() -> impl Strategy<Value = FsyncPolicy> {
     prop_oneof![
         Just(FsyncPolicy::Always),
@@ -181,11 +226,7 @@ fn policies() -> impl Strategy<Value = FsyncPolicy> {
 
 fn workloads() -> impl Strategy<Value = Vec<Action>> {
     proptest::collection::vec(
-        (
-            0u8..10,
-            proptest::collection::vec((0usize..LOCS, -5i64..6), 1..4),
-        )
-            .prop_map(|(f, accesses)| if f < 8 { Some(accesses) } else { None }),
+        proptest::collection::vec((0usize..LOCS, -5i64..6), 1..4),
         1..12,
     )
 }
