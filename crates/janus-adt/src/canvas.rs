@@ -37,16 +37,6 @@ impl Canvas {
         }
     }
 
-    /// The pixel-relation location.
-    pub fn pixels_loc(&self) -> LocId {
-        self.pixels
-    }
-
-    /// The brush location.
-    pub fn brush_loc(&self) -> LocId {
-        self.brush
-    }
-
     /// Sets the brush color (`g.setColor(c)`).
     pub fn set_color(&self, tx: &mut TxView, color: i64) {
         tx.write(self.brush, color);

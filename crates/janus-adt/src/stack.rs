@@ -38,16 +38,6 @@ impl StackList {
         }
     }
 
-    /// The items location.
-    pub fn items_loc(&self) -> LocId {
-        self.items
-    }
-
-    /// The size location.
-    pub fn size_loc(&self) -> LocId {
-        self.size
-    }
-
     /// The current number of elements (observing).
     pub fn size(&self, tx: &mut TxView) -> i64 {
         tx.read_int(self.size)

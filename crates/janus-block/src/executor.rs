@@ -205,6 +205,10 @@ impl BlockExecutor {
         self.stats.blocks_submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.block_size.lock().observe(tasks.len() as u64);
 
+        // Drawn here, not in the pool job, so block N's ids precede
+        // block N+1's whichever job starts first.
+        let n = tasks.len();
+        let first_tid = self.session.reserve_tids(n as u64);
         let janus = self.janus.clone();
         let session = Arc::clone(&self.session);
         let stats = Arc::clone(&self.stats);
@@ -212,7 +216,9 @@ impl BlockExecutor {
         // them — before `join` returns, so `finish` after a drain holds
         // the only session handle.
         self.inflight.push_back(janus_core::spawn(move || {
-            conduct(seq, &janus, &session, tasks, gate, &tracker, &stats)
+            conduct(seq, n, &tracker, &stats, || {
+                janus.run_batch(&session, first_tid, tasks, gate)
+            })
         }));
         Submitted { seq, retired }
     }
@@ -281,22 +287,17 @@ impl BlockExecutor {
     }
 }
 
-/// One block's pool job: run the batch, complete the tracker
-/// unconditionally, fold the result into the shared stats.
+/// One block's pool job: run the batch of `n` tasks, complete the
+/// tracker unconditionally, fold the result into the shared stats.
 fn conduct(
     seq: u64,
-    janus: &Janus,
-    session: &Session,
-    tasks: Vec<Task>,
-    gate: Option<Arc<dyn CommitGate>>,
+    n: usize,
     tracker: &BatchTracker,
     stats: &BlockStats,
+    run_batch: impl FnOnce() -> BatchOutcome,
 ) -> BlockOutcome {
-    let n = tasks.len();
     let started = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        janus.run_batch(session, tasks, gate)
-    }));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_batch));
     // Complete before anything else: a successor block may be parked on
     // this tracker, and it must never wait on a failed predecessor.
     tracker.complete();
@@ -491,6 +492,24 @@ mod tests {
             first.upgrade().is_none(),
             "block 1's tracker outlived block 3"
         );
+    }
+
+    #[test]
+    fn blocks_draw_their_task_ids_in_submission_order() {
+        // Fault-plan subjects are task ids, so a seeded service run
+        // fails the same tasks only if block N's ids precede block
+        // N+1's however the two in-flight pool jobs are scheduled.
+        for _ in 0..20 {
+            let mut store = Store::new();
+            let acct = store.alloc("acct", Value::int(0));
+            let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
+            let outcomes =
+                exec.execute_blocks((0..500).map(|_| counter_tasks(acct, 2, 1)).collect());
+            for o in &outcomes {
+                let first_tid = o.batch.as_ref().expect("block committed").first_tid;
+                assert_eq!(first_tid, 1 + 2 * (o.seq - 1), "block {}", o.seq);
+            }
+        }
     }
 
     #[test]

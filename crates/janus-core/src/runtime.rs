@@ -754,7 +754,8 @@ impl Janus {
     /// panics under `Poison`.
     pub fn run(&self, store: Store, tasks: Vec<Task>) -> Outcome {
         let session = self.open_session(store);
-        let batch = self.run_batch(&session, tasks, None);
+        let first_tid = session.reserve_tids(tasks.len() as u64);
+        let batch = self.run_batch(&session, first_tid, tasks, None);
         // Commits come from the dedicated counter; the oracle mirrors
         // it but is an implementation detail of sequencing, not a
         // statistic. Poisoned runs stop drawing tickets mid-flight, so
@@ -794,7 +795,10 @@ impl Janus {
 
     /// Runs one batch of tasks on a session, worker 0 on the calling
     /// thread and the other workers on the process-wide pool, consulting
-    /// `gate` — when given — before every commit.
+    /// `gate` — when given — before every commit. Task `i` runs as
+    /// global id `first_tid + i`; the caller draws the range with
+    /// [`Session::reserve_tids`], so batches submitted in order get
+    /// their ids in that order however their workers are scheduled.
     ///
     /// Batches on one session may run concurrently: the block pipeline
     /// overlaps batch N+1's speculative execution with batch N's
@@ -805,11 +809,11 @@ impl Janus {
     pub fn run_batch(
         &self,
         session: &Session,
+        first_tid: u64,
         tasks: Vec<Task>,
         gate: Option<Arc<dyn CommitGate>>,
     ) -> BatchOutcome {
         let started = Instant::now();
-        let first_tid = session.reserve_tids(tasks.len() as u64);
         let at_start = self.cumulative_counters(session);
         let workers = self.threads.min(tasks.len().max(1));
         let ctx = Arc::new(BatchCtx {
@@ -1903,7 +1907,7 @@ mod tests {
             .ordered(true)
             .panic_policy(PanicPolicy::Isolate);
         let session = janus.open_session(store);
-        let b = janus.run_batch(&session, tasks, None);
+        let b = janus.run_batch(&session, session.reserve_tids(6), tasks, None);
         assert_eq!(b.stats.commits, 5, "every survivor commits");
         assert_eq!(session.commit_seq(), 5, "the released turn drew no ticket");
         assert_eq!(b.stats.tasks_failed, 1);
@@ -2088,14 +2092,14 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b1 = janus.run_batch(&session, batch(1, 10), None);
+        let b1 = janus.run_batch(&session, session.reserve_tids(10), batch(1, 10), None);
         assert_eq!(b1.stats.commits, 10);
         assert_eq!(b1.first_tid, 1);
         assert_eq!(
             session.store().value(acc),
             Some(&Value::int((1..=10).sum()))
         );
-        let b2 = janus.run_batch(&session, batch(11, 20), None);
+        let b2 = janus.run_batch(&session, session.reserve_tids(10), batch(11, 20), None);
         assert_eq!(b2.stats.commits, 10);
         assert_eq!(b2.first_tid, 11, "task ids are dense across batches");
         assert_eq!(session.commit_seq(), 20);
@@ -2117,13 +2121,13 @@ mod tests {
             .collect();
         tasks.push(Task::new(|_tx: &mut TxView| panic!("batch boom")));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            janus.run_batch(&session, tasks, None)
+            janus.run_batch(&session, session.reserve_tids(5), tasks, None)
         }));
         assert!(result.is_err(), "the poisoned batch propagates its panic");
         let survivors: Vec<Task> = (1..=4)
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, 10 * d)))
             .collect();
-        let b2 = janus.run_batch(&session, survivors, None);
+        let b2 = janus.run_batch(&session, session.reserve_tids(4), survivors, None);
         assert_eq!(b2.stats.commits, 4, "the session stays live");
         assert!(!b2.poisoned);
         let v = session
@@ -2166,7 +2170,7 @@ mod tests {
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
             .collect();
         let gate = Arc::new(OpenOnSecondPoll::default());
-        let b = janus.run_batch(&session, tasks, Some(gate));
+        let b = janus.run_batch(&session, session.reserve_tids(8), tasks, Some(gate));
         assert_eq!(b.stats.commits, 8);
         assert_eq!(
             b.stats.commit_gate_waits, 8,
@@ -2236,7 +2240,12 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b = janus.run_batch(&session, adds(6), Some(Arc::new(ClosedFor(3))));
+        let b = janus.run_batch(
+            &session,
+            session.reserve_tids(6),
+            adds(6),
+            Some(Arc::new(ClosedFor(3))),
+        );
         assert!(b.poisoned, "the watchdog poisons the stalled batch");
         assert_eq!(b.stats.watchdog_fires, 1);
         assert_eq!((b.stats.commits, b.stats.retries), (1, 1));
@@ -2262,7 +2271,13 @@ mod tests {
         // shards below the oracle: no shard retains more than the
         // entry just published.
         let quiet = Janus::new(Arc::new(SequenceDetector::new())).threads(1);
-        assert_eq!(quiet.run_batch(&session, adds(4), None).stats.commits, 4);
+        assert_eq!(
+            quiet
+                .run_batch(&session, session.reserve_tids(4), adds(4), None)
+                .stats
+                .commits,
+            4
+        );
         for shard in session.shard_report().0 {
             assert!(shard.history_len <= 1, "shard {shard:?} kept history");
         }

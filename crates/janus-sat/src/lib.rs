@@ -34,4 +34,4 @@ mod solver;
 
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use prop::{is_equivalent, is_satisfiable, tseitin, PropFormula};
-pub use solver::{global_solver_stats, reset_global_solver_stats, Solution, Solver, SolverStats};
+pub use solver::{global_solver_stats, Solution, Solver, SolverStats};

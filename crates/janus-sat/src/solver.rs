@@ -147,15 +147,6 @@ pub fn global_solver_stats() -> SolverStats {
     }
 }
 
-/// Zeroes the process-wide solver totals (between experiment phases).
-pub fn reset_global_solver_stats() {
-    use std::sync::atomic::Ordering::Relaxed;
-    GLOBAL_STATS.decisions.store(0, Relaxed);
-    GLOBAL_STATS.conflicts.store(0, Relaxed);
-    GLOBAL_STATS.propagations.store(0, Relaxed);
-    GLOBAL_STATS.restarts.store(0, Relaxed);
-}
-
 impl Drop for Solver {
     fn drop(&mut self) {
         use std::sync::atomic::Ordering::Relaxed;
