@@ -54,15 +54,6 @@ impl BitSetAdt {
         tx.rel(self.loc, RelOp::Clear);
     }
 
-    /// The number of explicitly stored bits (for assertions).
-    pub fn stored_bits(&self, store: &Store) -> usize {
-        store
-            .value(self.loc)
-            .and_then(Value::as_rel)
-            .map(Relation::len)
-            .expect("bitset location holds a relation")
-    }
-
     /// The schema (exposed for tests and specs).
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -91,7 +82,11 @@ mod tests {
             b.set(tx, 7, true);
         })];
         let (final_store, _) = Janus::run_sequential(store, &tasks);
-        assert_eq!(bits.stored_bits(&final_store), 1);
+        let stored = final_store
+            .value(bits.loc)
+            .and_then(Value::as_rel)
+            .map(Relation::len);
+        assert_eq!(stored, Some(1), "clear left one explicitly stored bit");
     }
 
     #[test]

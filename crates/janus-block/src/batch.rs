@@ -13,9 +13,8 @@
 //! regardless — the gate only pins the *equivalent serial order* to
 //! "all of batch N before any conflicting part of batch N+1".
 //!
-//! In [ordered mode](OrderedLink) the gate degenerates to a full commit
-//! barrier (predecessor fully done), which preserves exact cross-batch
-//! submission order; execution still overlaps.
+//! Ordered blocks run without a gate: they follow the session's commit
+//! turn, which already orders every task id after all smaller ones.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +28,7 @@ use crate::stats::BlockStats;
 
 /// Shared record of one batch's progress, owned by the block executor
 /// and observed (through a gate) by the *next* batch.
-pub struct BatchTracker {
+pub(crate) struct BatchTracker {
     /// How many transactions this batch was dispatched with.
     expected: usize,
     /// Union of the footprints of every attempt executed so far. Only
@@ -50,7 +49,7 @@ pub struct BatchTracker {
 
 impl BatchTracker {
     /// A tracker for a batch of `expected` transactions.
-    pub fn new(expected: usize) -> Arc<Self> {
+    pub(crate) fn new(expected: usize) -> Arc<Self> {
         Arc::new(BatchTracker {
             expected,
             executed_union: Mutex::new(Fingerprint::empty()),
@@ -66,37 +65,37 @@ impl BatchTracker {
         self.executed_tids.lock().insert(tid);
     }
 
-    fn all_executed(&self) -> bool {
+    pub(crate) fn all_executed(&self) -> bool {
         self.executed_tids.lock().len() >= self.expected
     }
 
     /// Mark the batch finished. Called by the block executor after
     /// `run_batch` returns or unwinds — unconditionally, so successors
     /// never wait on a corpse.
-    pub fn complete(&self) {
+    pub(crate) fn complete(&self) {
         self.done.store(true, Ordering::Release);
     }
 
     /// Whether the batch has fully finished (committed or failed).
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }
 }
 
-/// The [`CommitGate`] a pipelined batch runs under: linked to its
-/// predecessor's tracker, feeding its own.
+/// The [`CommitGate`] an unordered pipelined batch runs under: linked
+/// to its predecessor's tracker, if any, feeding its own.
 ///
-/// `may_commit` opens for a transaction when the predecessor batch is
-/// done, or when every predecessor transaction has executed at least
-/// once and the committer's footprint is disjoint (by fingerprint)
-/// from the union of everything the predecessor executed. The second
-/// arm is what buys pipeline overlap: read-disjoint batches commit
-/// concurrently while the predecessor is still validating. Each such
-/// early release is counted straight into the pipeline's
-/// [`BlockStats`], so no tracker has to outlive its successor for the
-/// overlap figure.
-pub struct PipelinedLink {
-    prev: Arc<BatchTracker>,
+/// `may_commit` opens for a transaction when there is no predecessor,
+/// when the predecessor batch is done, or when every predecessor
+/// transaction has executed at least once and the committer's footprint
+/// is disjoint (by fingerprint) from the union of everything the
+/// predecessor executed. The last arm is what buys pipeline overlap:
+/// read-disjoint batches commit concurrently while the predecessor is
+/// still validating. Each such early release is counted straight into
+/// the pipeline's [`BlockStats`], so no tracker has to outlive its
+/// successor for the overlap figure.
+pub(crate) struct PipelinedLink {
+    prev: Option<Arc<BatchTracker>>,
     own: Arc<BatchTracker>,
     stats: Arc<BlockStats>,
 }
@@ -104,7 +103,11 @@ pub struct PipelinedLink {
 impl PipelinedLink {
     /// Links a batch (`own`) to its predecessor's tracker, counting
     /// early releases into `stats`.
-    pub fn new(prev: Arc<BatchTracker>, own: Arc<BatchTracker>, stats: Arc<BlockStats>) -> Self {
+    pub(crate) fn new(
+        prev: Option<Arc<BatchTracker>>,
+        own: Arc<BatchTracker>,
+        stats: Arc<BlockStats>,
+    ) -> Self {
         PipelinedLink { prev, own, stats }
     }
 }
@@ -114,57 +117,20 @@ impl CommitGate for PipelinedLink {
         self.own.note(tid, fingerprint);
     }
 
-    fn note_failed(&self, tid: u64) {
-        // A terminally failed transaction writes nothing, so only the
-        // tid matters: successors must not wait for it to "execute".
-        self.own.note(tid, &Fingerprint::empty());
-    }
-
     fn may_commit(&self, _tid: u64, fingerprint: &Fingerprint) -> bool {
-        if self.prev.is_done() {
+        let Some(prev) = self.prev.as_deref().filter(|p| !p.is_done()) else {
             return true;
-        }
+        };
         // All predecessor transactions have produced a footprint, and
         // ours overlaps none of them: committing now is equivalent to
         // committing after the predecessor, so let it through.
-        let open = self.prev.all_executed()
-            && !fingerprint.may_intersect(&self.prev.executed_union.lock());
+        let open = prev.all_executed() && !fingerprint.may_intersect(&prev.executed_union.lock());
         if open {
             self.stats
                 .overlapped_commits
                 .fetch_add(1, Ordering::Relaxed);
         }
         open
-    }
-}
-
-/// The ordered-mode gate: a full commit barrier on the predecessor.
-/// Execution of the successor still overlaps; only its commits wait,
-/// which preserves exact cross-batch submission order (batch N's turn
-/// sequence completes before batch N+1's begins).
-pub struct OrderedLink {
-    prev: Arc<BatchTracker>,
-    own: Arc<BatchTracker>,
-}
-
-impl OrderedLink {
-    /// Links a batch (`own`) to its predecessor's tracker.
-    pub fn new(prev: Arc<BatchTracker>, own: Arc<BatchTracker>) -> Self {
-        OrderedLink { prev, own }
-    }
-}
-
-impl CommitGate for OrderedLink {
-    fn note_executed(&self, tid: u64, fingerprint: &Fingerprint) {
-        self.own.note(tid, fingerprint);
-    }
-
-    fn note_failed(&self, tid: u64) {
-        self.own.note(tid, &Fingerprint::empty());
-    }
-
-    fn may_commit(&self, _tid: u64, _fingerprint: &Fingerprint) -> bool {
-        self.prev.is_done()
     }
 }
 
@@ -184,7 +150,7 @@ mod tests {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
         let stats = Arc::new(BlockStats::default());
-        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::clone(&stats));
+        let gate = PipelinedLink::new(Some(Arc::clone(&prev)), own, Arc::clone(&stats));
 
         let mine = fp(77);
         // Predecessor not fully executed: closed even when disjoint.
@@ -205,7 +171,7 @@ mod tests {
     fn reexecuted_tids_do_not_double_count() {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
-        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::default());
+        let gate = PipelinedLink::new(Some(Arc::clone(&prev)), own, Arc::default());
         prev.note(1, &fp(1));
         prev.note(1, &fp(3)); // re-execution after an abort: same tid
         assert!(
@@ -215,32 +181,14 @@ mod tests {
     }
 
     #[test]
-    fn ordered_gate_is_a_full_barrier() {
-        let prev = BatchTracker::new(1);
-        let own = BatchTracker::new(1);
-        let gate = OrderedLink::new(Arc::clone(&prev), own);
-        prev.note(1, &fp(1));
-        assert!(
-            !gate.may_commit(10, &fp(77)),
-            "ordered mode ignores disjointness"
-        );
-        prev.complete();
-        assert!(gate.may_commit(10, &fp(77)));
-    }
-
-    #[test]
     fn failed_predecessor_transactions_unblock_disjoint_successors() {
         let prev = BatchTracker::new(2);
         let own = BatchTracker::new(1);
-        let gate = PipelinedLink::new(Arc::clone(&prev), own, Arc::default());
+        let gate = PipelinedLink::new(Some(Arc::clone(&prev)), own, Arc::default());
         prev.note(1, &fp(1));
         // Transaction 2 failed terminally (isolated): it contributes no
         // footprint but counts as executed.
-        gate_note_failed_on(&prev, 2);
+        prev.note(2, &Fingerprint::empty());
         assert!(gate.may_commit(10, &fp(77)));
-    }
-
-    fn gate_note_failed_on(tracker: &BatchTracker, tid: u64) {
-        tracker.note(tid, &Fingerprint::empty());
     }
 }

@@ -8,9 +8,10 @@
 //! speculative execution overlaps block N's validation and commit; a
 //! [`CommitGate`](janus_core::CommitGate) linking the two trackers
 //! keeps the equivalent serial order at "all of N before any
-//! conflicting part of N+1" (or exact submission order under
-//! `Janus::ordered`). In [`PipelineMode::Barrier`] blocks run strictly
-//! one at a time — the comparison baseline.
+//! conflicting part of N+1". Ordered blocks (`Janus::ordered`) follow
+//! the session's turn instead, which keeps exact submission order. In
+//! [`PipelineMode::Barrier`] blocks run strictly one at a time — the
+//! comparison baseline.
 //!
 //! Failure is block-scoped: a poison panic or watchdog fire inside a
 //! block is caught by its pool job and surfaces as
@@ -26,7 +27,7 @@ use janus_core::{BatchOutcome, CommitGate, Janus, Pending, Session, Store, Task}
 use janus_log::LocId;
 use janus_relational::Value;
 
-use crate::batch::{BatchTracker, OrderedLink, PipelinedLink};
+use crate::batch::{BatchTracker, PipelinedLink};
 use crate::stats::BlockStats;
 
 /// How block boundaries are treated.
@@ -35,7 +36,7 @@ pub enum PipelineMode {
     /// A block starts only after its predecessor fully finished.
     Barrier,
     /// Up to two blocks in flight; commits are fenced by the
-    /// footprint gate (or a full commit barrier under ordered runs).
+    /// footprint gate (ordered blocks follow the session's turn).
     Pipelined,
 }
 
@@ -184,23 +185,17 @@ impl BlockExecutor {
         }
 
         let tracker = BatchTracker::new(tasks.len());
-        let gate: Option<Arc<dyn CommitGate>> = match (self.mode, self.prev.take()) {
-            (PipelineMode::Pipelined, Some(prev)) if !prev.is_done() => {
-                Some(if self.janus.is_ordered() {
-                    Arc::new(OrderedLink::new(prev, Arc::clone(&tracker)))
-                } else {
-                    Arc::new(PipelinedLink::new(
-                        prev,
-                        Arc::clone(&tracker),
-                        Arc::clone(&self.stats),
-                    ))
-                })
-            }
-            // Barrier mode, first block, or a predecessor that already
-            // finished: nothing to fence against.
-            _ => None,
-        };
-        self.prev = Some(Arc::clone(&tracker));
+        let prev = self.prev.replace(Arc::clone(&tracker));
+        // Barrier blocks never overlap, and ordered blocks follow the
+        // session's turn: only unordered pipelined blocks need a gate.
+        let gate: Option<Arc<dyn CommitGate>> =
+            (self.mode == PipelineMode::Pipelined && !self.janus.is_ordered()).then(|| {
+                Arc::new(PipelinedLink::new(
+                    prev,
+                    Arc::clone(&tracker),
+                    Arc::clone(&self.stats),
+                )) as _
+            });
 
         self.stats.blocks_submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.block_size.lock().observe(tasks.len() as u64);
@@ -492,6 +487,72 @@ mod tests {
             first.upgrade().is_none(),
             "block 1's tracker outlived block 3"
         );
+    }
+
+    #[test]
+    fn a_block_whose_predecessor_retired_still_records_its_executions() {
+        // Its successor's gate opens early for a disjoint footprint only
+        // once every one of its transactions is recorded as executed.
+        let mut store = Store::new();
+        let acct = store.alloc("acct", Value::int(0));
+        let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
+        exec.execute_block(counter_tasks(acct, 4, 1));
+        exec.execute_block(counter_tasks(acct, 4, 1));
+        let second = exec.prev.as_ref().expect("block 2 is tracked");
+        assert!(second.all_executed(), "block 2 ran without a gate");
+    }
+
+    #[test]
+    fn a_poisoned_ordered_block_releases_its_turns_to_the_next() {
+        // x = 3x + d does not commute, so the final value pins the
+        // commit order. Block 2's second task is dispatched at once and
+        // panics, usually while the long block 1 is still committing:
+        // the turns block 2 never takes must pass to block 3, and only
+        // after block 1 has taken its own.
+        const MOD: i64 = 1_000_003;
+        let step = |x: i64, d: i64| (3 * x + d) % MOD;
+        for _ in 0..10 {
+            let mut store = Store::new();
+            let x = store.alloc("x", Value::int(0));
+            let block = |base: i64, n: i64, panic_at: Option<i64>| -> Vec<Task> {
+                (0..n)
+                    .map(|i| {
+                        Task::new(move |tx| {
+                            if Some(i) == panic_at {
+                                panic!("mid-block failure");
+                            }
+                            let v = tx.read_int(x);
+                            tx.write(x, step(v, base + i));
+                        })
+                    })
+                    .collect()
+            };
+            let janus = janus(2).ordered(true).panic_policy(PanicPolicy::Poison);
+            let mut exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined);
+            let outcomes = exec.execute_blocks(vec![
+                block(100, 64, None),
+                block(200, 4, Some(1)),
+                block(300, 4, None),
+            ]);
+            let status: Vec<_> = outcomes.iter().map(|o| o.status).collect();
+            assert_eq!(
+                status,
+                [
+                    BlockStatus::Committed,
+                    BlockStatus::Failed,
+                    BlockStatus::Committed
+                ]
+            );
+            assert_eq!(outcomes[2].commits(), 4, "block 3 commits every task");
+            // Block 2 committed some prefix of its tasks before the
+            // panic poisoned it; everything else ran in submission order.
+            let prefix = exec.commit_seq() as i64 - 68;
+            assert!((0..=1).contains(&prefix), "block 2 committed {prefix}");
+            let deltas = (100..164).chain(200..200 + prefix).chain(300..304);
+            let expected = deltas.fold(0, step);
+            let (store, _, _) = exec.finish();
+            assert_eq!(store.value(x), Some(&Value::int(expected)));
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! * [`BlockExecutor`] keeps up to two blocks in flight, each driven by
 //!   a job on `janus-core`'s process-wide pool: block N+1
 //!   executes speculatively while block N validates and commits, with
-//!   a footprint-fingerprint [commit gate](crate::PipelinedLink)
+//!   a footprint-fingerprint [commit gate](janus_core::CommitGate)
 //!   making the block boundary a commit barrier *only for conflicting
-//!   footprints* (ordered runs degrade to a strict cross-block
-//!   barrier, preserving exact submission order);
+//!   footprints* (ordered blocks follow the session's turn, preserving
+//!   exact submission order);
 //! * [`AdmissionQueue`] bounds the number of queued blocks and sheds
 //!   load explicitly instead of queueing without limit;
 //! * failure is block-scoped: a poison panic or watchdog fire fails
@@ -29,6 +29,5 @@ mod executor;
 mod stats;
 
 pub use admission::{Admission, AdmissionQueue};
-pub use batch::{BatchTracker, OrderedLink, PipelinedLink};
 pub use executor::{BlockExecutor, BlockOutcome, BlockStatus, PipelineMode, Submitted};
 pub use stats::{BatchReport, BlockStats, ServeReport, ServeStats};

@@ -126,18 +126,16 @@ impl Drop for LiveGuard<'_> {
 /// transaction is provably disjoint from everything batch N ran, and
 /// waits only when the footprints may intersect.
 ///
-/// All three methods are called concurrently from worker threads. A
-/// gate must be monotone: once `may_commit` returns `true` for a
-/// fingerprint it must keep returning `true` (committers poll it).
+/// Both methods are called concurrently from worker threads. A gate
+/// must be monotone: once `may_commit` returns `true` for a fingerprint
+/// it must keep returning `true` (committers poll it).
 pub trait CommitGate: Send + Sync {
     /// Records one executed attempt of task `tid` and the fingerprint
     /// of the log it produced (called once per attempt, before
-    /// validation — retries can only widen the recorded footprint).
+    /// validation — retries can only widen the recorded footprint). A
+    /// task isolated after a body panic is recorded once with the empty
+    /// fingerprint: it will never produce a committed log.
     fn note_executed(&self, tid: u64, fingerprint: &Fingerprint);
-
-    /// Records that task `tid` will never produce a committed log
-    /// (isolated after a body panic).
-    fn note_failed(&self, tid: u64);
 
     /// May a validated transaction with this fingerprint commit now?
     fn may_commit(&self, tid: u64, fingerprint: &Fingerprint) -> bool;
@@ -175,17 +173,43 @@ pub trait CommitSink: Send + Sync {
 }
 
 /// The state that outlives one batch: the commit-sequence oracle, the
-/// in-flight begin multiset (the GC watermark), and the sharded store.
-/// Everything per-batch lives in `BatchCtx` instead.
+/// ordered commit turn, the in-flight begin multiset (the GC
+/// watermark), and the sharded store. Everything per-batch lives in
+/// `BatchCtx` instead.
 struct SessionCore {
     /// The commit-sequence oracle: one fetch-add ticket counter,
     /// monotone across every batch of the session.
     oracle: Oracle,
+    /// The ordered-mode commit turn: the global task id whose commit is
+    /// next, starting at 1. Task ids are dense across the session, so
+    /// one turn orders every ordered batch's commits. Untouched by
+    /// unordered batches.
+    turn: AtomicU64,
     /// In-flight begin tickets across *all* concurrent batches — the
     /// epoch watermark that fences cross-batch history reclamation.
     active: ActiveBegins,
     /// The class-hash-routed store shards, each behind its own lock.
     shards: Vec<Shard>,
+}
+
+impl SessionCore {
+    /// Hands the ordered turn on past an ordered batch's ids
+    /// `first_tid..end_tid` once its workers are done, so a poisoned
+    /// batch releases the turns its unfinished tasks never took. It
+    /// first waits for the batch's own first turn: a predecessor batch
+    /// may still be committing, and its turn stores would undo an early
+    /// release. A batch that drained normally finds the turn already at
+    /// `end_tid`.
+    fn release_turns(&self, first_tid: u64, end_tid: u64) {
+        let mut parker = Parker::new();
+        // Acquire pairs with the predecessor's Release turn advance.
+        while self.turn.load(Ordering::Acquire) < first_tid {
+            parker.pause();
+        }
+        // Release pairs with successors' Acquire turn loads: taking a
+        // released turn implies seeing this batch's shard publishes.
+        self.turn.fetch_max(end_tid, Ordering::Release);
+    }
 }
 
 /// A long-lived execution session over one store: batches submitted
@@ -232,6 +256,12 @@ impl Session {
     }
 
     /// Reserves `n` dense global task ids, returning the first.
+    ///
+    /// Ordered batches commit in the order their ids were reserved: an
+    /// ordered batch's tasks take the session's commit turn after every
+    /// smaller id. A reserved range must therefore be run, and no
+    /// ordered batch may follow an unordered one on a session: an
+    /// unordered batch's ids never take the turn.
     pub fn reserve_tids(&self, n: u64) -> u64 {
         self.next_tid.fetch_add(n, Ordering::Relaxed)
     }
@@ -262,9 +292,6 @@ struct BatchCtx {
     tasks: Vec<Task>,
     /// Global id of `tasks[0]`; task `i` runs as `first_tid + i`.
     first_tid: u64,
-    /// The ordered-mode commit turn (global task id whose commit is
-    /// next, starting at `first_tid`). Untouched in unordered batches.
-    turn: AtomicU64,
     counters: RunCounters,
     source: Box<dyn TaskSource>,
     /// Batch-scoped: a poisoned batch stops its own workers and waiters
@@ -718,8 +745,10 @@ impl Janus {
         self
     }
 
-    /// Commits tasks in submission order (`runInOrder`): task `i` may
-    /// commit only after tasks `1..i` have committed.
+    /// Commits tasks in submission order (`runInOrder`): a task may
+    /// commit only after the task of every smaller task id of the
+    /// session has committed or failed, across batches too (see
+    /// [`Session::reserve_tids`]).
     pub fn ordered(mut self, ordered: bool) -> Self {
         self.ordered = ordered;
         self
@@ -785,6 +814,7 @@ impl Janus {
         Session {
             core: Arc::new(SessionCore {
                 oracle: Oracle::new(),
+                turn: AtomicU64::new(1),
                 active: ActiveBegins::default(),
                 shards,
             }),
@@ -803,9 +833,12 @@ impl Janus {
     /// Batches on one session may run concurrently: the block pipeline
     /// overlaps batch N+1's speculative execution with batch N's
     /// validation and commit, and the shared oracle/watermark keep
-    /// cross-batch snapshots and GC sound. Poisoning is batch-scoped: a
+    /// cross-batch snapshots and GC sound. Ordered batches commit in the
+    /// order their ids were reserved: they share the session's commit
+    /// turn (see [`Session::reserve_tids`]). Poisoning is batch-scoped: a
     /// panic under [`PanicPolicy::Poison`] propagates from this call
-    /// without stopping sibling batches.
+    /// without stopping sibling batches, and an ordered batch releases
+    /// the turns its unfinished tasks will never take before it returns.
     pub fn run_batch(
         &self,
         session: &Session,
@@ -816,10 +849,10 @@ impl Janus {
         let started = Instant::now();
         let at_start = self.cumulative_counters(session);
         let workers = self.threads.min(tasks.len().max(1));
+        let end_tid = first_tid + tasks.len() as u64;
         let ctx = Arc::new(BatchCtx {
             core: Arc::clone(&session.core),
             first_tid,
-            turn: AtomicU64::new(first_tid),
             counters: RunCounters::default(),
             // One dispatch state per batch: the policy is reusable
             // config, the source is this batch's shared queue state.
@@ -844,6 +877,9 @@ impl Janus {
             jobs.push(Box::new(move || cfg.watchdog_loop(interval, &ctx)));
         }
         run_jobs(jobs);
+        if self.ordered {
+            ctx.core.release_turns(first_tid, end_tid);
+        }
 
         if let Some(payload) = ctx.panic_payload.lock().take() {
             std::panic::resume_unwind(payload);
@@ -1005,7 +1041,7 @@ impl Janus {
             ctx.oracle().now(),
             // Relaxed: diagnostic sampling only — any observed movement
             // counts as progress, staleness just delays one tick.
-            ctx.turn.load(Ordering::Relaxed),
+            ctx.core.turn.load(Ordering::Relaxed),
             ctx.counters.commits.load(Ordering::Relaxed),
             ctx.counters.retries.load(Ordering::Relaxed),
             ctx.counters.tasks_failed.load(Ordering::Relaxed),
@@ -1070,7 +1106,9 @@ impl Janus {
             // turn advance: holding the turn implies every predecessor's
             // shard publishes are visible to this validation.
             if self.ordered
-                && !park_until(ctx, worker, tid, || ctx.turn.load(Ordering::Acquire) == tid)
+                && !park_until(ctx, worker, tid, || {
+                    ctx.core.turn.load(Ordering::Acquire) == tid
+                })
             {
                 return record_poisoned(obs, tid);
             }
@@ -1095,7 +1133,7 @@ impl Janus {
         if self.ordered {
             // Release pairs with successors' Acquire turn loads: taking
             // the turn implies seeing this commit's shard publishes.
-            ctx.turn.store(tid + 1, Ordering::Release);
+            ctx.core.turn.store(tid + 1, Ordering::Release);
         }
         // Scheduler bookkeeping happens after the shard locks are
         // released: none of it is on the commit critical path.
@@ -1393,7 +1431,7 @@ impl Janus {
         // The gate must not wait forever on a task that will never
         // produce a log.
         if let Some(g) = ctx.gate.as_deref() {
-            g.note_failed(t.tid);
+            g.note_executed(t.tid, &Fingerprint::empty());
         }
         ctx.counters.tasks_failed.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = t.obs {
@@ -1413,10 +1451,10 @@ impl Janus {
         let tid = t.tid;
         if self.ordered
             && park_until(ctx, t.worker, tid, || {
-                ctx.turn.load(Ordering::Acquire) == tid
+                ctx.core.turn.load(Ordering::Acquire) == tid
             })
         {
-            ctx.turn.store(tid + 1, Ordering::Release);
+            ctx.core.turn.store(tid + 1, Ordering::Release);
         }
     }
 
@@ -2150,8 +2188,6 @@ mod tests {
     impl CommitGate for OpenOnSecondPoll {
         fn note_executed(&self, _tid: u64, _fp: &Fingerprint) {}
 
-        fn note_failed(&self, _tid: u64) {}
-
         fn may_commit(&self, tid: u64, _fp: &Fingerprint) -> bool {
             let mut polls = self.polls.lock();
             let n = polls.entry(tid).or_insert(0);
@@ -2199,8 +2235,6 @@ mod tests {
 
     impl CommitGate for ClosedFor {
         fn note_executed(&self, _tid: u64, _fp: &Fingerprint) {}
-
-        fn note_failed(&self, _tid: u64) {}
 
         fn may_commit(&self, tid: u64, _fp: &Fingerprint) -> bool {
             tid != self.0

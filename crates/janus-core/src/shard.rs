@@ -346,11 +346,6 @@ pub struct ShardStatsSnapshot {
 pub struct ShardReport(pub Vec<ShardStatsSnapshot>);
 
 impl ShardReport {
-    /// Sum of entries reclaimed across all shards.
-    pub fn total_reclaimed(&self) -> u64 {
-        self.0.iter().map(|s| s.pruned).sum()
-    }
-
     /// All shards' lock-wait samples merged into one histogram.
     pub fn lock_wait_ns(&self) -> janus_obs::Histogram {
         let mut h = janus_obs::Histogram::default();
@@ -491,7 +486,7 @@ mod tests {
             );
         }
         assert_eq!(report.0.len(), 4);
-        assert_eq!(report.total_reclaimed(), 0);
+        assert!(report.0.iter().all(|s| s.pruned == 0));
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl TxView {
         self.apply(loc, OpKind::Rel(op))
     }
 
-    /// The number of operations logged so far.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
     /// The operations logged so far (`t.Log`).
     pub fn log(&self) -> &[Op] {
         &self.log
@@ -191,7 +186,7 @@ mod tests {
         assert_eq!(tx.read_int(x), 15);
         tx.write(x, 100i64);
         assert_eq!(tx.read_int(x), 100);
-        assert_eq!(tx.log_len(), 5);
+        assert_eq!(tx.log().len(), 5);
         assert_eq!(tx.peek(x), Some(&Value::int(100)));
     }
 
@@ -203,7 +198,7 @@ mod tests {
         tx.rel(m, RelOp::insert(tuple![1, 10]));
         let res = tx.rel(m, RelOp::select(Formula::eq(0, 1i64)));
         assert_eq!(res, OpResult::Tuples(vec![tuple![1, 10]]));
-        assert_eq!(tx.log_len(), 2);
+        assert_eq!(tx.log().len(), 2);
     }
 
     #[test]

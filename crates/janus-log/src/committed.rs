@@ -313,20 +313,9 @@ impl<'a> HistoryWindow<'a> {
         self.segments
     }
 
-    /// Total number of operations across all segments.
-    pub fn ops_len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum()
-    }
-
     /// Whether the window holds no operations.
     pub fn is_empty(&self) -> bool {
         self.segments.iter().all(|s| s.is_empty())
-    }
-
-    /// Every operation in the window, in commit order (test/debug aid —
-    /// the detectors consume the per-location indices instead).
-    pub fn iter_ops(&self) -> impl Iterator<Item = &'a Op> {
-        self.segments.iter().flat_map(|s| s.own_ops())
     }
 }
 
@@ -477,12 +466,9 @@ mod tests {
         };
         let segments = vec![seg(1, &mut v), seg(2, &mut v)];
         let w = HistoryWindow::new(&segments);
-        assert_eq!(w.ops_len(), 4);
         assert!(!w.is_empty());
-        assert_eq!(w.iter_ops().count(), 4);
         assert_eq!(w.segments().len(), 2);
         assert!(HistoryWindow::empty().is_empty());
-        assert_eq!(HistoryWindow::empty().ops_len(), 0);
     }
 
     #[test]

@@ -60,15 +60,6 @@ impl<'a> LocHistory<'a> {
         }
     }
 
-    /// The operations restricted to one cell: the full per-location
-    /// sequence for [`CellKey::Whole`], or the per-key subsequence.
-    pub fn cell_ops(&self, cell: &CellKey) -> &[&'a Op] {
-        match cell {
-            CellKey::Whole => &self.ops,
-            CellKey::Key(k) => self.per_key.get(k).map(Vec::as_slice).unwrap_or(&[]),
-        }
-    }
-
     /// Whether any operation in the subsequence writes.
     pub fn writes(&self) -> bool {
         self.ops.iter().any(|op| op.is_write())
@@ -158,9 +149,7 @@ mod tests {
         assert_eq!(h.per_key.len(), 2);
         let k1 = Key::scalar(1i64);
         assert_eq!(h.per_key[&k1].len(), 2, "insert + select on key 1");
-        assert_eq!(h.cell_ops(&CellKey::Key(k1)).len(), 2);
-        assert_eq!(h.cell_ops(&CellKey::Whole).len(), 3);
-        assert!(h.cell_ops(&CellKey::Key(Key::scalar(9i64))).is_empty());
+        assert_eq!(h.ops.len(), 3);
     }
 
     #[test]

@@ -248,12 +248,6 @@ impl Footprint {
         self.accessed().overlaps(&other.accessed())
     }
 
-    /// The write-set conflict test: a common cell that at least one side
-    /// writes.
-    pub fn ws_conflicts(&self, other: &Footprint) -> bool {
-        self.write.overlaps(&other.accessed()) || other.write.overlaps(&self.accessed())
-    }
-
     /// The cumulative footprint of a transformer: the union of its
     /// operations' footprints (§6.2).
     pub fn union(&self, other: &Footprint) -> Footprint {
@@ -306,15 +300,11 @@ mod tests {
         let read1 = Footprint::read_only(CellSet::key(k(1)));
         let write1 = Footprint::write_only(CellSet::key(k(1)));
         let write2 = Footprint::write_only(CellSet::key(k(2)));
-        // read/read: no conflict, but a dependency.
-        assert!(!read1.ws_conflicts(&read1));
+        // read/read: a dependency.
         assert!(read1.depends(&read1));
-        // read/write on same cell: conflict.
-        assert!(read1.ws_conflicts(&write1));
-        // write/write on same cell: conflict.
-        assert!(write1.ws_conflicts(&write1));
+        // read/write on same cell: a dependency.
+        assert!(read1.depends(&write1));
         // disjoint cells: nothing.
-        assert!(!write1.ws_conflicts(&write2));
         assert!(!write1.depends(&write2));
     }
 

@@ -99,11 +99,6 @@ impl Schema {
         &self.columns
     }
 
-    /// The index of the named column, if present.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
     /// The functional dependency, if any.
     pub fn fd(&self) -> Option<&Fd> {
         self.fd.as_ref()
@@ -134,8 +129,6 @@ mod tests {
     fn fd_partition_is_validated() {
         let s = Schema::with_fd(&["k", "v"], Fd::new(&[0], &[1]));
         assert_eq!(s.key_columns(), &[0]);
-        assert_eq!(s.column_index("v"), Some(1));
-        assert_eq!(s.column_index("missing"), None);
     }
 
     #[test]

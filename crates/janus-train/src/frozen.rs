@@ -103,14 +103,6 @@ impl FrozenCacheStats {
         self.unique_overflow.load(Ordering::Relaxed)
     }
 
-    /// The unique-query miss rate in percent (the Figure 11 metric), or
-    /// `None` if no queries were recorded.
-    pub fn miss_rate_percent(&self) -> Option<f64> {
-        let (h, m) = self.unique_counts();
-        let total = h + m;
-        (total > 0).then(|| 100.0 * m as f64 / total as f64)
-    }
-
     /// Resets all statistics. Not linearizable against concurrent
     /// `record` calls — call between measurement phases.
     pub fn reset(&self) {
@@ -448,7 +440,6 @@ mod tests {
             .unwrap();
         assert_eq!(frozen.stats().hits.load(Ordering::Relaxed), 2);
         assert_eq!(frozen.stats().unique_counts(), (1, 0));
-        assert_eq!(frozen.stats().miss_rate_percent(), Some(0.0));
     }
 
     #[test]
@@ -468,7 +459,6 @@ mod tests {
             None
         );
         assert_eq!(frozen.stats().unique_counts(), (0, 1));
-        assert_eq!(frozen.stats().miss_rate_percent(), Some(100.0));
     }
 
     #[test]

@@ -111,38 +111,10 @@ pub fn prove_commutes_all_states(
     contents_equivalent(&ab, &ba, with_value_axioms)
 }
 
-/// Proves that every select in `a` observes the same content whether or
-/// not `b` is evaluated first (the symbolic `SAMEREAD` direction), for
-/// every entry state.
-pub fn prove_same_reads_all_states(
-    schema: &Schema,
-    a: &[RelOp],
-    b: &[RelOp],
-    with_value_axioms: bool,
-) -> bool {
-    let b_content = Content::Base.apply_all(b.iter(), schema);
-    let mut direct = Content::Base;
-    let mut shifted = b_content;
-    for op in a {
-        if let RelOp::Select(_) = op {
-            let d = direct.apply(op, schema);
-            let s = shifted.apply(op, schema);
-            if !contents_equivalent(&d, &s, with_value_axioms) {
-                return false;
-            }
-        }
-        if op.is_mutation() {
-            direct = direct.apply(op, schema);
-            shifted = shifted.apply(op, schema);
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_relational::{tuple, Fd, Formula, Relation};
+    use janus_relational::{tuple, Fd, Relation};
     use std::sync::Arc;
 
     fn map_schema() -> Arc<Schema> {
@@ -202,29 +174,6 @@ mod tests {
         let a = vec![RelOp::insert(tuple![1, 10]), RelOp::remove(tuple![1, 10])];
         let b = vec![RelOp::insert(tuple![2, 5])];
         assert!(prove_commutes_all_states(&s, &a, &b, true));
-    }
-
-    #[test]
-    fn same_reads_proof_detects_visible_insert() {
-        let s = map_schema();
-        let a = vec![RelOp::select(Formula::eq(0, 1i64))];
-        let b = vec![RelOp::insert(tuple![1, 10])];
-        assert!(!prove_same_reads_all_states(&s, &a, &b, true));
-        // A select on a different key is unaffected.
-        let a2 = vec![RelOp::select(Formula::eq(0, 2i64))];
-        assert!(prove_same_reads_all_states(&s, &a2, &b, true));
-    }
-
-    #[test]
-    fn covered_select_passes_same_reads() {
-        let s = map_schema();
-        // Insert then select of the same key: the select is covered.
-        let a = vec![
-            RelOp::insert(tuple![1, 10]),
-            RelOp::select(Formula::eq(0, 1i64)),
-        ];
-        let b = vec![RelOp::insert(tuple![1, 20])];
-        assert!(prove_same_reads_all_states(&s, &a, &b, true));
     }
 
     /// Symbolic equivalence must agree with concrete evaluation on probe

@@ -7,8 +7,8 @@
 //!   shard counts × detectors × schedule policies × pipeline modes.
 //! * Ordered mode: order-sensitive (non-commuting) bodies split across
 //!   batches reproduce the flat sequential execution bit for bit — the
-//!   cross-batch gate preserves batch order, and commit order within a
-//!   batch follows submission order.
+//!   session's one ordered turn makes commit order follow submission
+//!   order, within a batch and across batches.
 
 use std::sync::Arc;
 
@@ -206,11 +206,11 @@ proptest! {
     }
 }
 
-/// Turn waits compose with gate parking: an ordered pipelined stream
-/// over one hot location makes block N+1's workers park on block N's
-/// tracker while block N is still draining, and the chain must still
-/// reproduce the flat sequential result with almost as many workers as
-/// tasks per block.
+/// Turn waits span blocks: an ordered pipelined stream over one hot
+/// location makes block N+1's workers park on the session's turn while
+/// block N is still draining, and the chain must still reproduce the
+/// flat sequential result with almost as many workers as tasks per
+/// block.
 #[test]
 fn gate_parked_ordered_blocks_match_sequential() {
     let mut store = Store::new();
@@ -232,7 +232,8 @@ fn gate_parked_ordered_blocks_match_sequential() {
     let batches: Vec<&[i64]> = deltas.chunks(6).collect();
     // 4 workers over 6-task blocks: each worker takes 1-2 tasks of a
     // block and parks on the ordered turn before each commit, and the
-    // successor block's workers park on the ordered cross-batch gate.
+    // successor block's workers park on the same turn until block N's
+    // last commit.
     let janus = Janus::new(Arc::new(WriteSetDetector::new()))
         .threads(4)
         .ordered(true)
