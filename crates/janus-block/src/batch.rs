@@ -41,7 +41,7 @@ pub(crate) struct BatchTracker {
     /// failed) at least once. Re-executions after an abort re-insert
     /// the same id, keeping the count exact.
     executed_tids: Mutex<BTreeSet<u64>>,
-    /// Set once the batch's `run_batch` has fully returned (commits
+    /// Set once the batch's `Session::run` has fully returned (commits
     /// durable, workers parked) — including the poisoned/failed case,
     /// so a failed predecessor can never wedge its successor.
     done: AtomicBool,
@@ -70,7 +70,7 @@ impl BatchTracker {
     }
 
     /// Mark the batch finished. Called by the block executor after
-    /// `run_batch` returns or unwinds — unconditionally, so successors
+    /// `Session::run` returns or unwinds — unconditionally, so successors
     /// never wait on a corpse.
     pub(crate) fn complete(&self) {
         self.done.store(true, Ordering::Release);

@@ -1,17 +1,20 @@
 //! The block executor: batches in, [`BlockOutcome`]s out, with up to
 //! two batches in flight.
 //!
-//! Each submitted block runs as one `run_batch` on a shared
-//! [`Session`], driven by a job on the process-wide pool
-//! ([`janus_core::spawn`]) whose thread is also the batch's worker 0.
-//! In [`PipelineMode::Pipelined`], block N+1's
+//! Each submitted block is reserved as one [`Batch`](janus_core::Batch)
+//! of a shared [`Session`] on the submitting thread, so block N's task
+//! ids precede block N+1's. The batch then moves into its own job on the
+//! process-wide pool ([`janus_core::spawn`]), whose thread runs it as
+//! the batch's worker 0 and drops it there, so each pool job holds one
+//! batch. In [`PipelineMode::Pipelined`], block N+1's
 //! speculative execution overlaps block N's validation and commit; a
 //! [`CommitGate`](janus_core::CommitGate) linking the two trackers
 //! keeps the equivalent serial order at "all of N before any
 //! conflicting part of N+1". Ordered blocks (`Janus::ordered`) follow
-//! the session's turn instead, which keeps exact submission order. In
-//! [`PipelineMode::Barrier`] blocks run strictly one at a time — the
-//! comparison baseline.
+//! the session's turn instead, which keeps exact submission order: a
+//! block's batch hands its turns on when it is dropped, however the
+//! block ended. In [`PipelineMode::Barrier`] blocks run strictly one at
+//! a time — the comparison baseline.
 //!
 //! Failure is block-scoped: a poison panic or watchdog fire inside a
 //! block is caught by its pool job and surfaces as
@@ -23,7 +26,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use janus_core::{BatchOutcome, CommitGate, Janus, Pending, Session, Store, Task};
+use janus_core::{payload_message, BatchOutcome, CommitGate, Janus, Pending, Session, Store, Task};
 use janus_log::LocId;
 use janus_relational::Value;
 
@@ -98,7 +101,6 @@ pub struct Submitted {
 /// A long-lived executor: one [`Session`], blocks streamed through
 /// [`BlockExecutor::submit`] / [`BlockExecutor::execute_blocks`].
 pub struct BlockExecutor {
-    janus: Janus,
     session: Arc<Session>,
     mode: PipelineMode,
     stats: Arc<BlockStats>,
@@ -131,7 +133,6 @@ impl BlockExecutor {
             inflight: VecDeque::new(),
             first_submit: None,
             wall: Duration::ZERO,
-            janus,
         }
     }
 
@@ -142,11 +143,6 @@ impl BlockExecutor {
     pub fn with_seq_base(mut self, base: u64) -> Self {
         self.seq_base = base;
         self
-    }
-
-    /// The pipeline mode in use.
-    pub fn mode(&self) -> PipelineMode {
-        self.mode
     }
 
     /// The shared pipeline statistics.
@@ -184,12 +180,16 @@ impl BlockExecutor {
             retired.push(self.retire_oldest());
         }
 
-        let tracker = BatchTracker::new(tasks.len());
+        let n = tasks.len();
+        let tracker = BatchTracker::new(n);
+        // Reserved here, not in the pool job, so block N's ids precede
+        // block N+1's whichever job starts first.
+        let batch = self.session.reserve(tasks);
         let prev = self.prev.replace(Arc::clone(&tracker));
         // Barrier blocks never overlap, and ordered blocks follow the
         // session's turn: only unordered pipelined blocks need a gate.
         let gate: Option<Arc<dyn CommitGate>> =
-            (self.mode == PipelineMode::Pipelined && !self.janus.is_ordered()).then(|| {
+            (self.mode == PipelineMode::Pipelined && !self.session.is_ordered()).then(|| {
                 Arc::new(PipelinedLink::new(
                     prev,
                     Arc::clone(&tracker),
@@ -198,22 +198,15 @@ impl BlockExecutor {
             });
 
         self.stats.blocks_submitted.fetch_add(1, Ordering::Relaxed);
-        self.stats.block_size.lock().observe(tasks.len() as u64);
+        self.stats.block_size.lock().observe(n as u64);
 
-        // Drawn here, not in the pool job, so block N's ids precede
-        // block N+1's whichever job starts first.
-        let n = tasks.len();
-        let first_tid = self.session.reserve_tids(n as u64);
-        let janus = self.janus.clone();
         let session = Arc::clone(&self.session);
         let stats = Arc::clone(&self.stats);
         // The pool drops the job's captures — the session handle among
         // them — before `join` returns, so `finish` after a drain holds
         // the only session handle.
         self.inflight.push_back(janus_core::spawn(move || {
-            conduct(seq, n, &tracker, &stats, || {
-                janus.run_batch(&session, first_tid, tasks, gate)
-            })
+            conduct(seq, n, &tracker, &stats, || session.run(batch, gate))
         }));
         Submitted { seq, retired }
     }
@@ -289,10 +282,10 @@ fn conduct(
     n: usize,
     tracker: &BatchTracker,
     stats: &BlockStats,
-    run_batch: impl FnOnce() -> BatchOutcome,
+    run: impl FnOnce() -> BatchOutcome,
 ) -> BlockOutcome {
     let started = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_batch));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
     // Complete before anything else: a successor block may be parked on
     // this tracker, and it must never wait on a failed predecessor.
     tracker.complete();
@@ -311,16 +304,11 @@ fn conduct(
                 .map_or("batch poisoned", |_| "watchdog declared the batch hung");
             (BlockStatus::Failed, Some(why.to_string()), Some(batch))
         }
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            (BlockStatus::Failed, Some(msg), None)
-        }
+        Err(payload) => (
+            BlockStatus::Failed,
+            Some(payload_message(payload.as_ref())),
+            None,
+        ),
     };
     match status {
         BlockStatus::Committed => {
@@ -359,6 +347,7 @@ mod tests {
     use super::*;
     use janus_core::PanicPolicy;
     use janus_detect::SequenceDetector;
+    use janus_sched::{Fifo, SchedulePolicy, TaskSource};
 
     fn janus(threads: usize) -> Janus {
         Janus::new(Arc::new(SequenceDetector::new())).threads(threads)
@@ -553,6 +542,71 @@ mod tests {
             let (store, _, _) = exec.finish();
             assert_eq!(store.value(x), Some(&Value::int(expected)));
         }
+    }
+
+    /// FIFO dispatch whose `bind` panics for a batch of the given size,
+    /// so that block fails before any of its workers starts. Keyed on
+    /// the size, not the call count: two in-flight blocks bind on their
+    /// own pool threads, in either order.
+    #[derive(Debug)]
+    struct BindPanicsAt(usize);
+
+    impl SchedulePolicy for BindPanicsAt {
+        fn name(&self) -> &'static str {
+            "bind-panics-at"
+        }
+
+        fn bind(&self, tasks: usize, workers: usize) -> Box<dyn TaskSource> {
+            assert_ne!(tasks, self.0, "bind failure");
+            Fifo.bind(tasks, workers)
+        }
+    }
+
+    #[test]
+    fn an_ordered_block_that_fails_before_its_workers_start_releases_its_turns() {
+        // x = 3x + d pins the commit order. Block 2 unwinds out of
+        // `bind`, usually while the long block 1 is still committing:
+        // its turns must still pass to block 3, after block 1's.
+        const MOD: i64 = 1_000_003;
+        let step = |x: i64, d: i64| (3 * x + d) % MOD;
+        let (done, result) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let mut store = Store::new();
+            let x = store.alloc("x", Value::int(0));
+            let block = |base: i64, n: i64| -> Vec<Task> {
+                (0..n)
+                    .map(|i| {
+                        Task::new(move |tx| {
+                            let v = tx.read_int(x);
+                            tx.write(x, step(v, base + i));
+                        })
+                    })
+                    .collect()
+            };
+            let janus = janus(2).ordered(true).schedule(Arc::new(BindPanicsAt(3)));
+            let mut exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined);
+            let outcomes = exec.execute_blocks(vec![block(100, 64), block(200, 3), block(300, 4)]);
+            let (store, _, _) = exec.finish();
+            let _ = done.send((outcomes, store.value(x).cloned()));
+        });
+        let (outcomes, value) = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the block after a failed one stalled");
+        runner.join().expect("the executor thread exits cleanly");
+        let status: Vec<_> = outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(
+            status,
+            [
+                BlockStatus::Committed,
+                BlockStatus::Failed,
+                BlockStatus::Committed
+            ]
+        );
+        let error = outcomes[1].error.as_deref().unwrap_or_default();
+        assert!(error.contains("bind failure"), "{error}");
+        assert_eq!(outcomes[2].commits(), 4, "block 3 commits every task");
+        let expected = (100..164).chain(300..304).fold(0, step);
+        assert_eq!(value, Some(Value::int(expected)));
     }
 
     #[test]

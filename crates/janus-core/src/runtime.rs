@@ -47,8 +47,9 @@ pub struct TaskFailure {
     pub attempts: u32,
 }
 
-/// Renders a panic payload for [`TaskFailure::message`].
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a panic payload as a string when possible (for
+/// [`TaskFailure::message`] and a failed block's error).
+pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -192,33 +193,58 @@ struct SessionCore {
     shards: Vec<Shard>,
 }
 
-impl SessionCore {
-    /// Hands the ordered turn on past an ordered batch's ids
-    /// `first_tid..end_tid` once its workers are done, so a poisoned
-    /// batch releases the turns its unfinished tasks never took. It
-    /// first waits for the batch's own first turn: a predecessor batch
-    /// may still be committing, and its turn stores would undo an early
-    /// release. A batch that drained normally finds the turn already at
-    /// `end_tid`.
-    fn release_turns(&self, first_tid: u64, end_tid: u64) {
-        let mut parker = Parker::new();
-        // Acquire pairs with the predecessor's Release turn advance.
-        while self.turn.load(Ordering::Acquire) < first_tid {
-            parker.pause();
-        }
-        // Release pairs with successors' Acquire turn loads: taking a
-        // released turn implies seeing this batch's shard publishes.
-        self.turn.fetch_max(end_tid, Ordering::Release);
+/// A session's tasks, reserved by [`Session::reserve`] and run by
+/// [`Session::run`]: task `i` runs as global id `first_tid + i`.
+///
+/// On an ordered session a batch owns its ids' commit turns. Dropping
+/// it — drained, poisoned, unwound or never run — first waits for its
+/// own first turn (a committing predecessor's turn stores would undo an
+/// early release), then hands the turn on past its last id. So on any
+/// one thread, run or drop an ordered session's batches in reservation
+/// order. Locals drop in reverse order: two ordered batches held in one
+/// scope hang that thread if the scope unwinds or returns before both
+/// ran.
+#[must_use = "an ordered batch holds its ids' turns until it is run or dropped"]
+pub struct Batch {
+    core: Arc<SessionCore>,
+    ordered: bool,
+    tasks: Vec<Task>,
+    first_tid: u64,
+    end_tid: u64,
+}
+
+impl Batch {
+    /// Global id of the batch's first task.
+    pub fn first_tid(&self) -> u64 {
+        self.first_tid
     }
 }
 
-/// A long-lived execution session over one store: batches submitted
-/// through [`Janus::run_batch`] share the session's oracle, watermark
-/// and shards, so a later batch validates against — and is reclaimed
-/// with — everything earlier batches committed. Created by
-/// [`Janus::open_session`]; [`Janus::run`] is the one-batch special
-/// case.
+impl Drop for Batch {
+    fn drop(&mut self) {
+        if self.ordered {
+            let turn = &self.core.turn;
+            let mut parker = Parker::new();
+            // Acquire pairs with the predecessor's Release turn advance.
+            while turn.load(Ordering::Acquire) < self.first_tid {
+                parker.pause();
+            }
+            // Release pairs with successors' Acquire turn loads: taking a
+            // released turn implies seeing this batch's shard publishes. A
+            // drained batch finds the turn already at `end_tid`.
+            turn.fetch_max(self.end_tid, Ordering::Release);
+        }
+    }
+}
+
+/// A long-lived execution session over one store, under the [`Janus`]
+/// configuration that opened it: batches run through [`Session::run`]
+/// share the session's oracle, watermark and shards, so a later batch
+/// validates against — and is reclaimed with — everything earlier
+/// batches committed. Created by [`Janus::open_session`]; [`Janus::run`]
+/// is the one-batch special case.
 pub struct Session {
+    janus: Arc<Janus>,
     core: Arc<SessionCore>,
     /// The store the session was opened over, minus its slots (which
     /// live in the shards until [`Session::finish`]).
@@ -255,15 +281,129 @@ impl Session {
         self.core.oracle.now() - 1
     }
 
-    /// Reserves `n` dense global task ids, returning the first.
+    /// Whether the session commits in task-id order (`runInOrder`, see
+    /// [`Janus::ordered`]).
+    pub fn is_ordered(&self) -> bool {
+        self.janus.ordered
+    }
+
+    /// Reserves the next dense range of global task ids for `tasks`, on
+    /// the calling thread: batches reserved in order get their ids in
+    /// that order however their workers are scheduled. On an ordered
+    /// session they also commit in that order; run or hand off each
+    /// batch before reserving the next (see [`Batch`]).
+    pub fn reserve(&self, tasks: Vec<Task>) -> Batch {
+        let n = tasks.len() as u64;
+        let first_tid = self.next_tid.fetch_add(n, Ordering::Relaxed);
+        Batch {
+            core: Arc::clone(&self.core),
+            ordered: self.janus.ordered,
+            tasks,
+            first_tid,
+            end_tid: first_tid + n,
+        }
+    }
+
+    /// Runs one batch of this session, worker 0 on the calling thread
+    /// and the other workers on the process-wide pool, consulting `gate`
+    /// — when given — before every commit.
     ///
-    /// Ordered batches commit in the order their ids were reserved: an
-    /// ordered batch's tasks take the session's commit turn after every
-    /// smaller id. A reserved range must therefore be run, and no
-    /// ordered batch may follow an unordered one on a session: an
-    /// unordered batch's ids never take the turn.
-    pub fn reserve_tids(&self, n: u64) -> u64 {
-        self.next_tid.fetch_add(n, Ordering::Relaxed)
+    /// Batches on one session may run concurrently: the block pipeline
+    /// overlaps batch N+1's speculative execution with batch N's
+    /// validation and commit, and the shared oracle/watermark keep
+    /// cross-batch snapshots and GC sound. Poisoning is batch-scoped: a
+    /// panic under [`PanicPolicy::Poison`] propagates from this call
+    /// without stopping sibling batches.
+    pub fn run(&self, mut batch: Batch, gate: Option<Arc<dyn CommitGate>>) -> BatchOutcome {
+        assert!(
+            Arc::ptr_eq(&batch.core, &self.core),
+            "batch of another session"
+        );
+        // A copy per batch: in-flight batches sharing the session's one
+        // ran serve-wal about 5 % slower (2-core host, paired runs).
+        let janus = &Arc::new((*self.janus).clone());
+        let started = Instant::now();
+        let at_start = self.cumulative_counters();
+        let tasks = std::mem::take(&mut batch.tasks);
+        let workers = janus.threads.min(tasks.len().max(1));
+        let ctx = Arc::new(BatchCtx {
+            core: Arc::clone(&self.core),
+            first_tid: batch.first_tid,
+            counters: RunCounters::default(),
+            // One dispatch state per batch: the policy is reusable
+            // config, the source is this batch's shared queue state.
+            source: janus.schedule.bind(tasks.len(), workers),
+            poisoned: AtomicBool::new(false),
+            phases: WorkerPhases::new(workers),
+            failed: parking_lot::Mutex::new(Vec::new()),
+            panic_payload: parking_lot::Mutex::new(None),
+            dumps: parking_lot::Mutex::new(Vec::new()),
+            live: AtomicU64::new(workers as u64),
+            gate,
+            tasks,
+        });
+        let mut jobs: Vec<Job> = Vec::with_capacity(workers + 1);
+        for w in 0..workers {
+            let (cfg, ctx) = (Arc::clone(janus), Arc::clone(&ctx));
+            jobs.push(Box::new(move || cfg.worker_loop(w, &ctx)));
+        }
+        if let Some(interval) = janus.watchdog {
+            let (cfg, ctx) = (Arc::clone(janus), Arc::clone(&ctx));
+            jobs.push(Box::new(move || cfg.watchdog_loop(interval, &ctx)));
+        }
+        run_jobs(jobs);
+
+        if let Some(payload) = ctx.panic_payload.lock().take() {
+            std::panic::resume_unwind(payload);
+        }
+        let counters = &ctx.counters;
+        let at_end = self.cumulative_counters();
+        let [ops_scanned, segments_skipped, segments_scanned, faults_injected, history_reclaimed] =
+            std::array::from_fn(|i| at_end[i].saturating_sub(at_start[i]));
+        let sched = ctx.source.stats();
+        let mut failed = std::mem::take(&mut *ctx.failed.lock());
+        failed.sort_by_key(|f| f.task);
+        let watchdog_dumps = std::mem::take(&mut *ctx.dumps.lock());
+        BatchOutcome {
+            sched,
+            failed,
+            watchdog_dumps,
+            first_tid: batch.first_tid,
+            poisoned: ctx.poisoned.load(Ordering::Acquire),
+            stats: RunStats {
+                commits: counters.commits.load(Ordering::Relaxed),
+                retries: counters.retries.load(Ordering::Relaxed),
+                wall: started.elapsed(),
+                history_reclaimed,
+                detect_ops_scanned: ops_scanned,
+                delta_revalidations: counters.delta_revalidations.load(Ordering::Relaxed),
+                fastpath_segments_skipped: segments_skipped,
+                fastpath_segments_scanned: segments_scanned,
+                zero_copy_windows: counters.zero_copy_windows.load(Ordering::Relaxed),
+                faults_injected,
+                tasks_failed: counters.tasks_failed.load(Ordering::Relaxed),
+                watchdog_fires: counters.watchdog_fires.load(Ordering::Relaxed),
+                commit_gate_waits: counters.gate_waits.load(Ordering::Relaxed),
+            },
+        }
+    }
+
+    /// The session-cumulative counters a batch reports as deltas:
+    /// detector operations scanned, prefilter segments skipped and
+    /// scanned, faults injected, history entries reclaimed.
+    fn cumulative_counters(&self) -> [u64; 5] {
+        let (detect, faults) = (self.janus.detector.stats(), &self.janus.faults);
+        [
+            detect.ops_scanned(),
+            detect.segments_skipped(),
+            detect.segments_scanned(),
+            faults.as_ref().map_or(0, |f| f.stats().injected()),
+            self.core
+                .shards
+                .iter()
+                .map(|s| s.stats.reclaimed_total())
+                .sum(),
+        ]
     }
 
     /// Closes the session: tears the shards down into the final store
@@ -271,11 +411,11 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if a batch is still running on the session.
+    /// Panics if a batch of the session is still reserved or running.
     pub fn finish(self) -> (Store, ShardReport) {
         let core = Arc::try_unwrap(self.core)
             .ok()
-            .expect("no batch may be running when a session finishes");
+            .expect("no batch may be reserved or running when a session finishes");
         let (slots, shard_stats) = merge_slots(core.shards);
         let mut store = self.base;
         store.slots = slots;
@@ -306,16 +446,6 @@ struct BatchCtx {
     /// The cross-batch commit barrier, when this batch runs inside a
     /// block pipeline.
     gate: Option<Arc<dyn CommitGate>>,
-}
-
-impl BatchCtx {
-    fn oracle(&self) -> &Oracle {
-        &self.core.oracle
-    }
-
-    fn shards(&self) -> &[Shard] {
-        &self.core.shards
-    }
 }
 
 /// One shard's slots, privatized by an O(1) persistent-map clone.
@@ -382,7 +512,7 @@ impl CommitPlan {
     /// gate before validation, so successor batches can start proving
     /// disjointness while this transaction is still in flight.
     fn new(ops: Vec<Op>, t: TaskCtx<'_>) -> Self {
-        let n = t.ctx.shards().len();
+        let n = t.ctx.core.shards.len();
         let log = Arc::new(CommittedLog::new(ops));
         if let Some(g) = t.ctx.gate.as_deref() {
             g.note_executed(t.tid, log.fingerprint());
@@ -622,8 +752,8 @@ struct RunCounters {
 /// the `run`, `runInOrder` and `runOutOfOrder` entry points of the
 /// prototype's Java API via the [`Janus::ordered`] switch.
 ///
-/// Cheap to clone: configuration is a handful of `Arc`s and scalars, so
-/// batch worker jobs can each carry their own copy onto pooled threads.
+/// Cheap to clone: configuration is a handful of `Arc`s and scalars.
+/// Each [`Session`] keeps a copy, and each batch its own copy of that.
 #[derive(Clone)]
 pub struct Janus {
     detector: Arc<dyn ConflictDetector>,
@@ -747,21 +877,10 @@ impl Janus {
 
     /// Commits tasks in submission order (`runInOrder`): a task may
     /// commit only after the task of every smaller task id of the
-    /// session has committed or failed, across batches too (see
-    /// [`Session::reserve_tids`]).
+    /// session has committed or failed, across batches too.
     pub fn ordered(mut self, ordered: bool) -> Self {
         self.ordered = ordered;
         self
-    }
-
-    /// The detector in use.
-    pub fn detector(&self) -> &Arc<dyn ConflictDetector> {
-        &self.detector
-    }
-
-    /// Whether commits are ordered (`runInOrder`).
-    pub fn is_ordered(&self) -> bool {
-        self.ordered
     }
 
     /// `DOPARALLEL`: runs every task to successful commit and returns the
@@ -781,10 +900,12 @@ impl Janus {
     /// [`Outcome::failed`], and `run` returns normally. An armed
     /// watchdog ([`Janus::watchdog`]) that declares the run hung still
     /// panics under `Poison`.
+    ///
+    /// One session, one batch: [`Janus::open_session`],
+    /// [`Session::reserve`], [`Session::run`], [`Session::finish`].
     pub fn run(&self, store: Store, tasks: Vec<Task>) -> Outcome {
         let session = self.open_session(store);
-        let first_tid = session.reserve_tids(tasks.len() as u64);
-        let batch = self.run_batch(&session, first_tid, tasks, None);
+        let batch = session.run(session.reserve(tasks), None);
         // Commits come from the dedicated counter; the oracle mirrors
         // it but is an implementation detail of sequencing, not a
         // statistic. Poisoned runs stop drawing tickets mid-flight, so
@@ -803,15 +924,17 @@ impl Janus {
         }
     }
 
-    /// Opens a long-lived [`Session`] over a store: the oracle, the GC
-    /// watermark and the sharded slots persist across every
-    /// [`Janus::run_batch`] submitted to it, so later batches validate
-    /// against earlier batches' commits.
+    /// Opens a long-lived [`Session`] over a store, under a copy of this
+    /// configuration: the oracle, the GC watermark and the sharded slots
+    /// persist across every batch run on it, so later batches validate
+    /// against earlier batches' commits, and every batch runs with the
+    /// session's threads, policies and orderedness.
     pub fn open_session(&self, store: Store) -> Session {
         let shards = partition_slots(&store.slots, self.shards);
         let mut base = store;
         base.slots = Default::default();
         Session {
+            janus: Arc::new(self.clone()),
             core: Arc::new(SessionCore {
                 oracle: Oracle::new(),
                 turn: AtomicU64::new(1),
@@ -823,123 +946,11 @@ impl Janus {
         }
     }
 
-    /// Runs one batch of tasks on a session, worker 0 on the calling
-    /// thread and the other workers on the process-wide pool, consulting
-    /// `gate` — when given — before every commit. Task `i` runs as
-    /// global id `first_tid + i`; the caller draws the range with
-    /// [`Session::reserve_tids`], so batches submitted in order get
-    /// their ids in that order however their workers are scheduled.
-    ///
-    /// Batches on one session may run concurrently: the block pipeline
-    /// overlaps batch N+1's speculative execution with batch N's
-    /// validation and commit, and the shared oracle/watermark keep
-    /// cross-batch snapshots and GC sound. Ordered batches commit in the
-    /// order their ids were reserved: they share the session's commit
-    /// turn (see [`Session::reserve_tids`]). Poisoning is batch-scoped: a
-    /// panic under [`PanicPolicy::Poison`] propagates from this call
-    /// without stopping sibling batches, and an ordered batch releases
-    /// the turns its unfinished tasks will never take before it returns.
-    pub fn run_batch(
-        &self,
-        session: &Session,
-        first_tid: u64,
-        tasks: Vec<Task>,
-        gate: Option<Arc<dyn CommitGate>>,
-    ) -> BatchOutcome {
-        let started = Instant::now();
-        let at_start = self.cumulative_counters(session);
-        let workers = self.threads.min(tasks.len().max(1));
-        let end_tid = first_tid + tasks.len() as u64;
-        let ctx = Arc::new(BatchCtx {
-            core: Arc::clone(&session.core),
-            first_tid,
-            counters: RunCounters::default(),
-            // One dispatch state per batch: the policy is reusable
-            // config, the source is this batch's shared queue state.
-            source: self.schedule.bind(tasks.len(), workers),
-            poisoned: AtomicBool::new(false),
-            phases: WorkerPhases::new(workers),
-            failed: parking_lot::Mutex::new(Vec::new()),
-            panic_payload: parking_lot::Mutex::new(None),
-            dumps: parking_lot::Mutex::new(Vec::new()),
-            live: AtomicU64::new(workers as u64),
-            gate,
-            tasks,
-        });
-        let cfg = Arc::new(self.clone());
-        let mut jobs: Vec<Job> = Vec::with_capacity(workers + 1);
-        for w in 0..workers {
-            let (cfg, ctx) = (Arc::clone(&cfg), Arc::clone(&ctx));
-            jobs.push(Box::new(move || cfg.worker_loop(w, &ctx)));
-        }
-        if let Some(interval) = self.watchdog {
-            let (cfg, ctx) = (Arc::clone(&cfg), Arc::clone(&ctx));
-            jobs.push(Box::new(move || cfg.watchdog_loop(interval, &ctx)));
-        }
-        run_jobs(jobs);
-        if self.ordered {
-            ctx.core.release_turns(first_tid, end_tid);
-        }
-
-        if let Some(payload) = ctx.panic_payload.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
-        let counters = &ctx.counters;
-        let at_end = self.cumulative_counters(session);
-        let [ops_scanned, segments_skipped, segments_scanned, faults_injected, history_reclaimed] =
-            std::array::from_fn(|i| at_end[i].saturating_sub(at_start[i]));
-        let sched = ctx.source.stats();
-        let mut failed = std::mem::take(&mut *ctx.failed.lock());
-        failed.sort_by_key(|f| f.task);
-        let watchdog_dumps = std::mem::take(&mut *ctx.dumps.lock());
-        BatchOutcome {
-            sched,
-            failed,
-            watchdog_dumps,
-            first_tid,
-            poisoned: ctx.poisoned.load(Ordering::Acquire),
-            stats: RunStats {
-                commits: counters.commits.load(Ordering::Relaxed),
-                retries: counters.retries.load(Ordering::Relaxed),
-                wall: started.elapsed(),
-                history_reclaimed,
-                detect_ops_scanned: ops_scanned,
-                delta_revalidations: counters.delta_revalidations.load(Ordering::Relaxed),
-                fastpath_segments_skipped: segments_skipped,
-                fastpath_segments_scanned: segments_scanned,
-                zero_copy_windows: counters.zero_copy_windows.load(Ordering::Relaxed),
-                faults_injected,
-                tasks_failed: counters.tasks_failed.load(Ordering::Relaxed),
-                watchdog_fires: counters.watchdog_fires.load(Ordering::Relaxed),
-                commit_gate_waits: counters.gate_waits.load(Ordering::Relaxed),
-            },
-        }
-    }
-
-    /// The session-cumulative counters a batch reports as deltas:
-    /// detector operations scanned, prefilter segments skipped and
-    /// scanned, faults injected, history entries reclaimed.
-    fn cumulative_counters(&self, session: &Session) -> [u64; 5] {
-        let detect = self.detector.stats();
-        [
-            detect.ops_scanned(),
-            detect.segments_skipped(),
-            detect.segments_scanned(),
-            self.faults.as_ref().map_or(0, |f| f.stats().injected()),
-            session
-                .core
-                .shards
-                .iter()
-                .map(|s| s.stats.reclaimed_total())
-                .sum(),
-        ]
-    }
-
     /// One worker's batch loop: pull a task index from the source, run
     /// it to commit (or isolation), bail out when the batch is
     /// poisoned. Under [`PanicPolicy::Poison`] the first escaping
     /// payload is parked in the batch context and re-raised from
-    /// [`Janus::run_batch`].
+    /// [`Session::run`].
     fn worker_loop(&self, w: usize, ctx: &BatchCtx) {
         // The decrement rides a drop guard so the watchdog can never
         // wait on a worker that already unwound.
@@ -1038,7 +1049,7 @@ impl Janus {
     /// Everything whose movement counts as progress to the watchdog.
     fn progress_vector(&self, ctx: &BatchCtx) -> [u64; 6] {
         [
-            ctx.oracle().now(),
+            ctx.core.oracle.now(),
             // Relaxed: diagnostic sampling only — any observed movement
             // counts as progress, staleness just delays one tick.
             ctx.core.turn.load(Ordering::Relaxed),
@@ -1059,7 +1070,7 @@ impl Janus {
             out,
             "janus watchdog: no commit progress for {stalled:?} \
              (commit seq {}, {} commits, {} retries, {} failed)",
-            ctx.oracle().now(),
+            ctx.core.oracle.now(),
             ctx.counters.commits.load(Ordering::Relaxed),
             ctx.counters.retries.load(Ordering::Relaxed),
             ctx.counters.tasks_failed.load(Ordering::Relaxed),
@@ -1152,12 +1163,12 @@ impl Janus {
     /// cut).
     fn begin<'c>(&self, t: TaskCtx<'c>) -> Attempt<'c> {
         let ctx = t.ctx;
-        let begin = ctx.oracle().now();
+        let begin = ctx.core.oracle.now();
         let registration = Registration::pin(&ctx.core.active, begin);
-        let n = ctx.shards().len();
+        let n = ctx.core.shards.len();
         let mut begin_pos = Vec::with_capacity(n);
         let mut maps: Vec<ShardMap> = Vec::with_capacity(n);
-        for shard in ctx.shards() {
+        for shard in &ctx.core.shards {
             let g = shard.data.read();
             begin_pos.push(g.head());
             maps.push(g.slots.clone()); // O(1) persistent snapshot
@@ -1219,11 +1230,11 @@ impl Janus {
         let ctx = t.ctx;
         ctx.phases.set(t.worker, phase::VALIDATING, t.tid);
         if let Some(o) = t.obs {
-            o.set_clock(ctx.oracle().now());
+            o.set_clock(ctx.core.oracle.now());
         }
         let mut delta: Vec<Arc<CommittedLog>> = Vec::new();
         for (k, &s) in plan.touched.iter().enumerate() {
-            let g = ctx.shards()[s].data.read();
+            let g = ctx.core.shards[s].data.read();
             g.collect_from(v.validated[k], &mut delta);
             v.validated[k] = g.head();
         }
@@ -1333,8 +1344,8 @@ impl Janus {
         let mut guards = Vec::with_capacity(plan.touched.len());
         for &s in &plan.touched {
             let t0 = Instant::now();
-            guards.push(ctx.shards()[s].data.write());
-            ctx.shards()[s].stats.lock_wait(t0.elapsed());
+            guards.push(ctx.core.shards[s].data.write());
+            ctx.core.shards[s].stats.lock_wait(t0.elapsed());
         }
         let mut residual: Vec<Arc<CommittedLog>> = Vec::new();
         for (g, validated) in guards.iter().zip(&mut v.validated) {
@@ -1350,7 +1361,7 @@ impl Janus {
         // two committers sharing a shard are fully ordered by that
         // shard's lock, so every shard's history stays seq-monotone and
         // pruning below the watermark drops exactly a prefix.
-        let seq = ctx.oracle().ticket();
+        let seq = ctx.core.oracle.ticket();
         for (k, g) in guards.iter_mut().enumerate() {
             // REPLAYLOGGEDOPERATIONS from the publish log's per-location
             // index: each touched value is cloned out of the persistent
@@ -1372,7 +1383,7 @@ impl Janus {
                 seq,
                 log: Arc::clone(log),
             });
-            ctx.shards()[plan.touched[k]].stats.commit();
+            ctx.core.shards[plan.touched[k]].stats.commit();
         }
         ctx.counters.commits.fetch_add(1, Ordering::Relaxed);
         // The durability seam: report the committed ticket while the
@@ -1392,12 +1403,12 @@ impl Janus {
         // when no transaction is in flight). The watermark read is
         // lock-free.
         drop(txn);
-        let floor = ctx.core.active.watermark().min(ctx.oracle().now());
+        let floor = ctx.core.active.watermark().min(ctx.core.oracle.now());
         let mut reclaimed = 0;
         for (k, g) in guards.iter_mut().enumerate() {
             let dropped = g.prune(floor);
             if dropped > 0 {
-                ctx.shards()[plan.touched[k]].stats.reclaimed(dropped);
+                ctx.core.shards[plan.touched[k]].stats.reclaimed(dropped);
             }
             reclaimed += dropped;
         }
@@ -1945,7 +1956,7 @@ mod tests {
             .ordered(true)
             .panic_policy(PanicPolicy::Isolate);
         let session = janus.open_session(store);
-        let b = janus.run_batch(&session, session.reserve_tids(6), tasks, None);
+        let b = session.run(session.reserve(tasks), None);
         assert_eq!(b.stats.commits, 5, "every survivor commits");
         assert_eq!(session.commit_seq(), 5, "the released turn drew no ticket");
         assert_eq!(b.stats.tasks_failed, 1);
@@ -2130,14 +2141,14 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b1 = janus.run_batch(&session, session.reserve_tids(10), batch(1, 10), None);
+        let b1 = session.run(session.reserve(batch(1, 10)), None);
         assert_eq!(b1.stats.commits, 10);
         assert_eq!(b1.first_tid, 1);
         assert_eq!(
             session.store().value(acc),
             Some(&Value::int((1..=10).sum()))
         );
-        let b2 = janus.run_batch(&session, session.reserve_tids(10), batch(11, 20), None);
+        let b2 = session.run(session.reserve(batch(11, 20)), None);
         assert_eq!(b2.stats.commits, 10);
         assert_eq!(b2.first_tid, 11, "task ids are dense across batches");
         assert_eq!(session.commit_seq(), 20);
@@ -2147,8 +2158,48 @@ mod tests {
     }
 
     #[test]
+    fn an_ordered_batch_dropped_unrun_hands_on_its_turns() {
+        // The dropped batch owns turns 1..=3: unless its drop releases
+        // them, the next batch's tasks wait for `turn == 4` forever.
+        let (done, result) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let mut store = Store::new();
+            let acc = store.alloc("acc", Value::int(0));
+            let session = Janus::new(Arc::new(SequenceDetector::new()))
+                .threads(2)
+                .ordered(true)
+                .open_session(store);
+            let adds = || -> Vec<Task> {
+                (1..=3)
+                    .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
+                    .collect()
+            };
+            drop(session.reserve(adds()));
+            let b = session.run(session.reserve(adds()), None);
+            let _ = done.send((b.first_tid, b.stats.commits, session.value(acc)));
+        });
+        let (first_tid, commits, value) = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the batch after an unrun one stalled");
+        runner.join().expect("the session thread exits cleanly");
+        assert_eq!((first_tid, commits), (4, 3));
+        assert_eq!(value, Some(Value::int(6)));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch of another session")]
+    fn a_batch_runs_only_on_the_session_that_reserved_it() {
+        let janus = Janus::new(Arc::new(SequenceDetector::new())).threads(1);
+        let (a, b) = (
+            janus.open_session(Store::new()),
+            janus.open_session(Store::new()),
+        );
+        b.run(a.reserve(Vec::new()), None);
+    }
+
+    #[test]
     fn batch_poison_is_scoped_to_its_batch() {
-        // A Poison panic fails its own run_batch call; the session —
+        // A Poison panic fails its own `Session::run` call; the session —
         // and a subsequent batch — keep working.
         let mut store = Store::new();
         let acc = store.alloc("acc", Value::int(0));
@@ -2159,13 +2210,13 @@ mod tests {
             .collect();
         tasks.push(Task::new(|_tx: &mut TxView| panic!("batch boom")));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            janus.run_batch(&session, session.reserve_tids(5), tasks, None)
+            session.run(session.reserve(tasks), None)
         }));
         assert!(result.is_err(), "the poisoned batch propagates its panic");
         let survivors: Vec<Task> = (1..=4)
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, 10 * d)))
             .collect();
-        let b2 = janus.run_batch(&session, session.reserve_tids(4), survivors, None);
+        let b2 = session.run(session.reserve(survivors), None);
         assert_eq!(b2.stats.commits, 4, "the session stays live");
         assert!(!b2.poisoned);
         let v = session
@@ -2206,7 +2257,7 @@ mod tests {
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
             .collect();
         let gate = Arc::new(OpenOnSecondPoll::default());
-        let b = janus.run_batch(&session, session.reserve_tids(8), tasks, Some(gate));
+        let b = session.run(session.reserve(tasks), Some(gate));
         assert_eq!(b.stats.commits, 8);
         assert_eq!(
             b.stats.commit_gate_waits, 8,
@@ -2274,12 +2325,7 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b = janus.run_batch(
-            &session,
-            session.reserve_tids(6),
-            adds(6),
-            Some(Arc::new(ClosedFor(3))),
-        );
+        let b = session.run(session.reserve(adds(6)), Some(Arc::new(ClosedFor(3))));
         assert!(b.poisoned, "the watchdog poisons the stalled batch");
         assert_eq!(b.stats.watchdog_fires, 1);
         assert_eq!((b.stats.commits, b.stats.retries), (1, 1));
@@ -2301,17 +2347,13 @@ mod tests {
             "no begin ticket outlives its attempt"
         );
 
-        // With nothing pinned, each commit of a quiet batch prunes its
-        // shards below the oracle: no shard retains more than the
-        // entry just published.
-        let quiet = Janus::new(Arc::new(SequenceDetector::new())).threads(1);
-        assert_eq!(
-            quiet
-                .run_batch(&session, session.reserve_tids(4), adds(4), None)
-                .stats
-                .commits,
-            4
-        );
+        // The poisoned batch handed on the turns of tasks 3..=6, so a
+        // quiet ordered batch on the same session commits every task.
+        // Its last commit has nothing pinned and prunes its shards below
+        // the oracle: no shard retains more than the entry just
+        // published.
+        let quiet = session.run(session.reserve(adds(4)), None);
+        assert_eq!((quiet.stats.commits, quiet.stats.watchdog_fires), (4, 0));
         for shard in session.shard_report().0 {
             assert!(shard.history_len <= 1, "shard {shard:?} kept history");
         }
