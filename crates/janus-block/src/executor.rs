@@ -6,15 +6,14 @@
 //! ids precede block N+1's. The batch then moves into its own job on the
 //! process-wide pool ([`janus_core::spawn`]), whose thread runs it as
 //! the batch's worker 0 and drops it there, so each pool job holds one
-//! batch. In [`PipelineMode::Pipelined`], block N+1's
-//! speculative execution overlaps block N's validation and commit; a
-//! [`CommitGate`](janus_core::CommitGate) linking the two trackers
-//! keeps the equivalent serial order at "all of N before any
-//! conflicting part of N+1". Ordered blocks (`Janus::ordered`) follow
-//! the session's turn instead, which keeps exact submission order: a
-//! block's batch hands its turns on when it is dropped, however the
-//! block ended. In [`PipelineMode::Barrier`] blocks run strictly one at
-//! a time — the comparison baseline.
+//! batch. In [`PipelineMode::Pipelined`], block N+1 runs while block N
+//! validates and commits. Unordered blocks commit as they validate,
+//! their commits interleaved; the validator checks each one against the
+//! session's whole history, so the stream stays serializable. Ordered
+//! blocks (`Janus::ordered`) follow the session's turn, which keeps
+//! exact submission order: a block's batch hands its turns on when it
+//! is dropped, however the block ended. In [`PipelineMode::Barrier`]
+//! blocks run strictly one at a time — the comparison baseline.
 //!
 //! Failure is block-scoped: a poison panic or watchdog fire inside a
 //! block is caught by its pool job and surfaces as
@@ -26,11 +25,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use janus_core::{payload_message, BatchOutcome, CommitGate, Janus, Pending, Session, Store, Task};
+use janus_core::{payload_message, BatchOutcome, Janus, Pending, Session, Store, Task};
 use janus_log::LocId;
 use janus_relational::Value;
 
-use crate::batch::{BatchTracker, PipelinedLink};
 use crate::stats::BlockStats;
 
 /// How block boundaries are treated.
@@ -38,8 +36,8 @@ use crate::stats::BlockStats;
 pub enum PipelineMode {
     /// A block starts only after its predecessor fully finished.
     Barrier,
-    /// Up to two blocks in flight; commits are fenced by the
-    /// footprint gate (ordered blocks follow the session's turn).
+    /// Up to two blocks in flight. Unordered blocks commit as they
+    /// validate; ordered blocks follow the session's turn.
     Pipelined,
 }
 
@@ -109,9 +107,6 @@ pub struct BlockExecutor {
     /// from 1, [`BlockExecutor::commit_seq`] reports the global
     /// sequence `base + session`.
     seq_base: u64,
-    /// The newest block's tracker, for its successor's gate. Older
-    /// trackers live only as long as the gates that link them.
-    prev: Option<Arc<BatchTracker>>,
     inflight: VecDeque<Pending<BlockOutcome>>,
     /// First submit, for the stream-wall half of the overlap ratio.
     first_submit: Option<Instant>,
@@ -129,7 +124,6 @@ impl BlockExecutor {
             stats: Arc::new(BlockStats::default()),
             seq: 0,
             seq_base: 0,
-            prev: None,
             inflight: VecDeque::new(),
             first_submit: None,
             wall: Duration::ZERO,
@@ -181,21 +175,9 @@ impl BlockExecutor {
         }
 
         let n = tasks.len();
-        let tracker = BatchTracker::new(n);
         // Reserved here, not in the pool job, so block N's ids precede
         // block N+1's whichever job starts first.
         let batch = self.session.reserve(tasks);
-        let prev = self.prev.replace(Arc::clone(&tracker));
-        // Barrier blocks never overlap, and ordered blocks follow the
-        // session's turn: only unordered pipelined blocks need a gate.
-        let gate: Option<Arc<dyn CommitGate>> =
-            (self.mode == PipelineMode::Pipelined && !self.session.is_ordered()).then(|| {
-                Arc::new(PipelinedLink::new(
-                    prev,
-                    Arc::clone(&tracker),
-                    Arc::clone(&self.stats),
-                )) as _
-            });
 
         self.stats.blocks_submitted.fetch_add(1, Ordering::Relaxed);
         self.stats.block_size.lock().observe(n as u64);
@@ -206,7 +188,7 @@ impl BlockExecutor {
         // them — before `join` returns, so `finish` after a drain holds
         // the only session handle.
         self.inflight.push_back(janus_core::spawn(move || {
-            conduct(seq, n, &tracker, &stats, || session.run(batch, gate))
+            conduct(seq, n, &stats, || session.run(batch))
         }));
         Submitted { seq, retired }
     }
@@ -275,20 +257,16 @@ impl BlockExecutor {
     }
 }
 
-/// One block's pool job: run the batch of `n` tasks, complete the
-/// tracker unconditionally, fold the result into the shared stats.
+/// One block's pool job: run the batch of `n` tasks and fold the result
+/// into the shared stats.
 fn conduct(
     seq: u64,
     n: usize,
-    tracker: &BatchTracker,
     stats: &BlockStats,
     run: impl FnOnce() -> BatchOutcome,
 ) -> BlockOutcome {
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-    // Complete before anything else: a successor block may be parked on
-    // this tracker, and it must never wait on a failed predecessor.
-    tracker.complete();
     let latency = started.elapsed();
     stats
         .busy_micros
@@ -328,9 +306,6 @@ fn conduct(
         stats
             .txns_failed
             .fetch_add(b.failed.len() as u64, Ordering::Relaxed);
-        stats
-            .gate_waits
-            .fetch_add(b.stats.commit_gate_waits, Ordering::Relaxed);
     }
     BlockOutcome {
         seq,
@@ -393,24 +368,19 @@ mod tests {
             assert_eq!(o.status, BlockStatus::Committed);
             assert!(exec.inflight() == 0);
         }
-        let report = exec.stats().report(exec.stream_wall_micros());
-        assert_eq!(report.overlapped_commits, 0, "no gate, no overlap");
         let (store, _, _) = exec.finish();
         assert_eq!(store.value(acct), Some(&Value::int(9)));
     }
 
     #[test]
     fn disjoint_blocks_overlap_under_pipelining() {
-        // Two blocks over disjoint accounts: the second's commits can
-        // all pass the gate while the first still runs.
+        // Two blocks over disjoint accounts, in flight together.
         let mut store = Store::new();
         let a = store.alloc("a", Value::int(0));
         let b = store.alloc("b", Value::int(0));
         let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
         let outcomes = exec.execute_blocks(vec![counter_tasks(a, 6, 1), counter_tasks(b, 6, 1)]);
         assert!(outcomes.iter().all(|o| o.status == BlockStatus::Committed));
-        let report = exec.stats().report(exec.stream_wall_micros());
-        assert!(report.overlapped_commits <= 6, "only block 2 can overlap");
         let (store, _, _) = exec.finish();
         assert_eq!(store.value(a), Some(&Value::int(6)));
         assert_eq!(store.value(b), Some(&Value::int(6)));
@@ -463,32 +433,41 @@ mod tests {
     }
 
     #[test]
-    fn a_tracker_is_freed_once_its_successor_retires() {
+    fn an_unordered_block_commits_while_its_predecessor_still_runs() {
+        // Both blocks add to `x`. Block 1's task holds its body open
+        // until the main thread has seen block 2's commit land: block
+        // 2 must not wait for its predecessor to finish.
         let mut store = Store::new();
-        let acct = store.alloc("acct", Value::int(0));
+        let x = store.alloc("x", Value::int(0));
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let held = Arc::clone(&release);
+        let slow = Task::new(move |tx| {
+            let t0 = Instant::now();
+            while !held.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            tx.add(x, 10);
+        });
         let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
-        exec.submit(counter_tasks(acct, 4, 1));
-        let first = Arc::downgrade(exec.prev.as_ref().expect("block 1 is tracked"));
-        exec.submit(counter_tasks(acct, 4, 1));
-        exec.submit(counter_tasks(acct, 4, 1));
-        exec.drain();
-        assert!(
-            first.upgrade().is_none(),
-            "block 1's tracker outlived block 3"
+        exec.submit(vec![slow]);
+        exec.submit(counter_tasks(x, 1, 1));
+        let t0 = Instant::now();
+        let mut seen = exec.value(x);
+        while seen != Some(Value::int(1)) && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+            seen = exec.value(x);
+        }
+        release.store(true, Ordering::Release);
+        let outcomes = exec.drain();
+        assert_eq!(
+            seen,
+            Some(Value::int(1)),
+            "block 2 committed only after block 1"
         );
-    }
-
-    #[test]
-    fn a_block_whose_predecessor_retired_still_records_its_executions() {
-        // Its successor's gate opens early for a disjoint footprint only
-        // once every one of its transactions is recorded as executed.
-        let mut store = Store::new();
-        let acct = store.alloc("acct", Value::int(0));
-        let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Pipelined);
-        exec.execute_block(counter_tasks(acct, 4, 1));
-        exec.execute_block(counter_tasks(acct, 4, 1));
-        let second = exec.prev.as_ref().expect("block 2 is tracked");
-        assert!(second.all_executed(), "block 2 ran without a gate");
+        let status: Vec<_> = outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(status, [BlockStatus::Committed, BlockStatus::Committed]);
+        let (store, _, _) = exec.finish();
+        assert_eq!(store.value(x), Some(&Value::int(11)));
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! arriving over time — against one persistent store:
 //!
 //! * [`BlockExecutor`] keeps up to two blocks in flight, each driven by
-//!   a job on `janus-core`'s process-wide pool: block N+1
-//!   executes speculatively while block N validates and commits, with
-//!   a footprint-fingerprint [commit gate](janus_core::CommitGate)
-//!   making the block boundary a commit barrier *only for conflicting
-//!   footprints* (ordered blocks follow the session's turn, preserving
-//!   exact submission order);
+//!   a job on `janus-core`'s process-wide pool: block N+1 executes
+//!   while block N validates and commits. Unordered blocks commit as
+//!   they validate, kept serializable by the same hindsight validation
+//!   as one batch; ordered blocks follow the session's turn, preserving
+//!   exact submission order;
 //! * [`AdmissionQueue`] bounds the number of queued blocks and sheds
 //!   load explicitly instead of queueing without limit;
 //! * failure is block-scoped: a poison panic or watchdog fire fails
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod batch;
 mod executor;
 mod stats;
 

@@ -8,8 +8,7 @@ use janus_obs::{Histogram, MetricsRegistry, Snapshot};
 use parking_lot::Mutex;
 
 /// Concurrent block-pipeline counters, shared between the
-/// [`BlockExecutor`](crate::BlockExecutor), its blocks' pool jobs and
-/// their commit gates.
+/// [`BlockExecutor`](crate::BlockExecutor) and its blocks' pool jobs.
 #[derive(Default)]
 pub struct BlockStats {
     pub(crate) blocks_submitted: AtomicU64,
@@ -18,11 +17,6 @@ pub struct BlockStats {
     pub(crate) txns_committed: AtomicU64,
     pub(crate) txns_retried: AtomicU64,
     pub(crate) txns_failed: AtomicU64,
-    /// Committers that parked at least once on the cross-batch gate.
-    pub(crate) gate_waits: AtomicU64,
-    /// Successor commits the gate let through while the predecessor
-    /// batch was still running — the pipeline's overlap dividend.
-    pub(crate) overlapped_commits: AtomicU64,
     /// Sum of per-block wall times, in microseconds. Compared against
     /// the stream's wall clock this yields the overlap ratio: depth-2
     /// pipelining can push busy/wall up to 2.0.
@@ -44,8 +38,6 @@ impl BlockStats {
             txns_committed: self.txns_committed.load(Ordering::Relaxed),
             txns_retried: self.txns_retried.load(Ordering::Relaxed),
             txns_failed: self.txns_failed.load(Ordering::Relaxed),
-            gate_waits: self.gate_waits.load(Ordering::Relaxed),
-            overlapped_commits: self.overlapped_commits.load(Ordering::Relaxed),
             busy_micros: busy,
             overlap_permille: overlap_permille(busy, stream_wall_micros),
         }
@@ -84,10 +76,6 @@ pub struct BatchReport {
     pub txns_retried: u64,
     /// Transactions isolated after a body panic.
     pub txns_failed: u64,
-    /// Committers that parked on the cross-batch gate.
-    pub gate_waits: u64,
-    /// Commits the gate released while the predecessor still ran.
-    pub overlapped_commits: u64,
     /// Sum of per-block wall times (microseconds).
     pub busy_micros: u64,
     /// Pipeline overlap, in permille of the stream wall clock
@@ -108,8 +96,6 @@ impl Snapshot for BatchReport {
             ("txns_committed".into(), self.txns_committed),
             ("txns_retried".into(), self.txns_retried),
             ("txns_failed".into(), self.txns_failed),
-            ("gate_waits".into(), self.gate_waits),
-            ("overlapped_commits".into(), self.overlapped_commits),
             ("busy_micros".into(), self.busy_micros),
             ("overlap_permille".into(), self.overlap_permille),
         ]

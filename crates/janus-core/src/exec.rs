@@ -2,9 +2,9 @@
 //!
 //! It has no size: [`spawn`] hands a job to an idle thread or starts a
 //! new one, so every job has a thread of its own (jobs block on each
-//! other — on the session's ordered turn, which spans batches, and on
-//! commit gates — so sharing one could deadlock)
-//! and the pool grows to the most jobs ever in flight at once. Before a
+//! other on the session's ordered turn, which spans batches, so sharing
+//! one could deadlock) and the pool grows to the most jobs ever in
+//! flight at once. Before a
 //! job's completion is signalled, (1) its thread is back on the idle
 //! stack, so joining one job and spawning the next never grows the
 //! pool, and (2) its captures are dropped, so a joined batch holds no

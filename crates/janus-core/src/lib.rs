@@ -63,8 +63,8 @@ mod txview;
 
 pub use exec::{pool_threads, spawn, Pending};
 pub use runtime::{
-    payload_message, Batch, BatchOutcome, CommitGate, CommitSink, Janus, Outcome, PanicPolicy,
-    RunStats, Session, Task, TaskFailure,
+    payload_message, Batch, BatchOutcome, CommitSink, Janus, Outcome, PanicPolicy, RunStats,
+    Session, Task, TaskFailure,
 };
 pub use shard::{ShardReport, ShardStatsSnapshot};
 pub use store::{SnapshotState, Store};

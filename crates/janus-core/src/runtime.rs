@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use janus_detect::{ConflictDetector, ValidationSession};
 use janus_fault::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
-use janus_log::{CommittedLog, Fingerprint, HistoryWindow, Op, SHARD_SPACE};
+use janus_log::{CommittedLog, HistoryWindow, Op, SHARD_SPACE};
 use janus_obs::{AbortReason, EventKind, Recorder, RingHandle};
 use janus_sched::{backoff, Fifo, Parker, SchedStats, SchedulePolicy, TaskSource};
 use janus_train::{train, CommutativityCache, TrainConfig, TrainReport, TrainingRun};
@@ -119,27 +119,6 @@ impl Drop for LiveGuard<'_> {
         // watchdog's Acquire load of the live count.
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// A cross-batch commit barrier, consulted by committers right before
-/// they take the shard locks. `janus-block` implements it over
-/// footprint fingerprints so batch N+1 commits freely once its
-/// transaction is provably disjoint from everything batch N ran, and
-/// waits only when the footprints may intersect.
-///
-/// Both methods are called concurrently from worker threads. A gate
-/// must be monotone: once `may_commit` returns `true` for a fingerprint
-/// it must keep returning `true` (committers poll it).
-pub trait CommitGate: Send + Sync {
-    /// Records one executed attempt of task `tid` and the fingerprint
-    /// of the log it produced (called once per attempt, before
-    /// validation — retries can only widen the recorded footprint). A
-    /// task isolated after a body panic is recorded once with the empty
-    /// fingerprint: it will never produce a committed log.
-    fn note_executed(&self, tid: u64, fingerprint: &Fingerprint);
-
-    /// May a validated transaction with this fingerprint commit now?
-    fn may_commit(&self, tid: u64, fingerprint: &Fingerprint) -> bool;
 }
 
 /// An observer of every commit ticket the session oracle issues — the
@@ -281,12 +260,6 @@ impl Session {
         self.core.oracle.now() - 1
     }
 
-    /// Whether the session commits in task-id order (`runInOrder`, see
-    /// [`Janus::ordered`]).
-    pub fn is_ordered(&self) -> bool {
-        self.janus.ordered
-    }
-
     /// Reserves the next dense range of global task ids for `tasks`, on
     /// the calling thread: batches reserved in order get their ids in
     /// that order however their workers are scheduled. On an ordered
@@ -305,16 +278,17 @@ impl Session {
     }
 
     /// Runs one batch of this session, worker 0 on the calling thread
-    /// and the other workers on the process-wide pool, consulting `gate`
-    /// — when given — before every commit.
+    /// and the other workers on the process-wide pool.
     ///
     /// Batches on one session may run concurrently: the block pipeline
-    /// overlaps batch N+1's speculative execution with batch N's
-    /// validation and commit, and the shared oracle/watermark keep
-    /// cross-batch snapshots and GC sound. Poisoning is batch-scoped: a
-    /// panic under [`PanicPolicy::Poison`] propagates from this call
-    /// without stopping sibling batches.
-    pub fn run(&self, mut batch: Batch, gate: Option<Arc<dyn CommitGate>>) -> BatchOutcome {
+    /// overlaps batch N+1 with batch N, and the shared oracle/watermark
+    /// keep cross-batch snapshots and GC sound. Unordered batches commit
+    /// as they validate, interleaved; every commit is validated against
+    /// the session's whole history, so the result stays serializable.
+    /// Ordered batches follow the session's turn. Poisoning is
+    /// batch-scoped: a panic under [`PanicPolicy::Poison`] propagates
+    /// from this call without stopping sibling batches.
+    pub fn run(&self, mut batch: Batch) -> BatchOutcome {
         assert!(
             Arc::ptr_eq(&batch.core, &self.core),
             "batch of another session"
@@ -339,7 +313,6 @@ impl Session {
             panic_payload: parking_lot::Mutex::new(None),
             dumps: parking_lot::Mutex::new(Vec::new()),
             live: AtomicU64::new(workers as u64),
-            gate,
             tasks,
         });
         let mut jobs: Vec<Job> = Vec::with_capacity(workers + 1);
@@ -383,7 +356,6 @@ impl Session {
                 faults_injected,
                 tasks_failed: counters.tasks_failed.load(Ordering::Relaxed),
                 watchdog_fires: counters.watchdog_fires.load(Ordering::Relaxed),
-                commit_gate_waits: counters.gate_waits.load(Ordering::Relaxed),
             },
         }
     }
@@ -443,9 +415,6 @@ struct BatchCtx {
     dumps: parking_lot::Mutex<Vec<String>>,
     /// Workers still running (the watchdog's exit condition).
     live: AtomicU64,
-    /// The cross-batch commit barrier, when this batch runs inside a
-    /// block pipeline.
-    gate: Option<Arc<dyn CommitGate>>,
 }
 
 /// One shard's slots, privatized by an O(1) persistent-map clone.
@@ -508,15 +477,10 @@ struct CommitPlan {
 }
 
 impl CommitPlan {
-    /// Decomposes the log and publishes its footprint to the cross-batch
-    /// gate before validation, so successor batches can start proving
-    /// disjointness while this transaction is still in flight.
-    fn new(ops: Vec<Op>, t: TaskCtx<'_>) -> Self {
-        let n = t.ctx.core.shards.len();
+    /// Decomposes the log once and plans its publish to each of the
+    /// `n` shards it touches.
+    fn new(ops: Vec<Op>, n: usize) -> Self {
         let log = Arc::new(CommittedLog::new(ops));
-        if let Some(g) = t.ctx.gate.as_deref() {
-            g.note_executed(t.tid, log.fingerprint());
-        }
         let mut touched: Vec<usize> = log.index().locs.keys().map(|l| l.shard(n)).collect();
         touched.sort_unstable();
         touched.dedup();
@@ -550,14 +514,17 @@ struct Validation<'a> {
 }
 
 /// The one wait in `RUNTASK`: parks `worker` in the ordered-wait phase
-/// until `ready` holds. Returns `false` if the batch is poisoned first:
-/// a predecessor turn or a gate may then never come.
-fn park_until(ctx: &BatchCtx, worker: usize, tid: u64, mut ready: impl FnMut() -> bool) -> bool {
+/// until the session's turn reaches `tid`. Returns `false` if the batch
+/// is poisoned first: a predecessor turn may then never come.
+///
+/// Acquire pairs with the committer's Release turn advance: holding the
+/// turn implies every predecessor's shard publishes are visible.
+fn await_turn(ctx: &BatchCtx, worker: usize, tid: u64) -> bool {
     ctx.phases.set(worker, phase::ORDERED_WAIT, tid);
     ctx.source.on_park(worker);
     let mut parker = Parker::new();
     let ready = loop {
-        if ready() {
+        if ctx.core.turn.load(Ordering::Acquire) == tid {
             break true;
         }
         // Acquire pairs with the Release poison store.
@@ -666,10 +633,6 @@ pub struct RunStats {
     /// Times the commit-clock watchdog observed no progress for a full
     /// interval and emitted a diagnostic dump.
     pub watchdog_fires: u64,
-    /// Validated transactions that had to park at the cross-batch
-    /// commit gate (footprint overlapped the predecessor batch) before
-    /// committing. Zero outside block pipelines.
-    pub commit_gate_waits: u64,
 }
 
 impl RunStats {
@@ -705,7 +668,6 @@ impl janus_obs::Snapshot for RunStats {
             ("faults_injected", self.faults_injected),
             ("tasks_failed", self.tasks_failed),
             ("watchdog_fires", self.watchdog_fires),
-            ("commit_gate_waits", self.commit_gate_waits),
         ]
         .into_iter()
         .map(|(name, v)| (name.to_string(), v))
@@ -745,7 +707,6 @@ struct RunCounters {
     zero_copy_windows: AtomicU64,
     tasks_failed: AtomicU64,
     watchdog_fires: AtomicU64,
-    gate_waits: AtomicU64,
 }
 
 /// The JANUS runtime: a conflict detector plus execution policy. Mirrors
@@ -905,7 +866,7 @@ impl Janus {
     /// [`Session::reserve`], [`Session::run`], [`Session::finish`].
     pub fn run(&self, store: Store, tasks: Vec<Task>) -> Outcome {
         let session = self.open_session(store);
-        let batch = session.run(session.reserve(tasks), None);
+        let batch = session.run(session.reserve(tasks));
         // Commits come from the dedicated counter; the oracle mirrors
         // it but is an implementation detail of sequencing, not a
         // statistic. Poisoned runs stop drawing tickets mid-flight, so
@@ -1113,17 +1074,11 @@ impl Janus {
                 Err(payload) => return self.isolate_failure(t, txn, payload),
             };
             // In-order execution: wait until all preceding transactions
-            // have committed. Acquire pairs with the committer's Release
-            // turn advance: holding the turn implies every predecessor's
-            // shard publishes are visible to this validation.
-            if self.ordered
-                && !park_until(ctx, worker, tid, || {
-                    ctx.core.turn.load(Ordering::Acquire) == tid
-                })
-            {
+            // have committed, so their publishes are in this validation.
+            if self.ordered && !await_turn(ctx, worker, tid) {
                 return record_poisoned(obs, tid);
             }
-            let plan = CommitPlan::new(ops, t);
+            let plan = CommitPlan::new(ops, ctx.core.shards.len());
             let entry = SnapshotState::sharded(Arc::clone(&txn.maps));
             let mut v = Validation {
                 session: self
@@ -1134,10 +1089,11 @@ impl Janus {
             };
             if self.validate(t, &mut v, &plan) {
                 self.abort(t, txn);
-            } else if !self.await_commit(t, &plan) {
-                return record_poisoned(obs, tid);
-            } else if self.commit(t, txn, &plan, &mut v) {
-                break;
+            } else {
+                self.await_commit(t);
+                if self.commit(t, txn, &plan, &mut v) {
+                    break;
+                }
             }
             t.attempt += 1; // abort: rerun from scratch
         }
@@ -1301,27 +1257,15 @@ impl Janus {
         }
     }
 
-    /// The last stop before the locks; `false` if the batch was poisoned
-    /// while parked. An injected stall widens commit races at the most
-    /// sensitive point (validated, not yet committed). Then the
-    /// cross-batch gate: a transaction whose footprint may intersect the
-    /// predecessor batch parks until that batch is done; staleness
-    /// accrued meanwhile is caught by the commit's residual pass.
-    fn await_commit(&self, t: TaskCtx<'_>, plan: &CommitPlan) -> bool {
+    /// The last stop before the locks: an injected stall widens commit
+    /// races at the most sensitive point (validated, not yet committed);
+    /// the commit's residual pass catches whatever lands meanwhile.
+    fn await_commit(&self, t: TaskCtx<'_>) {
         if let Some(faults) = &self.faults {
             if faults.should_inject(FaultKind::CommitStall, t.tid, t.attempt) {
                 std::thread::sleep(Duration::from_micros(faults.stall_micros(t.tid, t.attempt)));
             }
         }
-        let Some(g) = t.ctx.gate.as_deref() else {
-            return true;
-        };
-        let fp = plan.log.fingerprint();
-        if g.may_commit(t.tid, fp) {
-            return true;
-        }
-        t.ctx.counters.gate_waits.fetch_add(1, Ordering::Relaxed);
-        park_until(t.ctx, t.worker, t.tid, || g.may_commit(t.tid, fp))
     }
 
     /// `COMMIT`: write-lock exactly the touched shards, in ascending
@@ -1439,11 +1383,6 @@ impl Janus {
         // Unpin before the turn wait below.
         drop(txn);
         let ctx = t.ctx;
-        // The gate must not wait forever on a task that will never
-        // produce a log.
-        if let Some(g) = ctx.gate.as_deref() {
-            g.note_executed(t.tid, &Fingerprint::empty());
-        }
         ctx.counters.tasks_failed.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = t.obs {
             o.record(EventKind::Abort {
@@ -1456,16 +1395,11 @@ impl Janus {
             message: payload_message(payload.as_ref()),
             attempts: t.attempt + 1,
         });
-        // Acquire/Release on the turn as in the commit path. A poisoned
-        // batch is already failing wholesale; successors bail on the
-        // poison flag, not the turn.
-        let tid = t.tid;
-        if self.ordered
-            && park_until(ctx, t.worker, tid, || {
-                ctx.core.turn.load(Ordering::Acquire) == tid
-            })
-        {
-            ctx.core.turn.store(tid + 1, Ordering::Release);
+        // Release on the turn as in the commit path. A poisoned batch
+        // is already failing wholesale; successors bail on the poison
+        // flag, not the turn.
+        if self.ordered && await_turn(ctx, t.worker, t.tid) {
+            ctx.core.turn.store(t.tid + 1, Ordering::Release);
         }
     }
 
@@ -1956,7 +1890,7 @@ mod tests {
             .ordered(true)
             .panic_policy(PanicPolicy::Isolate);
         let session = janus.open_session(store);
-        let b = session.run(session.reserve(tasks), None);
+        let b = session.run(session.reserve(tasks));
         assert_eq!(b.stats.commits, 5, "every survivor commits");
         assert_eq!(session.commit_seq(), 5, "the released turn drew no ticket");
         assert_eq!(b.stats.tasks_failed, 1);
@@ -2141,14 +2075,14 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b1 = session.run(session.reserve(batch(1, 10)), None);
+        let b1 = session.run(session.reserve(batch(1, 10)));
         assert_eq!(b1.stats.commits, 10);
         assert_eq!(b1.first_tid, 1);
         assert_eq!(
             session.store().value(acc),
             Some(&Value::int((1..=10).sum()))
         );
-        let b2 = session.run(session.reserve(batch(11, 20)), None);
+        let b2 = session.run(session.reserve(batch(11, 20)));
         assert_eq!(b2.stats.commits, 10);
         assert_eq!(b2.first_tid, 11, "task ids are dense across batches");
         assert_eq!(session.commit_seq(), 20);
@@ -2175,7 +2109,7 @@ mod tests {
                     .collect()
             };
             drop(session.reserve(adds()));
-            let b = session.run(session.reserve(adds()), None);
+            let b = session.run(session.reserve(adds()));
             let _ = done.send((b.first_tid, b.stats.commits, session.value(acc)));
         });
         let (first_tid, commits, value) = result
@@ -2194,7 +2128,7 @@ mod tests {
             janus.open_session(Store::new()),
             janus.open_session(Store::new()),
         );
-        b.run(a.reserve(Vec::new()), None);
+        b.run(a.reserve(Vec::new()));
     }
 
     #[test]
@@ -2210,13 +2144,13 @@ mod tests {
             .collect();
         tasks.push(Task::new(|_tx: &mut TxView| panic!("batch boom")));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.run(session.reserve(tasks), None)
+            session.run(session.reserve(tasks))
         }));
         assert!(result.is_err(), "the poisoned batch propagates its panic");
         let survivors: Vec<Task> = (1..=4)
             .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, 10 * d)))
             .collect();
-        let b2 = session.run(session.reserve(survivors), None);
+        let b2 = session.run(session.reserve(survivors));
         assert_eq!(b2.stats.commits, 4, "the session stays live");
         assert!(!b2.poisoned);
         let v = session
@@ -2225,46 +2159,6 @@ mod tests {
             .and_then(Value::as_int)
             .expect("int");
         assert!(v >= 100, "second batch's adds all landed: {v}");
-    }
-
-    /// A gate that denies each transaction's first poll and opens on the
-    /// second — every committer parks exactly once, deterministically,
-    /// exercising the park-and-poll commit path without cross-thread
-    /// timing.
-    #[derive(Default)]
-    struct OpenOnSecondPoll {
-        polls: parking_lot::Mutex<std::collections::BTreeMap<u64, u32>>,
-    }
-
-    impl CommitGate for OpenOnSecondPoll {
-        fn note_executed(&self, _tid: u64, _fp: &Fingerprint) {}
-
-        fn may_commit(&self, tid: u64, _fp: &Fingerprint) -> bool {
-            let mut polls = self.polls.lock();
-            let n = polls.entry(tid).or_insert(0);
-            *n += 1;
-            *n >= 2
-        }
-    }
-
-    #[test]
-    fn commit_gate_parks_committers_until_it_opens() {
-        let mut store = Store::new();
-        let acc = store.alloc("acc", Value::int(0));
-        let janus = Janus::new(Arc::new(SequenceDetector::new())).threads(4);
-        let session = janus.open_session(store);
-        let tasks: Vec<Task> = (1..=8)
-            .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
-            .collect();
-        let gate = Arc::new(OpenOnSecondPoll::default());
-        let b = session.run(session.reserve(tasks), Some(gate));
-        assert_eq!(b.stats.commits, 8);
-        assert_eq!(
-            b.stats.commit_gate_waits, 8,
-            "every committer parks exactly once at the gate"
-        );
-        let (final_store, _) = session.finish();
-        assert_eq!(final_store.value(acc), Some(&Value::int((1..=8).sum())));
     }
 
     #[test]
@@ -2281,25 +2175,14 @@ mod tests {
         assert!(outcome.failed.is_empty());
     }
 
-    /// A gate that never opens for one task and is open for every other.
-    struct ClosedFor(u64);
-
-    impl CommitGate for ClosedFor {
-        fn note_executed(&self, _tid: u64, _fp: &Fingerprint) {}
-
-        fn may_commit(&self, tid: u64, _fp: &Fingerprint) -> bool {
-            tid != self.0
-        }
-    }
-
     #[test]
     fn every_exit_path_releases_its_begin_ticket() {
         // One ordered batch whose tasks leave RUNTASK through every exit:
         // task 1 is forced to conflict once and then commits, task 2
-        // panics and is isolated (releasing its turn), task 3 parks at
-        // a gate that never opens, and tasks 4..=6 wait for a turn that
-        // never comes. The watchdog poisons the stalled batch, so the
-        // gate-parked committer and the ordered waiters all bail out.
+        // panics and is isolated (releasing its turn), task 3's body
+        // outlasts the watchdog and then commits, and tasks 4..=6 wait
+        // for task 3's turn. The watchdog poisons the stalled batch, so
+        // the ordered waiters bail out.
         let mut store = Store::new();
         let acc = store.alloc("acc", Value::int(0));
         let site = |kind, subject| janus_fault::FaultSite {
@@ -2325,21 +2208,27 @@ mod tests {
                 .map(|d| Task::new(move |tx: &mut TxView| tx.add(acc, d)))
                 .collect()
         };
-        let b = session.run(session.reserve(adds(6)), Some(Arc::new(ClosedFor(3))));
+        let mut tasks = adds(6);
+        tasks[2] = Task::new(move |tx: &mut TxView| {
+            // Four times the watchdog interval: no commit, retry or
+            // failure moves meanwhile, so the watchdog fires first.
+            std::thread::sleep(Duration::from_secs(2));
+            tx.add(acc, 3);
+        });
+        let b = session.run(session.reserve(tasks));
         assert!(b.poisoned, "the watchdog poisons the stalled batch");
         assert_eq!(b.stats.watchdog_fires, 1);
-        assert_eq!((b.stats.commits, b.stats.retries), (1, 1));
+        assert_eq!((b.stats.commits, b.stats.retries), (2, 1));
         assert_eq!(b.failed.iter().map(|f| f.task).collect::<Vec<_>>(), [2]);
-        assert_eq!(session.commit_seq(), 1, "only the commit drew a ticket");
-        assert_eq!(b.stats.commit_gate_waits, 1);
+        assert_eq!(session.commit_seq(), 2, "only commits drew a ticket");
         let trace = recorder.finish();
         trace.check_well_formed().expect("every attempt is closed");
         assert_eq!(trace.aborts_with_reason(AbortReason::Conflict), 1);
         assert_eq!(trace.aborts_with_reason(AbortReason::Failed), 1);
         assert_eq!(
             trace.aborts_with_reason(AbortReason::Poisoned),
-            4,
-            "the gate-parked committer and three ordered waiters bail"
+            3,
+            "the three ordered waiters bail"
         );
         assert_eq!(
             session.core.active.watermark(),
@@ -2347,12 +2236,12 @@ mod tests {
             "no begin ticket outlives its attempt"
         );
 
-        // The poisoned batch handed on the turns of tasks 3..=6, so a
+        // The poisoned batch handed on the turns of tasks 4..=6, so a
         // quiet ordered batch on the same session commits every task.
         // Its last commit has nothing pinned and prunes its shards below
         // the oracle: no shard retains more than the entry just
         // published.
-        let quiet = session.run(session.reserve(adds(4)), None);
+        let quiet = session.run(session.reserve(adds(4)));
         assert_eq!((quiet.stats.commits, quiet.stats.watchdog_fires), (4, 0));
         for shard in session.shard_report().0 {
             assert!(shard.history_len <= 1, "shard {shard:?} kept history");

@@ -98,15 +98,6 @@ impl Fingerprint {
         (self.locs & other.locs) != 0 && (self.classes & other.classes) != 0
     }
 
-    /// Folds another fingerprint's members into this one (bitwise OR of
-    /// both filters). The union may-intersect everything either input
-    /// did — block trackers use it to summarize a whole batch's
-    /// footprint in one pair of filters.
-    pub fn union(&mut self, other: &Fingerprint) {
-        self.locs |= other.locs;
-        self.classes |= other.classes;
-    }
-
     /// Whether no member was ever inserted.
     pub fn is_empty(&self) -> bool {
         self.locs == 0 && self.classes == 0

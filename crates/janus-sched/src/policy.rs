@@ -56,8 +56,8 @@ pub trait TaskSource: Send + Sync {
     /// Reports that `worker` committed `task`.
     fn on_commit(&self, _worker: usize, _task: usize) {}
 
-    /// Reports that `worker` is about to block (gate park, ordered-turn
-    /// wait, or a backoff sleep). A statistic hook, never a correctness
+    /// Reports that `worker` is about to block (an ordered-turn wait or
+    /// a backoff sleep). A statistic hook, never a correctness
     /// requirement.
     fn on_park(&self, _worker: usize) {}
 

@@ -30,8 +30,8 @@ struct AddTask {
 }
 
 /// Skewed generator: ~60% of tasks hit location 0 (the hotspot), so
-/// consecutive batches genuinely overlap in footprint and the
-/// cross-batch gate engages.
+/// consecutive batches genuinely overlap in footprint and, pipelined,
+/// their commits to it interleave.
 fn add_task_strategy(cold: usize) -> impl Strategy<Value = AddTask> {
     (0u32..100, 0usize..cold.max(1), -5i64..6).prop_map(move |(roll, c, delta)| AddTask {
         loc: if roll < 60 { 0 } else { 1 + c },
@@ -247,9 +247,9 @@ fn gate_parked_ordered_blocks_match_sequential() {
     assert_eq!(final_store.value(x).and_then(Value::as_int), Some(expected));
 }
 
-/// The pipelined stream reports overlap only when batches can actually
-/// overlap: a stream of disjoint-footprint batches lets successor
-/// commits pass the gate while the predecessor is still running.
+/// Disjoint-footprint batches in flight together: a successor block's
+/// commits may land while its predecessor still runs, and every
+/// location ends with exactly its own block's add.
 #[test]
 fn disjoint_batches_commit_through_the_open_gate() {
     let mut store = Store::new();
