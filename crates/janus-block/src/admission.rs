@@ -108,15 +108,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
     /// Closes the queue: pending batches remain takeable, new offers
     /// return [`Admission::Closed`], and blocked consumers wake.
     pub fn close(&self) {

@@ -6,14 +6,13 @@
 //! ids precede block N+1's. The batch then moves into its own job on the
 //! process-wide pool ([`janus_core::spawn`]), whose thread runs it as
 //! the batch's worker 0 and drops it there, so each pool job holds one
-//! batch. In [`PipelineMode::Pipelined`], block N+1 runs while block N
-//! validates and commits. Unordered blocks commit as they validate,
-//! their commits interleaved; the validator checks each one against the
-//! session's whole history, so the stream stays serializable. Ordered
-//! blocks (`Janus::ordered`) follow the session's turn, which keeps
-//! exact submission order: a block's batch hands its turns on when it
-//! is dropped, however the block ended. In [`PipelineMode::Barrier`]
-//! blocks run strictly one at a time — the comparison baseline.
+//! batch. Block N+1 runs while block N validates and commits. Unordered
+//! blocks commit as they validate, their commits interleaved; the
+//! validator checks each one against the session's whole history, so
+//! the stream stays serializable. Ordered blocks (`Janus::ordered`)
+//! follow the session's turn, which keeps exact submission order: a
+//! block's batch hands its turns on when it is dropped, however the
+//! block ended.
 //!
 //! Failure is block-scoped: a poison panic or watchdog fire inside a
 //! block is caught by its pool job and surfaces as
@@ -31,23 +30,16 @@ use janus_relational::Value;
 
 use crate::stats::BlockStats;
 
-/// How block boundaries are treated.
+/// Blocks in flight at once: block N+1 executes while block N commits.
+const DEPTH: usize = 2;
+
+/// The executor's one pipeline shape. [`BlockExecutor::new`] ignores
+/// it; it stays only because the frozen benchmark package calls
+/// `BlockExecutor::new(.., PipelineMode::Pipelined)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// A block starts only after its predecessor fully finished.
-    Barrier,
-    /// Up to two blocks in flight. Unordered blocks commit as they
-    /// validate; ordered blocks follow the session's turn.
+    /// Up to [`DEPTH`] blocks in flight.
     Pipelined,
-}
-
-impl PipelineMode {
-    fn depth(self) -> usize {
-        match self {
-            PipelineMode::Barrier => 1,
-            PipelineMode::Pipelined => 2,
-        }
-    }
 }
 
 /// Terminal state of one block.
@@ -86,12 +78,10 @@ impl BlockOutcome {
     }
 }
 
-/// Result of [`BlockExecutor::submit`]: the sequence number assigned to
-/// the new block, plus any older block retired to make room.
+/// Result of [`BlockExecutor::submit`]: the older blocks retired to
+/// make room for the new one.
 #[derive(Debug)]
 pub struct Submitted {
-    /// Sequence number of the just-submitted block.
-    pub seq: u64,
     /// Blocks that completed while making room (in submission order).
     pub retired: Vec<BlockOutcome>,
 }
@@ -100,7 +90,6 @@ pub struct Submitted {
 /// [`BlockExecutor::submit`] / [`BlockExecutor::execute_blocks`].
 pub struct BlockExecutor {
     session: Arc<Session>,
-    mode: PipelineMode,
     stats: Arc<BlockStats>,
     seq: u64,
     /// Commit-clock offset for recovered services: the session counts
@@ -116,11 +105,10 @@ pub struct BlockExecutor {
 
 impl BlockExecutor {
     /// An executor over `store`.
-    pub fn new(janus: Janus, store: Store, mode: PipelineMode) -> Self {
+    pub fn new(janus: Janus, store: Store, _mode: PipelineMode) -> Self {
         let session = Arc::new(janus.open_session(store));
         BlockExecutor {
             session,
-            mode,
             stats: Arc::new(BlockStats::default()),
             seq: 0,
             seq_base: 0,
@@ -157,11 +145,6 @@ impl BlockExecutor {
         self.seq_base + self.session.commit_seq()
     }
 
-    /// Blocks currently executing.
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Submits one block. Blocks (joining the oldest in-flight batch)
     /// when the pipeline is at depth — that join is the executor's
     /// intrinsic backpressure.
@@ -170,7 +153,7 @@ impl BlockExecutor {
         self.seq += 1;
         let seq = self.seq;
         let mut retired = Vec::new();
-        while self.inflight.len() >= self.mode.depth() {
+        while self.inflight.len() >= DEPTH {
             retired.push(self.retire_oldest());
         }
 
@@ -190,7 +173,7 @@ impl BlockExecutor {
         self.inflight.push_back(janus_core::spawn(move || {
             conduct(seq, n, &stats, || session.run(batch))
         }));
-        Submitted { seq, retired }
+        Submitted { retired }
     }
 
     /// Joins every in-flight block, returning their outcomes in
@@ -204,18 +187,6 @@ impl BlockExecutor {
             self.wall += t0.elapsed();
         }
         out
-    }
-
-    /// Runs one block to completion.
-    pub fn execute_block(&mut self, tasks: Vec<Task>) -> BlockOutcome {
-        let submitted = self.submit(tasks);
-        let seq = submitted.seq;
-        let mut all = submitted.retired;
-        all.extend(self.drain());
-        // `drain` retires in submission order; ours is the newest.
-        let outcome = all.pop().expect("submitted block must retire");
-        debug_assert_eq!(outcome.seq, seq);
-        outcome
     }
 
     /// Runs a stream of blocks through the pipeline and returns every
@@ -268,9 +239,6 @@ fn conduct(
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
     let latency = started.elapsed();
-    stats
-        .busy_micros
-        .fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
     stats.latency_us.lock().observe(latency.as_micros() as u64);
 
     let (status, error, batch) = match result {
@@ -322,7 +290,8 @@ mod tests {
     use super::*;
     use janus_core::PanicPolicy;
     use janus_detect::SequenceDetector;
-    use janus_sched::{Fifo, SchedulePolicy, TaskSource};
+    use janus_sched::{BackoffHint, Dispatch, Fifo, SchedStats, SchedulePolicy, TaskSource};
+    use std::sync::atomic::AtomicBool;
 
     fn janus(threads: usize) -> Janus {
         Janus::new(Arc::new(SequenceDetector::new())).threads(threads)
@@ -359,20 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_mode_runs_blocks_strictly_in_turn() {
-        let mut store = Store::new();
-        let acct = store.alloc("acct", Value::int(0));
-        let mut exec = BlockExecutor::new(janus(2), store, PipelineMode::Barrier);
-        for _ in 0..3 {
-            let o = exec.execute_block(counter_tasks(acct, 3, 1));
-            assert_eq!(o.status, BlockStatus::Committed);
-            assert!(exec.inflight() == 0);
-        }
-        let (store, _, _) = exec.finish();
-        assert_eq!(store.value(acct), Some(&Value::int(9)));
-    }
-
-    #[test]
     fn disjoint_blocks_overlap_under_pipelining() {
         // Two blocks over disjoint accounts, in flight together.
         let mut store = Store::new();
@@ -388,9 +343,9 @@ mod tests {
 
     #[test]
     fn poisoned_block_fails_alone_and_the_pipeline_survives() {
-        // Satellite #1 regression: a Poison-policy panic inside block 2
-        // must surface as BlockStatus::Failed for that block only; the
-        // session, pool and subsequent blocks stay live.
+        // A Poison-policy panic inside block 2 must surface as
+        // BlockStatus::Failed for that block only; the session, pool
+        // and the block after it stay live.
         let mut store = Store::new();
         let acct = store.alloc("acct", Value::int(0));
         let mut exec = BlockExecutor::new(
@@ -398,9 +353,6 @@ mod tests {
             store,
             PipelineMode::Pipelined,
         );
-        let good_before = exec.execute_block(counter_tasks(acct, 3, 1));
-        assert_eq!(good_before.status, BlockStatus::Committed);
-
         let bad: Vec<Task> = (0..3)
             .map(|i| {
                 Task::new(move |tx| {
@@ -411,13 +363,22 @@ mod tests {
                 })
             })
             .collect();
-        let failed = exec.execute_block(bad);
-        assert_eq!(failed.status, BlockStatus::Failed);
-        assert_eq!(failed.error.as_deref(), Some("mid-batch failure"));
-
-        let good_after = exec.execute_block(counter_tasks(acct, 3, 1));
-        assert_eq!(good_after.status, BlockStatus::Committed);
-        assert_eq!(good_after.commits(), 3);
+        let outcomes = exec.execute_blocks(vec![
+            counter_tasks(acct, 3, 1),
+            bad,
+            counter_tasks(acct, 3, 1),
+        ]);
+        let status: Vec<_> = outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(
+            status,
+            [
+                BlockStatus::Committed,
+                BlockStatus::Failed,
+                BlockStatus::Committed
+            ]
+        );
+        assert_eq!(outcomes[1].error.as_deref(), Some("mid-batch failure"));
+        assert_eq!(outcomes[2].commits(), 3);
 
         let report = exec.stats().report(exec.stream_wall_micros());
         assert_eq!(report.blocks_committed, 2);
@@ -586,6 +547,95 @@ mod tests {
         assert_eq!(outcomes[2].commits(), 4, "block 3 commits every task");
         let expected = (100..164).chain(300..304).fold(0, step);
         assert_eq!(value, Some(Value::int(expected)));
+    }
+
+    /// Flags shared by [`HoldOneTaskBatch`] and the test driving it.
+    #[derive(Debug, Default)]
+    struct Hold {
+        held: AtomicBool,
+        release: AtomicBool,
+    }
+
+    /// FIFO dispatch that holds the worker of a one-task batch in
+    /// `next_task` until `release` is set, raising `held` once it waits.
+    /// The held worker has begun no attempt, so it pins no history.
+    #[derive(Debug)]
+    struct HoldOneTaskBatch(Arc<Hold>);
+
+    impl SchedulePolicy for HoldOneTaskBatch {
+        fn name(&self) -> &'static str {
+            "hold-one-task-batch"
+        }
+
+        fn bind(&self, tasks: usize, workers: usize) -> Box<dyn TaskSource> {
+            let inner = Fifo.bind(tasks, workers);
+            if tasks != 1 {
+                return inner;
+            }
+            Box::new(Held(Arc::clone(&self.0), inner))
+        }
+    }
+
+    struct Held(Arc<Hold>, Box<dyn TaskSource>);
+
+    impl TaskSource for Held {
+        fn next_task(&self, worker: usize) -> Option<Dispatch> {
+            self.0.held.store(true, Ordering::Release);
+            wait_for(|| self.0.release.load(Ordering::Acquire));
+            self.1.next_task(worker)
+        }
+
+        fn on_abort(&self, worker: usize, task: usize, attempt: u32) -> BackoffHint {
+            self.1.on_abort(worker, task, attempt)
+        }
+
+        fn stats(&self) -> SchedStats {
+            self.1.stats()
+        }
+    }
+
+    /// Polls `cond` for up to 10 s; whether it came true.
+    fn wait_for(cond: impl Fn() -> bool) -> bool {
+        let t0 = Instant::now();
+        while !cond() {
+            if t0.elapsed() > Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn each_block_counts_only_its_own_history_reclaimed() {
+        // Block 1's worker is held before its one task while block 2's
+        // three commits prune `y`'s history: those prunes are block
+        // 2's, however long block 1 stays in flight around them.
+        let mut store = Store::new();
+        let y = store.alloc("y", Value::int(0));
+        let hold = Arc::new(Hold::default());
+        let janus = janus(1).schedule(Arc::new(HoldOneTaskBatch(Arc::clone(&hold))));
+        let mut exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined);
+        exec.submit(counter_tasks(y, 1, 1));
+        assert!(wait_for(|| hold.held.load(Ordering::Acquire)));
+        exec.submit(counter_tasks(y, 3, 1));
+        let committed = wait_for(|| exec.value(y) == Some(Value::int(3)));
+        hold.release.store(true, Ordering::Release);
+        let outcomes = exec.drain();
+        assert!(committed, "block 2 committed while block 1 was held");
+        let reclaimed: Vec<u64> = outcomes
+            .iter()
+            .map(|o| o.batch.as_ref().expect("block ran").stats.history_reclaimed)
+            .collect();
+        let (store, report, _) = exec.finish();
+        assert_eq!(store.value(y), Some(&Value::int(4)));
+        let pruned: u64 = report.0.iter().map(|s| s.pruned).sum();
+        assert!(reclaimed[1] > 0, "block 2's commits prune history");
+        assert_eq!(
+            reclaimed.iter().sum::<u64>(),
+            pruned,
+            "per-block reclaimed {reclaimed:?} against {pruned} pruned"
+        );
     }
 
     #[test]

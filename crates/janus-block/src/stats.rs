@@ -17,11 +17,9 @@ pub struct BlockStats {
     pub(crate) txns_committed: AtomicU64,
     pub(crate) txns_retried: AtomicU64,
     pub(crate) txns_failed: AtomicU64,
-    /// Sum of per-block wall times, in microseconds. Compared against
-    /// the stream's wall clock this yields the overlap ratio: depth-2
-    /// pipelining can push busy/wall up to 2.0.
-    pub(crate) busy_micros: AtomicU64,
-    /// Per-block latency, in microseconds.
+    /// Per-block latency, in microseconds. Its sum against the stream's
+    /// wall clock yields the overlap ratio: depth-2 pipelining can push
+    /// busy/wall up to 2.0.
     pub(crate) latency_us: Mutex<Histogram>,
     /// Transactions per block.
     pub(crate) block_size: Mutex<Histogram>,
@@ -30,7 +28,7 @@ pub struct BlockStats {
 impl BlockStats {
     /// A point-in-time snapshot of the counters.
     pub fn report(&self, stream_wall_micros: u64) -> BatchReport {
-        let busy = self.busy_micros.load(Ordering::Relaxed);
+        let busy = self.latency_us.lock().sum();
         BatchReport {
             blocks_submitted: self.blocks_submitted.load(Ordering::Relaxed),
             blocks_committed: self.blocks_committed.load(Ordering::Relaxed),
@@ -200,6 +198,7 @@ mod tests {
         serve.export(&mut m);
         assert_eq!(m.counter("batch.blocks_submitted"), 3);
         assert_eq!(m.counter("batch.txns_committed"), 30);
+        assert_eq!(m.counter("batch.busy_micros"), 500, "the latency sum");
         assert_eq!(m.counter("serve.batches_admitted"), 3);
         assert_eq!(m.counter("serve.batches_shed"), 1);
         assert_eq!(m.histogram("batch.latency_us").unwrap().count(), 1);

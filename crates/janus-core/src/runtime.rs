@@ -331,7 +331,7 @@ impl Session {
         }
         let counters = &ctx.counters;
         let at_end = self.cumulative_counters();
-        let [ops_scanned, segments_skipped, segments_scanned, faults_injected, history_reclaimed] =
+        let [ops_scanned, segments_skipped, segments_scanned, faults_injected] =
             std::array::from_fn(|i| at_end[i].saturating_sub(at_start[i]));
         let sched = ctx.source.stats();
         let mut failed = std::mem::take(&mut *ctx.failed.lock());
@@ -347,7 +347,7 @@ impl Session {
                 commits: counters.commits.load(Ordering::Relaxed),
                 retries: counters.retries.load(Ordering::Relaxed),
                 wall: started.elapsed(),
-                history_reclaimed,
+                history_reclaimed: counters.reclaimed.load(Ordering::Relaxed),
                 detect_ops_scanned: ops_scanned,
                 delta_revalidations: counters.delta_revalidations.load(Ordering::Relaxed),
                 fastpath_segments_skipped: segments_skipped,
@@ -362,19 +362,14 @@ impl Session {
 
     /// The session-cumulative counters a batch reports as deltas:
     /// detector operations scanned, prefilter segments skipped and
-    /// scanned, faults injected, history entries reclaimed.
-    fn cumulative_counters(&self) -> [u64; 5] {
+    /// scanned, faults injected.
+    fn cumulative_counters(&self) -> [u64; 4] {
         let (detect, faults) = (self.janus.detector.stats(), &self.janus.faults);
         [
             detect.ops_scanned(),
             detect.segments_skipped(),
             detect.segments_scanned(),
             faults.as_ref().map_or(0, |f| f.stats().injected()),
-            self.core
-                .shards
-                .iter()
-                .map(|s| s.stats.reclaimed_total())
-                .sum(),
         ]
     }
 
@@ -607,7 +602,8 @@ pub struct RunStats {
     pub retries: u64,
     /// Wall-clock duration of the parallel region.
     pub wall: Duration,
-    /// Commit-log entries reclaimed by history GC.
+    /// Commit-log entries this run's own commits reclaimed by history
+    /// GC (a concurrent batch of the session counts its prunes itself).
     pub history_reclaimed: u64,
     /// Operations handed to per-cell conflict checks during this run —
     /// the cost driver incremental validation exists to bound.
@@ -707,6 +703,8 @@ struct RunCounters {
     zero_copy_windows: AtomicU64,
     tasks_failed: AtomicU64,
     watchdog_fires: AtomicU64,
+    /// History entries this run's own commits pruned.
+    reclaimed: AtomicU64,
 }
 
 /// The JANUS runtime: a conflict detector plus execution policy. Mirrors
@@ -1357,6 +1355,9 @@ impl Janus {
             reclaimed += dropped;
         }
         if reclaimed > 0 {
+            ctx.counters
+                .reclaimed
+                .fetch_add(reclaimed, Ordering::Relaxed);
             if let Some(o) = t.obs {
                 o.record(EventKind::GcReclaim { reclaimed });
             }

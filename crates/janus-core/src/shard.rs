@@ -293,12 +293,6 @@ impl ShardCounters {
         self.pruned.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Entries reclaimed from this shard so far (sessions subtract a
-    /// baseline to attribute reclamation to one batch).
-    pub fn reclaimed_total(&self) -> u64 {
-        self.pruned.load(Ordering::Relaxed)
-    }
-
     /// Records one write-lock acquisition wait.
     pub fn lock_wait(&self, wait: Duration) {
         let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);

@@ -61,11 +61,9 @@ pub(crate) fn parse_seq_name(name: &str, prefix: &str, suffix: &str) -> Option<u
 /// whatever of a written-but-unsynced tail the OS kept).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Write + fsync at the end of every turn that took a record: nothing
-    /// the journal thread has seen stays unsynced past its turn.
-    Always,
     /// Write + fsync at the end of a turn once at least `n` records are
-    /// unsynced (group commit).
+    /// unsynced (group commit). `EveryN(1)`, spelled `always`, leaves
+    /// nothing the journal thread has seen unsynced past its turn.
     EveryN(u64),
     /// Write + fsync once the oldest unsynced record has waited `ms`
     /// milliseconds; the journal thread's timed wait fires it.
@@ -75,10 +73,10 @@ pub enum FsyncPolicy {
 impl std::str::FromStr for FsyncPolicy {
     type Err = String;
 
-    /// Parses `always`, `every-n:<N>` or `interval-ms:<N>`.
+    /// Parses `always` (`every-n:1`), `every-n:<N>` or `interval-ms:<N>`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s == "always" {
-            return Ok(FsyncPolicy::Always);
+            return Ok(FsyncPolicy::EveryN(1));
         }
         if let Some(n) = s.strip_prefix("every-n:") {
             return match n.parse::<u64>() {
@@ -101,7 +99,6 @@ impl std::str::FromStr for FsyncPolicy {
 impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FsyncPolicy::Always => write!(f, "always"),
             FsyncPolicy::EveryN(n) => write!(f, "every-n:{n}"),
             FsyncPolicy::IntervalMs(ms) => write!(f, "interval-ms:{ms}"),
         }
@@ -528,7 +525,6 @@ impl Journal {
         self.append_pending(shared)?;
         let due = flush
             || match shared.policy {
-                FsyncPolicy::Always => self.unsynced > 0,
                 FsyncPolicy::EveryN(n) => self.unsynced >= n,
                 FsyncPolicy::IntervalMs(ms) => self
                     .oldest_unsynced
@@ -690,6 +686,39 @@ fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     wire::put_u64(out, sum);
 }
 
+/// One frame read back by [`read_frame`]: its payload, the checksum it
+/// carries (`stored`) and the payload's own (`computed`), and the offset
+/// just past it.
+pub(crate) struct Frame<'a> {
+    pub(crate) payload: &'a [u8],
+    pub(crate) stored: u64,
+    pub(crate) computed: u64,
+    pub(crate) next: usize,
+}
+
+impl Frame<'_> {
+    /// Whether the payload matches its stored checksum.
+    pub(crate) fn sound(&self) -> bool {
+        self.stored == self.computed
+    }
+}
+
+/// Reads the frame [`put_frame`] wrote at offset `at` of `bytes`, or
+/// `None` when the bytes end mid-frame: shorter than a length prefix,
+/// a zero length, or fewer bytes than the length and checksum need.
+pub(crate) fn read_frame(bytes: &[u8], at: usize) -> Option<Frame<'_>> {
+    let rest = bytes.get(at..)?;
+    let len = u32::from_le_bytes(rest.get(..4)?.try_into().expect("4 bytes")) as usize;
+    let payload = rest.get(4..4 + len).filter(|p| !p.is_empty())?;
+    let stored = u64::from_le_bytes(rest.get(4 + len..12 + len)?.try_into().expect("8 bytes"));
+    Some(Frame {
+        payload,
+        stored,
+        computed: wire::checksum(payload),
+        next: at + 12 + len,
+    })
+}
+
 /// Appends one commit record: ticket, shard mask, and the log's mutating
 /// effects (reads cost nothing to replay and are dropped).
 fn put_commit_frame(out: &mut Vec<u8>, seq: u64, shard_mask: u64, ops: &[Op]) {
@@ -718,8 +747,9 @@ mod tests {
 
     #[test]
     fn fsync_policy_parses_and_displays() {
+        assert_eq!("always".parse(), Ok(FsyncPolicy::EveryN(1)));
         for (s, want) in [
-            ("always", FsyncPolicy::Always),
+            ("every-n:1", FsyncPolicy::EveryN(1)),
             ("every-n:8", FsyncPolicy::EveryN(8)),
             ("interval-ms:25", FsyncPolicy::IntervalMs(25)),
         ] {
@@ -761,6 +791,16 @@ mod tests {
         let payload = &f[4..4 + len];
         let stored = u64::from_le_bytes(f[4 + len..].try_into().unwrap());
         assert_eq!(stored, wire::checksum(payload));
+
+        let frame = read_frame(&f, 0).expect("a whole frame");
+        assert!(frame.sound());
+        assert_eq!(frame.payload, payload);
+        assert_eq!(frame.next, f.len());
+        for cut in 0..f.len() {
+            assert!(read_frame(&f[..cut], 0).is_none(), "cut at {cut}");
+        }
+        f[5] ^= 1;
+        assert!(!read_frame(&f, 0).expect("still whole").sound());
     }
 
     #[test]

@@ -9,7 +9,8 @@ use janus_core::Store;
 use janus_log::{wire, ClassId, LocId, OpKind};
 
 use crate::journal::{
-    parse_seq_name, CLEAN_MAGIC, CLEAN_MARKER, REC_COMMIT, SEGMENT_MAGIC, SNAPSHOT_MAGIC,
+    parse_seq_name, read_frame, CLEAN_MAGIC, CLEAN_MARKER, REC_COMMIT, SEGMENT_MAGIC,
+    SNAPSHOT_MAGIC,
 };
 
 /// Why a recovery refused to proceed. Everything here is loud on
@@ -347,15 +348,7 @@ fn replay_segment(
 
     let mut off = 16usize;
     while off < bytes.len() {
-        let remaining = bytes.len() - off;
-        // A frame needs at least its length prefix, one payload byte and
-        // the checksum; anything shorter is a torn write.
-        let frame_len = if remaining >= 4 {
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize
-        } else {
-            0
-        };
-        if remaining < 4 || frame_len == 0 || remaining < 4 + frame_len + 8 {
+        let Some(frame) = read_frame(&bytes, off) else {
             if tolerant {
                 truncate_tail(path, off as u64)?;
                 out.torn_tail_truncations += 1;
@@ -365,20 +358,13 @@ fn replay_segment(
                 path: path.to_path_buf(),
                 offset: off as u64,
             });
-        }
-        let payload = &bytes[off + 4..off + 4 + frame_len];
-        let stored = u64::from_le_bytes(
-            bytes[off + 4 + frame_len..off + 12 + frame_len]
-                .try_into()
-                .unwrap(),
-        );
-        let computed = wire::checksum(payload);
-        if stored != computed {
+        };
+        if !frame.sound() {
             // A checksum failure is a torn write only if nothing sound
             // follows it; a valid record *after* the bad one means the
             // log's durable body is damaged, which no shutdown mode
             // tolerates.
-            if tolerant && !has_valid_record_after(&bytes, off + 4 + frame_len + 8) {
+            if tolerant && !has_valid_record_after(&bytes, frame.next) {
                 truncate_tail(path, off as u64)?;
                 out.torn_tail_truncations += 1;
                 return Ok(());
@@ -386,12 +372,12 @@ fn replay_segment(
             return Err(WalError::Corrupt {
                 path: path.to_path_buf(),
                 offset: off as u64,
-                stored,
-                computed,
+                stored: frame.stored,
+                computed: frame.computed,
             });
         }
-        apply_record(path, payload, applied, out)?;
-        off += 4 + frame_len + 8;
+        apply_record(path, frame.payload, applied, out)?;
+        off = frame.next;
     }
     Ok(())
 }
@@ -446,25 +432,11 @@ fn apply_record(
 /// frames are self-delimiting, so a sound record past a bad one proves
 /// the damage is mid-log, not a torn tail.
 fn has_valid_record_after(bytes: &[u8], mut from: usize) -> bool {
-    while from < bytes.len() {
-        let remaining = bytes.len() - from;
-        if remaining < 4 {
-            return false;
-        }
-        let frame_len = u32::from_le_bytes(bytes[from..from + 4].try_into().unwrap()) as usize;
-        if frame_len == 0 || remaining < 4 + frame_len + 8 {
-            return false;
-        }
-        let payload = &bytes[from + 4..from + 4 + frame_len];
-        let stored = u64::from_le_bytes(
-            bytes[from + 4 + frame_len..from + 12 + frame_len]
-                .try_into()
-                .unwrap(),
-        );
-        if stored == wire::checksum(payload) {
+    while let Some(frame) = read_frame(bytes, from) {
+        if frame.sound() {
             return true;
         }
-        from += 4 + frame_len + 8;
+        from = frame.next;
     }
     false
 }

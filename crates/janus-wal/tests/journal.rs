@@ -56,7 +56,7 @@ fn out_of_order_appends_recover_in_ticket_order() {
     let ops1 = ops_for(&store, |tx| tx.add(a, 7));
     let ops2 = ops_for(&store, |tx| tx.add(b, -30));
 
-    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("open");
     let sink = wal.sink();
     // Disjoint-shard committers may reach the sink out of ticket order;
     // the journal reorders on its pending map.
@@ -142,7 +142,7 @@ fn crash_sites_lose_exactly_the_undurable_suffix() {
             subject: 2,
             attempt: site.attempt(),
         }]));
-        let wal = Wal::open_with_faults(&dir, FsyncPolicy::Always, 0, Some(plan)).expect("open");
+        let wal = Wal::open_with_faults(&dir, FsyncPolicy::EveryN(1), 0, Some(plan)).expect("open");
         let sink = wal.sink();
         sink.committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
         settle(&wal, 1);
@@ -199,7 +199,7 @@ fn group_commit_crash_loses_the_whole_buffered_window() {
 fn snapshot_truncates_segments_and_dedupes_replay() {
     let dir = scratch("snapshot");
     let (store, a, b) = base_store();
-    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("open");
     let sink = wal.sink();
     let mut expected = store.clone();
     for seq in 1..=4 {
@@ -256,7 +256,7 @@ fn snapshot_truncates_segments_and_dedupes_replay() {
 fn corrupt_mid_log_record_fails_loudly_with_both_hashes() {
     let dir = scratch("corrupt");
     let (store, a, _b) = base_store();
-    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("open");
     let sink = wal.sink();
     for seq in 1..=3 {
         sink.committed(seq, 1, &ops_for(&store, |tx| tx.add(a, 1)));
@@ -291,7 +291,7 @@ fn corrupt_mid_log_record_fails_loudly_with_both_hashes() {
 fn a_clean_marker_makes_tail_damage_fatal() {
     let dir = scratch("clean-tail");
     let (store, a, _b) = base_store();
-    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("open");
     wal.sink()
         .committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
     wal.mark_clean().expect("clean");
@@ -330,7 +330,7 @@ fn a_record_of_unknown_type_fails_recovery() {
     // failed ordered task's turn — is refused, not replayed.
     let dir = scratch("unknown-type");
     let (store, a, _b) = base_store();
-    let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("open");
+    let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("open");
     wal.sink()
         .committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
     wal.flush().expect("flush");
@@ -367,7 +367,7 @@ fn reopen_continues_the_global_sequence() {
     let dir = scratch("reopen");
     let (store, a, _b) = base_store();
     {
-        let wal = Wal::open(&dir, FsyncPolicy::Always, 0).expect("boot 1");
+        let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), 0).expect("boot 1");
         let sink = wal.sink();
         sink.committed(1, 1, &ops_for(&store, |tx| tx.add(a, 1)));
         sink.committed(2, 1, &ops_for(&store, |tx| tx.add(a, 2)));
@@ -376,7 +376,7 @@ fn reopen_continues_the_global_sequence() {
     let rec = recover(&dir, base_store().0).expect("mid recover");
     assert_eq!(rec.commit_seq, 2);
     {
-        let wal = Wal::open(&dir, FsyncPolicy::Always, rec.commit_seq).expect("boot 2");
+        let wal = Wal::open(&dir, FsyncPolicy::EveryN(1), rec.commit_seq).expect("boot 2");
         // Session-local ticket 1 lands at global 3.
         wal.sink()
             .committed(1, 1, &ops_for(&store, |tx| tx.add(a, 4)));

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! janus-serve [--threads N] [--shards N] [--locs N]
-//!             [--mode pipelined|barrier] [--ordered]
+//!             [--mode pipelined] [--ordered]
 //!             [--max-inflight N] [--detector sequence|write-set]
 //!             [--panic-policy poison|isolate] [--watchdog-ms N]
 //!             [--fault-seed N] [--fault-rate R]
@@ -13,7 +13,8 @@
 //!
 //! The service boots `--locs` integer accounts (classes `acct0..`,
 //! value 0) and then speaks a line protocol on stdin/stdout — or, with
-//! `--listen ADDR`, on successive TCP connections:
+//! `--listen ADDR` (port 0 binds a free one), on successive TCP
+//! connections:
 //!
 //! ```text
 //! batch <id> <item> ...     submit one block; items are `i:+d` (add d
@@ -33,9 +34,8 @@
 //! Every admitted block eventually produces exactly one
 //! `done <id> status=committed|failed commits=<c> ...` line. Failure is
 //! block-scoped: a poison panic or watchdog fire inside one block
-//! yields `status=failed` for that block and the service keeps serving
-//! — the satellite containment guarantee, exercised by the CI serve
-//! job with `--fault-rate`.
+//! yields `status=failed` for that block and the service keeps
+//! serving.
 //!
 //! Admission control is a bounded inflight queue (`--max-inflight`,
 //! default 4): when the pipeline lags, new batches are *shed* with a
@@ -50,7 +50,7 @@
 //! `janus-wal` journal thread takes everything queued in a turn, writes
 //! it in ticket order and fsyncs per `--wal-fsync`:
 //!
-//! * `always` — at the end of every turn that took a record;
+//! * `always` (`every-n:1`) — at the end of every turn that took a record;
 //! * `every-n:N` (the default, `every-n:8`) — at the end of a turn once
 //!   at least N records are unsynced (group commit);
 //! * `interval-ms:N` — once the oldest unsynced record has waited N ms.
@@ -93,7 +93,7 @@ mod cli;
 use cli::{usage_error, Args, Runtime};
 
 const USAGE: &str = "usage:
-  janus-serve [--threads N] [--shards N] [--locs N] [--mode pipelined|barrier]
+  janus-serve [--threads N] [--shards N] [--locs N] [--mode pipelined]
               [--ordered] [--max-inflight N] [--detector sequence|write-set]
               [--panic-policy poison|isolate] [--watchdog-ms N]
               [--fault-seed N] [--fault-rate R] [--metrics] [--listen ADDR]
@@ -157,6 +157,17 @@ fn done_line(id: &str, outcome: &BlockOutcome) -> String {
     line
 }
 
+/// Where protocol lines go: stdout, or under `--listen` whichever
+/// connection is current.
+type Out = Arc<Mutex<Box<dyn Write + Send>>>;
+
+/// Writes one protocol line and flushes it.
+fn say(out: &Out, line: impl std::fmt::Display) {
+    let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = writeln!(w, "{line}");
+    let _ = w.flush();
+}
+
 /// The pipeline consumer: owns the executor, drains the admission
 /// queue, writes `done`/`value`/`stats` lines. With a journal attached,
 /// `drained commit_seq=<n>` is only printed once the journal thread has
@@ -166,7 +177,7 @@ fn consume(
     mut exec: BlockExecutor,
     queue: Arc<AdmissionQueue<Item>>,
     accounts: Vec<LocId>,
-    out: Arc<Mutex<Box<dyn Write + Send>>>,
+    out: Out,
     metrics: bool,
     wal: Option<Arc<Wal>>,
 ) {
@@ -174,16 +185,11 @@ fn consume(
     // Block ids admitted but not yet reported, in submission order
     // (the executor retires strictly FIFO).
     let mut pending: std::collections::VecDeque<String> = Default::default();
-    let say = |line: String| {
-        let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    };
     let report = |retired: Vec<BlockOutcome>, pending: &mut std::collections::VecDeque<String>| {
         for outcome in retired {
             let id = pending.pop_front().unwrap_or_else(|| "?".into());
             stats.note_completed(1);
-            say(done_line(&id, &outcome));
+            say(&out, done_line(&id, &outcome));
         }
     };
     while let Some(item) = queue.take() {
@@ -196,9 +202,9 @@ fn consume(
             Item::Read { acct } => match accounts.get(acct) {
                 Some(&loc) => {
                     let v = exec.value(loc).and_then(|v| v.as_int()).unwrap_or(0);
-                    say(format!("value {acct} {v}"));
+                    say(&out, format!("value {acct} {v}"));
                 }
-                None => say(format!("error account {acct} out of range")),
+                None => say(&out, format!("error account {acct} out of range")),
             },
             Item::Stats => {
                 report(exec.drain(), &mut pending);
@@ -207,17 +213,20 @@ fn consume(
                 // `gate_waits=0` stays only because the benchmark's
                 // stats-line parser (`benchmark/src/serve.rs`) requires
                 // the key; no gate remains to wait on.
-                say(format!(
-                    "stats admitted={} shed={} completed={} txns_in={} txns_committed={} \
+                say(
+                    &out,
+                    format!(
+                        "stats admitted={} shed={} completed={} txns_in={} txns_committed={} \
                      blocks_failed={} gate_waits=0 overlap_permille={}",
-                    s.admitted,
-                    s.shed,
-                    s.completed,
-                    s.txns_in,
-                    b.txns_committed,
-                    b.blocks_failed,
-                    b.overlap_permille,
-                ));
+                        s.admitted,
+                        s.shed,
+                        s.completed,
+                        s.txns_in,
+                        b.txns_committed,
+                        b.blocks_failed,
+                        b.overlap_permille,
+                    ),
+                );
             }
             Item::Drain => {
                 report(exec.drain(), &mut pending);
@@ -225,8 +234,8 @@ fn consume(
                 // at or below this sequence survives a kill. A journal
                 // that cannot keep it answers with the error instead.
                 match wal.as_ref().map_or(Ok(()), |wal| wal.flush()) {
-                    Ok(()) => say(format!("drained commit_seq={}", exec.commit_seq())),
-                    Err(e) => say(format!("error wal flush failed: {e}")),
+                    Ok(()) => say(&out, format!("drained commit_seq={}", exec.commit_seq())),
+                    Err(e) => say(&out, format!("error wal flush failed: {e}")),
                 }
             }
             Item::Quit => break,
@@ -261,15 +270,16 @@ fn consume(
         if let Some(wal) = &wal {
             m.absorb(wal.stats().as_ref());
         }
-        say("--- metrics ---".to_string());
+        say(&out, "--- metrics ---");
         let rendered = m.render();
         for line in rendered.lines() {
-            say(line.to_string());
+            say(&out, line);
         }
     }
-    say(format!(
-        "bye commit_seq={commit_seq} txns_committed={txns_committed}"
-    ));
+    say(
+        &out,
+        format!("bye commit_seq={commit_seq} txns_committed={txns_committed}"),
+    );
 }
 
 /// The protocol reader: parses lines, offers batches through admission,
@@ -278,14 +288,9 @@ fn serve_connection(
     input: impl BufRead,
     queue: &AdmissionQueue<Item>,
     accounts: &[LocId],
-    out: &Arc<Mutex<Box<dyn Write + Send>>>,
+    out: &Out,
 ) -> bool {
     let stats = Arc::clone(queue.stats());
-    let say = |line: String| {
-        let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    };
     for line in input.lines() {
         let Ok(line) = line else { break };
         let mut words = line.split_whitespace();
@@ -293,14 +298,14 @@ fn serve_connection(
             None => {}
             Some("batch") => {
                 let Some(id) = words.next() else {
-                    say("error batch needs an id".into());
+                    say(out, "error batch needs an id");
                     continue;
                 };
                 let tasks: Result<Vec<Task>, String> =
                     words.map(|t| parse_txn(t, accounts)).collect();
                 match tasks {
-                    Err(e) => say(format!("error {e}")),
-                    Ok(tasks) if tasks.is_empty() => say("error empty batch".into()),
+                    Err(e) => say(out, format!("error {e}")),
+                    Ok(tasks) if tasks.is_empty() => say(out, "error empty batch"),
                     Ok(tasks) => {
                         let n = tasks.len() as u64;
                         match queue.offer(Item::Block {
@@ -309,17 +314,17 @@ fn serve_connection(
                         }) {
                             Admission::Admitted => {
                                 stats.note_txns_in(n);
-                                say(format!("admitted {id} txns={n}"));
+                                say(out, format!("admitted {id} txns={n}"));
                             }
-                            Admission::Shed => say(format!("shed {id}")),
-                            Admission::Closed => say(format!("closed {id}")),
+                            Admission::Shed => say(out, format!("shed {id}")),
+                            Admission::Closed => say(out, format!("closed {id}")),
                         }
                     }
                 }
             }
             Some("read") => match words.next().and_then(|w| w.parse().ok()) {
                 Some(acct) => queue.push(Item::Read { acct }),
-                None => say("error read needs an account index".into()),
+                None => say(out, "error read needs an account index"),
             },
             Some("stats") => queue.push(Item::Stats),
             Some("drain") => queue.push(Item::Drain),
@@ -327,7 +332,7 @@ fn serve_connection(
                 queue.push(Item::Quit);
                 return true;
             }
-            Some(other) => say(format!("error unknown command {other:?}")),
+            Some(other) => say(out, format!("error unknown command {other:?}")),
         }
     }
     false
@@ -358,14 +363,13 @@ fn main() -> ExitCode {
             .unwrap_or("every-n:8")
             .parse::<FsyncPolicy>()
             .map_err(|e| format!("flag --wal-fsync: {e}"))?;
+        // One pipeline shape: `--mode pipelined` is accepted because the
+        // standalone benchmark passes it.
+        args.one_of("mode", &["pipelined"])?;
         Ok((
             Runtime::parse(&args)?,
             args.positive::<usize>("locs", 64)?,
             args.positive::<usize>("max-inflight", 4)?,
-            match args.one_of("mode", &["pipelined", "barrier"])? {
-                "barrier" => PipelineMode::Barrier,
-                _ => PipelineMode::Pipelined,
-            },
             match args.one_of("detector", &["sequence", "write-set"])? {
                 "write-set" => Arc::new(WriteSetDetector::new()) as Arc<dyn ConflictDetector>,
                 _ => Arc::new(SequenceDetector::new()),
@@ -373,7 +377,7 @@ fn main() -> ExitCode {
             wal_policy,
         ))
     })();
-    let (rt, locs, max_inflight, mode, detector, wal_policy) = match flags {
+    let (rt, locs, max_inflight, detector, wal_policy) = match flags {
         Ok(flags) => flags,
         Err(e) => return usage_error(USAGE, &e),
     };
@@ -432,7 +436,7 @@ fn main() -> ExitCode {
         silence_injected_panics();
     }
 
-    let exec = BlockExecutor::new(janus, store, mode).with_seq_base(seq_base);
+    let exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined).with_seq_base(seq_base);
     let queue = Arc::new(AdmissionQueue::new(
         max_inflight,
         Arc::new(ServeStats::default()),
@@ -440,41 +444,46 @@ fn main() -> ExitCode {
     let metrics = args.flag("metrics");
 
     eprintln!(
-        "janus-serve: {} threads, {} shards, {locs} accounts, mode={mode:?}, \
-         max-inflight={max_inflight}",
+        "janus-serve: {} threads, {} shards, {locs} accounts, max-inflight={max_inflight}",
         rt.threads, rt.shards
     );
 
-    if let Some(addr) = args.value("listen") {
-        let listener = match std::net::TcpListener::bind(addr) {
-            Ok(l) => l,
+    let listener = match args.value("listen") {
+        None => None,
+        Some(addr) => match std::net::TcpListener::bind(addr) {
+            Ok(listener) => Some(listener),
             Err(e) => {
                 eprintln!("error: cannot listen on {addr}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        eprintln!("janus-serve: listening on {addr} (successive sessions; quit ends the service)");
-        // One consumer thread outlives every client session; its output
-        // sink is swapped to point at whichever connection is current.
-        // A sink that starts life as io::sink() keeps pre-connection
-        // (and post-disconnect) chatter from going anywhere surprising.
-        let out: Arc<Mutex<Box<dyn Write + Send>>> =
-            Arc::new(Mutex::new(Box::new(std::io::sink())));
-        let consumer = {
-            let (queue, accounts, out, wal) = (
-                Arc::clone(&queue),
-                accounts.clone(),
-                Arc::clone(&out),
-                wal.clone(),
-            );
-            std::thread::spawn(move || consume(exec, queue, accounts, out, metrics, wal))
-        };
+        },
+    };
+    // The bound address, not the flag's text: `--listen 127.0.0.1:0`
+    // picks a free port.
+    if let Some(bound) = listener.as_ref().and_then(|l| l.local_addr().ok()) {
+        eprintln!("janus-serve: listening on {bound} (successive sessions; quit ends it)");
+    }
+    // One consumer thread outlives every client session. Under
+    // `--listen` its sink starts as io::sink(), and each connection
+    // swaps itself in for its lifetime, so chatter before the first
+    // connection (and after a disconnect) goes nowhere surprising.
+    let out: Out = Arc::new(Mutex::new(match listener {
+        Some(_) => Box::new(std::io::sink()),
+        None => Box::new(std::io::stdout()),
+    }));
+    let consumer = {
+        let (queue, accounts, out) = (Arc::clone(&queue), accounts.clone(), Arc::clone(&out));
+        std::thread::spawn(move || consume(exec, queue, accounts, out, metrics, wal))
+    };
+
+    let mut failed = false;
+    if let Some(listener) = listener {
         // A transient accept() failure (EMFILE, aborted handshake, ...)
         // must not take down the whole service: retry with bounded
         // exponential backoff, and only give up after several failures
         // in a row with no intervening successful session.
         let mut consecutive_failures = 0u32;
-        let failed = loop {
+        loop {
             match listener.accept() {
                 Ok((conn, peer)) => {
                     consecutive_failures = 0;
@@ -488,7 +497,7 @@ fn main() -> ExitCode {
                     };
                     *out.lock().unwrap_or_else(|e| e.into_inner()) = Box::new(write_half);
                     if serve_connection(BufReader::new(conn), &queue, &accounts, &out) {
-                        break false;
+                        break;
                     }
                     *out.lock().unwrap_or_else(|e| e.into_inner()) = Box::new(std::io::sink());
                     eprintln!("janus-serve: client {peer} disconnected; awaiting next session");
@@ -500,35 +509,21 @@ fn main() -> ExitCode {
                             "error: accept failed {consecutive_failures} times in a row: {e}"
                         );
                         queue.push(Item::Quit);
-                        break true;
+                        failed = true;
+                        break;
                     }
                     let wait_ms = 10u64 << consecutive_failures;
                     eprintln!("janus-serve: accept failed ({e}); retrying in {wait_ms}ms");
                     std::thread::sleep(std::time::Duration::from_millis(wait_ms));
                 }
             }
-        };
-        let _ = consumer.join();
-        if failed {
-            return ExitCode::FAILURE;
         }
-    } else {
-        let out: Arc<Mutex<Box<dyn Write + Send>>> =
-            Arc::new(Mutex::new(Box::new(std::io::stdout())));
-        let consumer = {
-            let (queue, accounts, out, wal) = (
-                Arc::clone(&queue),
-                accounts.clone(),
-                Arc::clone(&out),
-                wal.clone(),
-            );
-            std::thread::spawn(move || consume(exec, queue, accounts, out, metrics, wal))
-        };
-        let stdin = std::io::stdin();
-        if !serve_connection(stdin.lock(), &queue, &accounts, &out) {
-            queue.push(Item::Quit);
-        }
-        let _ = consumer.join();
+    } else if !serve_connection(std::io::stdin().lock(), &queue, &accounts, &out) {
+        queue.push(Item::Quit);
+    }
+    let _ = consumer.join();
+    if failed {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -4,7 +4,7 @@
 //!
 //! * Commutative batches: pipelined `execute_blocks` commits every
 //!   transaction exactly once and lands on the sequential sums, across
-//!   shard counts × detectors × schedule policies × pipeline modes.
+//!   shard counts × detectors × schedule policies.
 //! * Ordered mode: order-sensitive (non-commuting) bodies split across
 //!   batches reproduce the flat sequential execution bit for bit — the
 //!   session's one ordered turn makes commit order follow submission
@@ -20,7 +20,6 @@ use janus::sched::{Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 2] = [1, 8];
-const MODES: [PipelineMode; 2] = [PipelineMode::Barrier, PipelineMode::Pipelined];
 
 /// One add-only transaction: bump location `loc` by `delta`.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +86,7 @@ proptest! {
     /// Pipelined `execute_blocks` over K batches equals one flat
     /// sequential run of the concatenation: same sums, every
     /// transaction committed exactly once — for every combination of
-    /// shard count, detector, schedule policy, and pipeline mode.
+    /// shard count, detector and schedule policy.
     #[test]
     fn pipelined_blocks_equal_the_flat_sequential_run(
         batches in batches_strategy(),
@@ -106,41 +105,38 @@ proptest! {
         for (det_label, det) in &detectors {
             for (sched_label, sched) in schedules() {
                 for shards in SHARD_COUNTS {
-                    for mode in MODES {
-                        let mut store = Store::new();
-                        let locs = alloc_locs(&mut store, n_locs);
-                        let janus = Janus::new(Arc::clone(det))
-                            .threads(threads)
-                            .shards(shards)
-                            .schedule(Arc::clone(&sched));
-                        let mut exec = BlockExecutor::new(janus, store, mode);
-                        let blocks: Vec<Vec<Task>> = batches
-                            .iter()
-                            .map(|b| build_rmw(b, &locs))
-                            .collect();
-                        let outcomes = exec.execute_blocks(blocks);
-                        let ctx = format!(
-                            "{det_label}/{sched_label} @ {shards} shards, \
-                             {threads} threads, {mode:?}"
-                        );
-                        prop_assert_eq!(outcomes.len(), batches.len(), "{}", &ctx);
-                        prop_assert!(
-                            outcomes.iter().all(|o| o.status == BlockStatus::Committed),
-                            "{}: every block commits", &ctx
-                        );
-                        let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
-                        prop_assert_eq!(
-                            committed, total as u64,
-                            "{}: each transaction commits exactly once", &ctx
-                        );
-                        let (final_store, _, tail) = exec.finish();
-                        prop_assert!(tail.is_empty());
-                        prop_assert_eq!(
-                            &final_sums(&final_store, n_locs),
-                            &expected,
-                            "{}", &ctx
-                        );
-                    }
+                    let mut store = Store::new();
+                    let locs = alloc_locs(&mut store, n_locs);
+                    let janus = Janus::new(Arc::clone(det))
+                        .threads(threads)
+                        .shards(shards)
+                        .schedule(Arc::clone(&sched));
+                    let mut exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined);
+                    let blocks: Vec<Vec<Task>> = batches
+                        .iter()
+                        .map(|b| build_rmw(b, &locs))
+                        .collect();
+                    let outcomes = exec.execute_blocks(blocks);
+                    let ctx = format!(
+                        "{det_label}/{sched_label} @ {shards} shards, {threads} threads"
+                    );
+                    prop_assert_eq!(outcomes.len(), batches.len(), "{}", &ctx);
+                    prop_assert!(
+                        outcomes.iter().all(|o| o.status == BlockStatus::Committed),
+                        "{}: every block commits", &ctx
+                    );
+                    let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
+                    prop_assert_eq!(
+                        committed, total as u64,
+                        "{}: each transaction commits exactly once", &ctx
+                    );
+                    let (final_store, _, tail) = exec.finish();
+                    prop_assert!(tail.is_empty());
+                    prop_assert_eq!(
+                        &final_sums(&final_store, n_locs),
+                        &expected,
+                        "{}", &ctx
+                    );
                 }
             }
         }
@@ -178,30 +174,28 @@ proptest! {
         let (lo, hi) = (cut1.min(cut2), cut1.max(cut2));
         let batches = [&deltas[..lo], &deltas[lo..hi], &deltas[hi..]];
 
-        for mode in MODES {
-            for shards in SHARD_COUNTS {
-                let janus = Janus::new(Arc::new(SequenceDetector::new()))
-                    .threads(threads)
-                    .shards(shards)
-                    .ordered(true);
-                let mut exec = BlockExecutor::new(janus, store.clone(), mode);
-                let outcomes = exec.execute_blocks(
-                    batches
-                        .iter()
-                        .filter(|b| !b.is_empty())
-                        .map(|b| build(b))
-                        .collect(),
-                );
-                let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
-                prop_assert_eq!(committed, deltas.len() as u64);
-                let (final_store, _, _) = exec.finish();
-                let got = final_store.value(x).and_then(Value::as_int).expect("int");
-                prop_assert_eq!(
-                    got, expected,
-                    "ordered {:?} @ {} shards, {} threads, cuts ({}, {})",
-                    mode, shards, threads, lo, hi
-                );
-            }
+        for shards in SHARD_COUNTS {
+            let janus = Janus::new(Arc::new(SequenceDetector::new()))
+                .threads(threads)
+                .shards(shards)
+                .ordered(true);
+            let mut exec = BlockExecutor::new(janus, store.clone(), PipelineMode::Pipelined);
+            let outcomes = exec.execute_blocks(
+                batches
+                    .iter()
+                    .filter(|b| !b.is_empty())
+                    .map(|b| build(b))
+                    .collect(),
+            );
+            let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
+            prop_assert_eq!(committed, deltas.len() as u64);
+            let (final_store, _, _) = exec.finish();
+            let got = final_store.value(x).and_then(Value::as_int).expect("int");
+            prop_assert_eq!(
+                got, expected,
+                "ordered @ {} shards, {} threads, cuts ({}, {})",
+                shards, threads, lo, hi
+            );
         }
     }
 }
@@ -212,7 +206,7 @@ proptest! {
 /// flat sequential result with almost as many workers as tasks per
 /// block.
 #[test]
-fn gate_parked_ordered_blocks_match_sequential() {
+fn turn_parked_ordered_blocks_match_sequential() {
     let mut store = Store::new();
     let x = store.alloc("x", Value::int(1));
     let build = |deltas: &[i64]| -> Vec<Task> {
@@ -249,9 +243,9 @@ fn gate_parked_ordered_blocks_match_sequential() {
 
 /// Disjoint-footprint batches in flight together: a successor block's
 /// commits may land while its predecessor still runs, and every
-/// location ends with exactly its own block's add.
+/// location ends with exactly its own block's add, once.
 #[test]
-fn disjoint_batches_commit_through_the_open_gate() {
+fn overlapping_disjoint_blocks_each_commit_their_adds_once() {
     let mut store = Store::new();
     let locs = alloc_locs(&mut store, 8);
     let janus = Janus::new(Arc::new(SequenceDetector::new())).threads(2);

@@ -45,9 +45,24 @@ fn serve_rejects_out_of_range_numbers() {
         // A value never starts with `--`: the next flag is not swallowed
         // as an address.
         &["--listen", "--metrics"],
+        // Removed: blocks always pipeline.
+        &["--mode", "barrier"],
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_janus-serve"), args, "quit\n");
     }
+}
+
+/// The one `--mode` value stays accepted: the benchmark passes it.
+#[test]
+fn serve_still_accepts_mode_pipelined() {
+    let out = run(
+        env!("CARGO_BIN_EXE_janus-serve"),
+        &["--mode", "pipelined"],
+        "quit\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains("bye commit_seq=0"), "stdout:\n{stdout}");
 }
 
 #[test]

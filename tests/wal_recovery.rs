@@ -83,7 +83,6 @@ fn durable_prefix(policy: FsyncPolicy, site: CrashSite, k: u64) -> (u64, u64) {
         // The record never exists; the whole unsynced window is lost.
         CrashSite::PreAppend => {
             let synced = match policy {
-                FsyncPolicy::Always => k - 1,
                 FsyncPolicy::EveryN(n) => (k - 1) / n * n,
                 FsyncPolicy::IntervalMs(_) => unreachable!("not exercised here"),
             };
@@ -219,7 +218,7 @@ fn ordered_isolated_failures_journal_only_commits() {
 
 fn policies() -> impl Strategy<Value = FsyncPolicy> {
     prop_oneof![
-        Just(FsyncPolicy::Always),
+        Just(FsyncPolicy::EveryN(1)),
         (1u64..=5).prop_map(FsyncPolicy::EveryN),
     ]
 }
